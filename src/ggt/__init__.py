@@ -20,8 +20,9 @@ from .pathspace import (BoundaryPoint, Clopen, Path, Piece, parse_clopen,
                         parse_path, parse_piece)
 from .fullgroup import (Block, Element, GradedPartition, apply, compose,
                         compose_all, doubling_bisections, graded_partition,
-                        inverse, make_block, parse_element_text, print_element,
-                        support, transposition, validate_element)
+                        inverse, is_involution, make_block, parse_element_text,
+                        print_element, support, transposition,
+                        validate_element)
 from .homology import (ClassVector, HomologyReport, IndexValue,
                        abelianization_report, class_of, classes_equal,
                        homology, index, is_zero, shift)

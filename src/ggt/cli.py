@@ -138,7 +138,7 @@ def _cmd_verify(args) -> str:
         raise GgtError(f"cannot read {args.factors}: {exc.strerror}") from exc
     _, elements = parse_factorization(g, text)
     ok = verify_product(e, elements)
-    involutive = all(fg.compose(t, t).is_identity() for t in elements)
+    involutive = all(fg.is_involution(t) for t in elements)
     if not (ok and involutive):
         raise VerificationFailed(
             f"factors={len(elements)} recompose={_bool(ok)} "

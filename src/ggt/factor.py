@@ -9,8 +9,9 @@ a permutation of a stable clopen partition and splits into canonical
 swaps; and a general element with vanishing index is conjugated off its
 support by an explicit transposition built from mutually disjoint paths
 through a distinguished infinite emitter, after which the balanced case
-applies. Every factorization is certified by recomposition before it is
-returned.
+applies. Every public factorization is certified once, by exact
+recomposition, before it is returned; a failed certification raises
+VerificationFailed.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
-                     MatchingDepthExceeded, NotEquivalent, ParseError)
+                     MatchingDepthExceeded, NotEquivalent, ParseError,
+                     VerificationFailed)
 from .fullgroup import (Block, Element, bisection_range, bisection_source,
                         check_bisection, compose, compose_all, graded_partition,
-                        inverse, parse_element_text, print_element,
-                        same_action, shrink_support, support, transposition)
+                        inverse, is_involution, parse_element_text,
+                        print_element, same_action, shrink_support, support,
+                        transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
 from .homology import class_of, classes_equal, index, shift
 from .pathspace import (Clopen, Path, Piece, canonicalize, intersect_pieces,
@@ -351,13 +354,20 @@ def verify_product(e: Element, factors) -> bool:
     return same_action(compose_all(factors), e)
 
 
+def _certify(e: Element, factors) -> Factorization:
+    """The certified factorization, or VerificationFailed."""
+    if not verify_product(e, factors):
+        raise VerificationFailed(f"factors={len(factors)} recompose=false")
+    return Factorization(tuple(factors), True)
+
+
 def _restrict_block_to_source(g, b: Block, piece: Piece) -> Block:
     lam = piece.mu.edges[len(b.nu):]
     return Block(Path(b.mu.base, b.mu.edges + lam), piece.punctures, piece.mu)
 
 
 def af_factor(e: Element) -> Factorization:
-    """Transposition decomposition of a length-balanced table.
+    """Certified transposition decomposition of a length-balanced table.
 
     The table is refined until its source pieces and range pieces agree
     as a partition; balanced blocks preserve piece depth under
@@ -367,10 +377,15 @@ def af_factor(e: Element) -> Factorization:
     splits into adjacent swaps; holonomy is trivial because canonical
     arrows compose to canonical arrows.
     """
-    g = e.graph
     assert all(b.lag() == 0 for b in e.blocks), "table is not length-balanced"
     if e.is_identity():
         return Factorization((), True)
+    return _certify(e, _af_swaps(e))
+
+
+def _af_swaps(e: Element):
+    """The uncertified swaps of af_factor; none for the identity."""
+    g = e.graph
     table = list(e.blocks)
     depth_cap = e.max_depth()
     while True:
@@ -405,9 +420,7 @@ def af_factor(e: Element) -> Factorization:
         for i in range(len(cycle) - 1):
             p, q = cycle[i], cycle[i + 1]
             factors.append(transposition(g, [Block(q.mu, q.punctures, p.mu)]))
-    certified = verify_product(e, factors)
-    assert certified
-    return Factorization(tuple(factors), certified)
+    return factors
 
 
 # -- the full pipeline -------------------------------------------------------
@@ -418,7 +431,8 @@ def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH, max_chain=None) -> Factoriza
     The graph must satisfy the factorization hypotheses (strongly
     connected with a distinguished emitter); the element must have
     vanishing index. Every returned factor squares to the identity and
-    the ordered product recomposes to the input exactly.
+    the ordered product recomposes to the input exactly; both are checked
+    once here, and a failure raises VerificationFailed.
     """
     g = e.graph
     report = validate(g)
@@ -428,12 +442,11 @@ def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH, max_chain=None) -> Factoriza
     value = index(e, max_chain=max_chain)
     if not value.zero:
         raise IndexNonzero(f"index class {value.vector} is nonzero")
-    factors = _factor_proper(e, max_depth)
-    certified = verify_product(e, factors)
-    assert certified
-    for f in factors:
-        assert compose(f, f).is_identity()
-    return Factorization(tuple(factors), certified)
+    fact = _certify(e, _factor_proper(e, max_depth))
+    if not all(is_involution(t) for t in fact.transpositions):
+        raise VerificationFailed(f"factors={len(fact.transpositions)} "
+                                 f"recompose=true involutions=false")
+    return fact
 
 
 def _factor_proper(e: Element, max_depth):
@@ -448,7 +461,7 @@ def _factor_proper(e: Element, max_depth):
     pos = [k for k in part.keys() if k > 0]
     neg = [k for k in part.keys() if k < 0]
     if not pos and not neg:
-        return list(af_factor(e).transpositions)
+        return _af_swaps(e)
     # a nonempty region cannot have vanishing class, so the two sides
     # of the index balance are nonempty together
     assert pos and neg
@@ -551,7 +564,7 @@ def _factor_proper(e: Element, max_depth):
         else Element.identity(g)
     balanced = compose(beta, inverse(tau))
     assert all(b.lag() == 0 for b in balanced.blocks)
-    core = list(af_factor(balanced).transpositions)
+    core = _af_swaps(balanced)
     return [tau_v] + core + tau_minus + tau_plus + [tau_v]
 
 

@@ -197,11 +197,11 @@ def _check_table(g: Graph, blocks):
     if hit is not None:
         raise RangesOverlap(
             f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping ranges")
-    src = Clopen(g, canonicalize(g, [b.source_piece() for b in live]))
-    rng = Clopen(g, canonicalize(g, [b.range_piece() for b in live]))
-    if not src.equal(rng):
-        raise CarrierMismatch(
-            f"source union {src} differs from range union {rng}")
+    src = canonicalize(g, [b.source_piece() for b in live])
+    rng = canonicalize(g, [b.range_piece() for b in live])
+    if src != rng:
+        raise CarrierMismatch(f"source union {Clopen(g, src)} differs "
+                              f"from range union {Clopen(g, rng)}")
     return live
 
 
@@ -243,7 +243,11 @@ def _restrict_block_to_range(g: Graph, b: Block, piece: Piece) -> Block:
 
 
 def _totalize(e: Element):
-    """Table blocks plus identity blocks covering the carrier complement."""
+    """Table blocks plus identity blocks covering the carrier complement.
+
+    The complement is one walk over the carrier's path trie
+    (``Clopen.complement``), not a subtraction from the whole space.
+    """
     blocks = list(e.blocks)
     for p in e.carrier().complement().pieces:
         blocks.append(Block(p.mu, p.punctures, p.mu))
@@ -258,6 +262,12 @@ def compose(f: Element, g_elt: Element) -> Element:
     prefix exchange yields one block of the product. Identity blocks over
     the carrier complements make both tables total, so the pieces cover
     everything exactly once.
+
+    Two pieces meet only when one path is a prefix of the other, so each
+    g-block range piece is paired only with the f-blocks whose source
+    path lies on its own path or below it, found through a dictionary
+    over paths. Candidates are visited in f's table order, so the output
+    is the same as pairing every block with every block.
     """
     if f.graph != g_elt.graph:
         raise MalformedGraph("operands live over different graphs")
@@ -266,8 +276,20 @@ def compose(f: Element, g_elt: Element) -> Element:
     f_total = _totalize(f)
     g_total = _totalize(g_elt)
     bound = f.max_depth() + g_elt.max_depth() + 1
+    at_path = {}   # source path -> f indices sitting on it
+    below = {}     # path -> f indices whose source path extends it strictly
+    for i, bf in enumerate(f_total):
+        base, edges = bf.nu.base, bf.nu.edges
+        at_path.setdefault((base, edges), []).append(i)
+        for cut in range(len(edges)):
+            below.setdefault((base, edges[:cut]), []).append(i)
     for bg in g_total:
-        for bf in f_total:
+        base, edges = bg.mu.base, bg.mu.edges
+        hits = list(below.get((base, edges), ()))
+        for cut in range(len(edges) + 1):
+            hits.extend(at_path.get((base, edges[:cut]), ()))
+        for i in sorted(hits):
+            bf = f_total[i]
             piece = intersect_pieces(graph, bg.range_piece(), bf.source_piece())
             if piece is None:
                 continue
@@ -291,6 +313,18 @@ def compose_all(factors) -> Element:
     for f in reversed(factors[:-1]):
         acc = compose(f, acc)
     return acc
+
+
+def is_involution(t: Element) -> bool:
+    """True when t squares to the identity.
+
+    A table equal to its inverse's table is an involution; this check
+    costs one sort. Normal forms are not known to be unique, so when the
+    tables differ the answer comes from recomposing ``compose(t, t)``.
+    """
+    if inverse(t).blocks == t.blocks:
+        return True
+    return compose(t, t).is_identity()
 
 
 def same_action(f: Element, g_elt: Element) -> bool:

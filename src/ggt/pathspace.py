@@ -194,13 +194,8 @@ class _Node:
 _FULL = object()
 
 
-def canonicalize(g: Graph, pieces):
-    """Canonical disjoint piece list of the union of the given pieces.
-
-    Union semantics: input pieces may overlap. Punctures survive only at
-    singular range vertices; complete sibling covers merge into their
-    parent; puncture sets are minimal; output is sorted.
-    """
+def _trie(g: Graph, pieces):
+    """Path trie of the nonempty pieces, one root per base vertex."""
     roots = {}
     for p in pieces:
         if piece_is_empty(g, p):
@@ -211,7 +206,17 @@ def canonicalize(g: Graph, pieces):
         if node.punctures is None:
             node.punctures = []
         node.punctures.append(frozenset(p.punctures))
+    return roots
 
+
+def canonicalize(g: Graph, pieces):
+    """Canonical disjoint piece list of the union of the given pieces.
+
+    Union semantics: input pieces may overlap. Punctures survive only at
+    singular range vertices; complete sibling covers merge into their
+    parent; puncture sets are minimal; output is sorted.
+    """
+    roots = _trie(g, pieces)
     out = []
 
     def emit(mu: Path, node: _Node):
@@ -338,7 +343,44 @@ class Clopen:
                       canonicalize(self.graph, self.pieces + other.pieces))
 
     def complement(self) -> "Clopen":
-        return Clopen.full(self.graph).subtract(self)
+        """The rest of the space, by one walk over the pieces' path trie.
+
+        Pieces may overlap. Below a node holding pieces, only the edges
+        punctured by all of them stay uncovered; below a node holding
+        none, the walk follows the taken edges and keeps the out-edges
+        it does not take. Canonical forms are unique, so the result is
+        the piece list of ``Clopen.full(g).subtract(self)``.
+        """
+        g = self.graph
+        roots = _trie(g, self.pieces)
+        out = []
+        stack = []
+        for v in sorted(g.vertices):
+            if v in roots:
+                stack.append((Path(v), roots[v]))
+            else:
+                out.append(Piece(Path(v)))
+        while stack:
+            mu, node = stack.pop()
+            if node.punctures is not None:
+                # the pieces here leave only their common punctures open
+                edges = frozenset.intersection(*node.punctures)
+            else:
+                # nothing sits here: keep the untaken edges, descend the rest
+                edges = node.children
+                v = path_range(g, mu)
+                if g.is_regular(v):
+                    out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                               if e not in edges)
+                else:
+                    out.append(Piece(mu, tuple(sorted(edges, key=edge_key))))
+            for e in edges:
+                sub = node.children.get(e)
+                if sub is None:
+                    out.append(Piece(mu.extend(e)))
+                else:
+                    stack.append((mu.extend(e), sub))
+        return Clopen(g, canonicalize(g, out))
 
     def equal(self, other: "Clopen") -> bool:
         self._check_same_graph(other)

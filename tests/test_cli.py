@@ -1,12 +1,21 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ggt.cli import main
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
+from ggt.fullgroup import (inverse, make_block, print_element,
+                           validate_element)
 from ggt.graphs import print_graph
+from ggt.pathspace import parse_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ALPHA0 = """element alpha0 over e2
 block a | - | a.a
@@ -166,3 +175,50 @@ def test_determinism(workdir):
     a = run("factor", str(workdir / "einf.graph"), str(workdir / "pair.elem"))
     b = run("factor", str(workdir / "einf.graph"), str(workdir / "pair.elem"))
     assert a == b
+
+
+def test_verify_rejects_non_involutive_factors(workdir):
+    # h . h^-1 recomposes to the identity, but h has order three
+    g = infinite_rose()
+    h = validate_element(g, [make_block(g, parse_path(g, mu), (),
+                                        parse_path(g, nu))
+                             for mu, nu in (("L#2.L#1", "L#3"),
+                                            ("L#1", "L#2.L#1"),
+                                            ("L#3", "L#1"))])
+    (workdir / "id.elem").write_text("element id over einf\n")
+    (workdir / "cyc.factors").write_text(
+        "product-of 2 transpositions, certified=true\n"
+        + print_element("cyc_f1", h) + print_element("cyc_f2", inverse(h)))
+    code, out = run("verify", str(workdir / "einf.graph"),
+                    str(workdir / "id.elem"), str(workdir / "cyc.factors"))
+    assert code == 3
+    assert out == ("VerificationFailed\n"
+                   "factors=2 recompose=true involutions=false\n")
+
+
+def run_python(workdir, flags, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *flags, "-c", code], cwd=workdir,
+                          env=env, capture_output=True, timeout=120)
+
+
+FACTOR_PAIR = ("import sys\n"
+               "from ggt.cli import main\n"
+               "{patch}"
+               "sys.exit(main(['factor', 'einf.graph', 'pair.elem']))\n")
+
+
+def test_factor_does_not_depend_on_asserts(workdir):
+    plain = run_python(workdir, [], FACTOR_PAIR.format(patch=""))
+    optimized = run_python(workdir, ["-O"], FACTOR_PAIR.format(patch=""))
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout.startswith(b"product-of 2 transpositions, certified=true")
+    assert optimized.stdout == plain.stdout
+    # a failed recomposition still refuses when asserts are stripped
+    broken = FACTOR_PAIR.format(
+        patch="sys.modules['ggt.factor'].verify_product = lambda e, f: False\n")
+    refused = run_python(workdir, ["-O"], broken)
+    assert refused.returncode == 3
+    assert refused.stdout.splitlines()[0] == b"VerificationFailed"

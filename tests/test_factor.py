@@ -1,9 +1,11 @@
 import random
+import sys
 import time
 
 import pytest
 
-from ggt.errors import HypothesesFailed, IndexNonzero, NotEquivalent
+from ggt.errors import (HypothesesFailed, IndexNonzero, NotEquivalent,
+                        VerificationFailed)
 from ggt.factor import (Factorization, af_factor, compose_bisections,
                         construct_disjoint_paths, factor, find_bisection,
                         graded_cancellation, parse_factorization,
@@ -11,8 +13,8 @@ from ggt.factor import (Factorization, af_factor, compose_bisections,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
-                           compose, compose_all, make_block, support,
-                           transposition, validate_element)
+                           compose, compose_all, is_involution, make_block,
+                           support, transposition, validate_element)
 from ggt.homology import class_of, classes_equal, shift
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path
 
@@ -317,3 +319,57 @@ def test_support_symmetry_and_factor_supports():
         sup = support(t)
         assert not sup.is_empty()
         assert sup.intersect(Clopen.full(EINF)).equal(sup)
+
+
+def test_certification_failures_raise(monkeypatch):
+    # ``import ggt.factor`` binds the function, so reach the module itself
+    mod = sys.modules["ggt.factor"]
+    t12 = transposition(EINF, [blk(EINF, "L#1", [], "L#2")])
+    t34 = transposition(EINF, [blk(EINF, "L#3", [], "L#4")])
+    e = compose(t12, t34)
+    assert factor(e).certified and af_factor(e).certified
+    monkeypatch.setattr(mod, "verify_product", lambda e, factors: False)
+    with pytest.raises(VerificationFailed, match="recompose=false"):
+        af_factor(e)
+    with pytest.raises(VerificationFailed, match="recompose=false"):
+        factor(e)
+    monkeypatch.undo()
+    monkeypatch.setattr(mod, "is_involution", lambda t: False)
+    with pytest.raises(VerificationFailed, match="involutions=false"):
+        factor(e)
+
+
+def test_factor_certifies_once(monkeypatch):
+    mod = sys.modules["ggt.factor"]
+    calls = []
+    real = mod.verify_product
+    monkeypatch.setattr(mod, "verify_product",
+                        lambda e, fs: calls.append(1) or real(e, fs))
+    rng = random.Random(67)
+    parts = [random_transposition(EINF, rng, max_len=2) for _ in range(3)]
+    assert factor(compose_all(parts)).certified
+    assert calls == [1]
+    assert af_factor(random_balanced_table(E2, rng, depth=2)).certified
+    assert calls == [1, 1]
+
+
+def test_criterion_5_factors_are_structural_involutions(monkeypatch):
+    # the first elements of the criterion-5 stream (same generator and
+    # seed); every factor must pass the involution check without compose
+    rng = random.Random(109)
+    factors = []
+    for _ in range(8):
+        parts = [random_transposition(EINF, rng, max_len=rng.choice([1, 1, 2]))
+                 for _ in range(rng.randrange(1, 7))]
+        for _ in range(rng.randrange(0, 3)):
+            parts.append(random_element(EINF, rng, 2, max_len=1,
+                                        balanced=True))
+        rng.shuffle(parts)
+        factors.extend(factor(compose_all(parts)).transpositions)
+    assert len(factors) > 20
+
+    def no_compose(f, h):
+        raise AssertionError("involution check fell back to compose")
+
+    monkeypatch.setattr(sys.modules["ggt.fullgroup"], "compose", no_compose)
+    assert all(is_involution(t) for t in factors)

@@ -1,18 +1,21 @@
 import random
+import sys
 
 import pytest
 
 from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
                         SourcesOverlap)
-from ggt.fixtures import cycle_graph, infinite_rose, mixed_graph, rose
-from ggt.fullgroup import (Block, Element, apply, bisection_range,
-                           bisection_source, compose, compose_all,
-                           doubling_bisections, graded_partition, image_of,
-                           inverse, make_block, parse_element_text,
-                           print_element, same_action, shrink_support, support,
-                           transposition, validate_element)
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, parse_clopen,
-                           parse_path)
+from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
+                          mixed_graph, rose)
+from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
+                           apply, bisection_range, bisection_source, compose,
+                           compose_all, doubling_bisections, graded_partition,
+                           image_of, inverse, is_involution, make_block,
+                           parse_element_text, print_element, same_action,
+                           shrink_support, support, transposition,
+                           validate_element)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, intersect_pieces,
+                           parse_clopen, parse_path)
 
 from helpers import point_family, random_element, random_transposition
 
@@ -312,3 +315,70 @@ def test_equality_fallback_agreement():
                 assert same_action(e, f)
             if same_action(e, f):
                 assert compose(e, inverse(f)).is_identity()
+
+
+def reference_compose(f, h):
+    """compose by pairing every block with every block.
+
+    Both tables are made total with identity blocks over the carrier
+    complement, computed as a subtraction from the whole space.
+    """
+    g = f.graph
+
+    def total(e):
+        rest = Clopen.full(g).subtract(e.carrier())
+        return list(e.blocks) + [Block(p.mu, p.punctures, p.mu)
+                                 for p in rest.pieces]
+
+    out = []
+    f_total = total(f)
+    for bh in total(h):
+        for bf in f_total:
+            piece = intersect_pieces(g, bh.range_piece(), bf.source_piece())
+            if piece is None:
+                continue
+            lam = piece.mu.edges[len(bh.mu):]
+            rho = piece.mu.edges[len(bf.nu):]
+            out.append(Block(Path(bf.mu.base, bf.mu.edges + rho),
+                             piece.punctures,
+                             Path(bh.nu.base, bh.nu.edges + lam)))
+    return _normalize_table(g, _check_table(g, out))
+
+
+def test_compose_matches_all_pairs_reference():
+    # the tables themselves must agree, not only the actions
+    rng = random.Random(61)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(12):
+            f = random_element(g, rng, rng.randrange(1, 5))
+            h = random_element(g, rng, rng.randrange(1, 5))
+            for x, y in ((f, h), (h, f), (f, inverse(f)), (f, f)):
+                assert compose(x, y).blocks == reference_compose(x, y).blocks
+
+
+def three_cycle_with_lag():
+    """Order-3 element of EINF: Z(L#3) -> Z(L#2.L#1) -> Z(L#1) -> Z(L#3)."""
+    return elem(EINF, ("L#2.L#1", [], "L#3"), ("L#1", [], "L#2.L#1"),
+                ("L#3", [], "L#1"))
+
+
+def test_is_involution_structural_and_fallback(monkeypatch):
+    fg = sys.modules["ggt.fullgroup"]
+    calls = []
+    real = fg.compose
+    monkeypatch.setattr(fg, "compose",
+                        lambda f, h: calls.append(1) or real(f, h))
+    # transpositions equal their inverse tables: no recomposition
+    t = transposition(EINF, [blk(EINF, "L#1.L#1", [], "L#2")])
+    assert is_involution(t) and is_involution(swap_e2())
+    assert is_involution(Element.identity(EINF))
+    assert calls == []
+    # a table that differs from its inverse is decided by compose(t, t)
+    c = three_cycle_with_lag()
+    assert any(b.lag() == 1 for b in c.blocks)
+    assert not is_involution(c)
+    assert calls == [1]
+    # an unsorted involution table also takes the fallback, and passes
+    flipped = Element(E2, tuple(reversed(swap_e2().blocks)))
+    assert is_involution(flipped)
+    assert calls == [1, 1]

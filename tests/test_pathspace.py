@@ -4,7 +4,7 @@ import pytest
 
 from ggt.errors import MalformedGraph, ParseError
 from ggt.fixtures import cycle_graph, infinite_rose, mixed_graph, rose
-from ggt.graphs import family_member
+from ggt.graphs import Graph, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            parse_clopen, parse_path, parse_piece, path_range,
                            prepend_prefix, singleton_point, strip_prefix)
@@ -15,6 +15,9 @@ E2 = rose(2)
 EINF = infinite_rose()
 C2 = cycle_graph(2)
 MIXED = mixed_graph()
+# a loop vertex feeding a sink: pieces ending at s are single points
+TAIL = Graph("tail", ["v", "s"], [("a", "v", "v"), ("b", "v", "s"),
+                                  ("c", "v", "s")], [])
 
 
 def clo(g, text):
@@ -177,3 +180,28 @@ def test_canonical_form_unique_under_resplitting():
                     pieces.append(Piece(p.mu.extend(e)))
             rng.shuffle(pieces)
             assert Clopen.of(g, pieces) == a
+
+
+def test_complement_matches_subtraction_and_points():
+    # the trie walk must land on the piece list of the subtraction from
+    # the whole space, also for non-canonical inputs: refined pieces,
+    # duplicated pieces and overlapping unions
+    rng = random.Random(59)
+    for g in (E2, EINF, C2, MIXED, TAIL):
+        pts = point_family(g, max_prefix=3)
+        full = Clopen.full(g)
+        everything = member_set(full, pts)
+        for _ in range(25):
+            a = random_clopen(g, rng)
+            b = random_clopen(g, rng)
+            for c in (a, a.refine_to(rng.randrange(1, 4)),
+                      Clopen(g, a.pieces + a.pieces),
+                      Clopen(g, a.pieces + b.pieces)):
+                got = c.complement()
+                assert got.pieces == full.subtract(c).pieces
+                assert member_set(got, pts) == everything - member_set(c, pts)
+    assert Clopen.empty(EINF).complement() == Clopen.full(EINF)
+    assert Clopen.full(MIXED).complement().is_empty()
+    assert str(clo(EINF, r"Z(@v \ L#2) + Z(L#2.L#1)").complement()) == \
+        r"Z(L#2 \ L#1)"
+    assert str(clo(TAIL, "Z(a) + Z(b)").complement()) == "Z(@s) + Z(c)"
