@@ -18,7 +18,7 @@ from .errors import GgtError, RefusalError, VerificationFailed
 from . import fullgroup as fg
 from . import graphs as gr
 from . import pathspace as ps
-from .factor import factor as run_factor
+from .factor import DEFAULT_MAX_DEPTH, factor as run_factor
 from .factor import parse_factorization, print_factorization, verify_product
 from .homology import abelianization_report, homology, index as index_class
 
@@ -32,22 +32,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_graph(path_text: str) -> gr.Graph:
-    path = FsPath(path_text)
+def _read(path_text: str) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return FsPath(path_text).read_text(encoding="utf-8")
     except OSError as exc:
         raise GgtError(f"cannot read {path_text}: {exc.strerror}") from exc
-    return gr.parse_graph(text, name=path.stem)
+
+
+def _load_graph(path_text: str) -> gr.Graph:
+    return gr.parse_graph(_read(path_text), name=FsPath(path_text).stem)
 
 
 def _load_element(g: gr.Graph, path_text: str):
-    path = FsPath(path_text)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GgtError(f"cannot read {path_text}: {exc.strerror}") from exc
-    return fg.parse_element_text(g, text)
+    return fg.parse_element_text(g, _read(path_text))
 
 
 def _emit(text: str, out_path):
@@ -131,12 +128,7 @@ def _cmd_factor(args) -> str:
 def _cmd_verify(args) -> str:
     g = _load_graph(args.graph)
     _, e = _load_element(g, args.element)
-    path = FsPath(args.factors)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GgtError(f"cannot read {args.factors}: {exc.strerror}") from exc
-    _, elements = parse_factorization(g, text)
+    _, elements = parse_factorization(g, _read(args.factors))
     ok = verify_product(e, elements)
     involutive = all(fg.is_involution(t) for t in elements)
     if not (ok and involutive):
@@ -167,14 +159,22 @@ def _cmd_double(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the caps are registered only on the commands whose computation reads them
+_MAX_DEPTH = ("--max-depth", dict(dest="max_depth", type=int,
+                                  default=DEFAULT_MAX_DEPTH,
+                                  help="refinement cap for bisection matching"))
+_MAX_CHAIN = ("--max-chain", dict(dest="max_chain", type=int, default=None,
+                                  help="iteration cap for the eventual-kernel chain"))
+
 _COMMANDS = {
     "check": (_cmd_check, [("graph", {})]),
     "homology": (_cmd_homology, [("graph", {})]),
-    "index": (_cmd_index, [("graph", {}), ("element", {})]),
+    "index": (_cmd_index, [("graph", {}), ("element", {}), _MAX_CHAIN]),
     "compose": (_cmd_compose, [("graph", {}), ("left", {}), ("right", {})]),
     "invert": (_cmd_invert, [("graph", {}), ("element", {})]),
     "partition": (_cmd_partition, [("graph", {}), ("element", {})]),
-    "factor": (_cmd_factor, [("graph", {}), ("element", {})]),
+    "factor": (_cmd_factor, [("graph", {}), ("element", {}), _MAX_DEPTH,
+                             _MAX_CHAIN]),
     "verify": (_cmd_verify, [("graph", {}), ("element", {}), ("factors", {})]),
     "move-t": (_cmd_move_t, [("graph", {}), ("vertex", {})]),
     "move-s": (_cmd_move_s, [("graph", {}), ("vertex", {})]),
@@ -185,16 +185,12 @@ _COMMANDS = {
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ggt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for name, (_, positionals) in _COMMANDS.items():
+    for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for arg, kw in positionals:
+        for arg, kw in arguments:
             p.add_argument(arg, **kw)
         p.add_argument("-o", dest="out", default=None,
                        help="write the report to a file instead of stdout")
-        p.add_argument("--max-depth", dest="max_depth", type=int, default=16,
-                       help="refinement cap for bisection matching")
-        p.add_argument("--max-chain", dest="max_chain", type=int, default=None,
-                       help="iteration cap for the eventual-kernel chain")
     return parser
 
 

@@ -22,14 +22,14 @@ from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
                      MatchingDepthExceeded, NotEquivalent, ParseError,
                      VerificationFailed)
 from .fullgroup import (Block, Element, bisection_range, bisection_source,
-                        check_bisection, compose, compose_all, graded_partition,
+                        check_bisection, compose, compose_all,
+                        compose_bisections, graded_partition, identity_blocks,
                         inverse, is_involution, parse_element_text,
                         print_element, same_action, shrink_support, support,
                         transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
 from .homology import class_of, classes_equal, index, shift
-from .pathspace import (Clopen, Path, Piece, canonicalize, intersect_pieces,
-                        path_range)
+from .pathspace import Clopen, Path, Piece, canonicalize, path_range
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -39,16 +39,8 @@ DEFAULT_MAX_DEPTH = 16
 def _pool_insert(pools, g, piece, depth):
     """File a piece under (length, range vertex), splitting regular
     ranges down to the working depth first."""
-    stack = [piece]
-    while stack:
-        p = stack.pop()
-        v = path_range(g, p.mu)
-        if len(p.mu) >= depth or g.is_singular(v):
-            pools.setdefault((len(p.mu), v), []).append(p)
-            continue
-        for e in g.out_concrete(v):
-            if e not in p.punctures:
-                stack.append(Piece(p.mu.extend(e)))
+    for p in Clopen(g, (piece,)).refine_to(depth).pieces:
+        pools.setdefault((len(p.mu), path_range(g, p.mu)), []).append(p)
 
 
 def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
@@ -127,22 +119,6 @@ def _least_path_into(g: Graph, dst: str, length: int):
     return best[1]
 
 
-def compose_bisections(g: Graph, outer, inner):
-    """Blocks of the partial bisection acting as outer after inner."""
-    out = []
-    for bi in inner:
-        for bo in outer:
-            piece = intersect_pieces(g, bi.range_piece(), bo.source_piece())
-            if piece is None:
-                continue
-            lam = piece.mu.edges[len(bi.mu):]
-            rho = piece.mu.edges[len(bo.nu):]
-            out.append(Block(Path(bo.mu.base, bo.mu.edges + rho),
-                             piece.punctures,
-                             Path(bi.nu.base, bi.nu.edges + lam)))
-    return sorted(out, key=Block.key)
-
-
 def graded_cancellation(a: Clopen, b: Clopen, n: int, max_depth=DEFAULT_MAX_DEPTH):
     """Blocks of a lag-n bisection with source a and range b.
 
@@ -163,7 +139,7 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int, max_depth=DEFAULT_MAX_DEPT
     lifted = Clopen(g, tuple(sorted((b_.range_piece() for b_ in lift),
                                     key=Piece.key)))
     closing = find_bisection(lifted, b, max_depth=max_depth)
-    blocks = compose_bisections(g, closing, lift)
+    blocks = sorted(compose_bisections(g, closing, lift), key=Block.key)
     blocks = check_bisection(g, blocks)
     assert all(b_.lag() == n for b_ in blocks)
     assert bisection_source(g, blocks).equal(a)
@@ -361,11 +337,6 @@ def _certify(e: Element, factors) -> Factorization:
     return Factorization(tuple(factors), True)
 
 
-def _restrict_block_to_source(g, b: Block, piece: Piece) -> Block:
-    lam = piece.mu.edges[len(b.nu):]
-    return Block(Path(b.mu.base, b.mu.edges + lam), piece.punctures, piece.mu)
-
-
 def af_factor(e: Element) -> Factorization:
     """Certified transposition decomposition of a length-balanced table.
 
@@ -375,9 +346,13 @@ def af_factor(e: Element) -> Factorization:
     pieces over the table's own paths and terminates. The element then
     permutes the partition through canonical arrows and each cycle
     splits into adjacent swaps; holonomy is trivial because canonical
-    arrows compose to canonical arrows.
+    arrows compose to canonical arrows. A block of nonzero lag raises
+    HypothesesFailed.
     """
-    assert all(b.lag() == 0 for b in e.blocks), "table is not length-balanced"
+    for b in e.blocks:
+        if b.lag() != 0:
+            raise HypothesesFailed(
+                f"table is not length-balanced: block [{b}] has lag {b.lag()}")
     if e.is_identity():
         return Factorization((), True)
     return _certify(e, _af_swaps(e))
@@ -393,12 +368,9 @@ def _af_swaps(e: Element):
         rng = {b.range_piece() for b in table}
         if src == rng:
             break
-        refined = []
-        for b in table:
-            for other in table:
-                hit = intersect_pieces(g, b.source_piece(), other.range_piece())
-                if hit is not None:
-                    refined.append(_restrict_block_to_source(g, b, hit))
+        # cut every block's source along the range pieces
+        refined = compose_bisections(
+            g, table, identity_blocks([b.range_piece() for b in table]))
         assert max(x.depth() for bl in refined
                    for x in (bl.source_piece(), bl.range_piece())) <= depth_cap
         assert len(refined) > len(table), "refinement stalled"
@@ -541,19 +513,11 @@ def _factor_proper(e: Element, max_depth):
     tau_minus = []
     for q_key in neg:
         c_sets = {}
-        # restrict the matching to each X part to read off its image
-        for l in range(1, -q_key + 1):
-            ranges = []
-            for b in matching:
-                for xp in x_sets[(q_key, l)].pieces:
-                    hit = intersect_pieces(g, b.source_piece(), xp)
-                    if hit is not None:
-                        lam = hit.mu.edges[len(b.nu):]
-                        ranges.append(Piece(Path(b.mu.base, b.mu.edges + lam),
-                                            hit.punctures))
-            c_sets[l] = Clopen(g, canonicalize(g, ranges))
         ladder = []
         for l in range(1, -q_key + 1):
+            # restrict the matching to the X part to read off its image
+            c_sets[l] = bisection_range(g, compose_bisections(
+                g, matching, identity_blocks(x_sets[(q_key, l)].pieces)))
             target = s_beta[q_key] if l == 1 else c_sets[l - 1]
             t_blocks = graded_cancellation(c_sets[l], target, 1,
                                            max_depth=max_depth)

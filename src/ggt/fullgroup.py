@@ -21,8 +21,7 @@ from .graphs import Graph, edge_key
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                         check_path, intersect_pieces, make_piece, parse_path,
                         path_range, piece_contains, piece_is_empty,
-                        prepend_prefix, singleton_point, strip_prefix,
-                        subtract_piece)
+                        prepend_prefix, singleton_point, strip_prefix)
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ class Element:
     def max_depth(self) -> int:
         return max((max(len(b.mu), len(b.nu)) + (1 if b.punctures else 0)
                     for b in self.blocks), default=0)
-
-    def carrier(self) -> Clopen:
-        return Clopen(self.graph,
-                      canonicalize(self.graph,
-                                   [b.source_piece() for b in self.blocks]))
 
     def __str__(self):
         return "\n".join(str(b) for b in self.blocks)
@@ -186,8 +180,8 @@ def _find_overlap(g: Graph, pieces):
     return None
 
 
-def _check_table(g: Graph, blocks):
-    """Disjointness and carrier axioms for a list of valid blocks."""
+def _check_disjoint(g: Graph, blocks):
+    """Non-empty blocks of the list; raises if two sources or two ranges meet."""
     live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
     hit = _find_overlap(g, [b.source_piece() for b in live])
     if hit is not None:
@@ -197,6 +191,12 @@ def _check_table(g: Graph, blocks):
     if hit is not None:
         raise RangesOverlap(
             f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping ranges")
+    return live
+
+
+def _check_table(g: Graph, blocks):
+    """Disjointness and carrier axioms for a list of valid blocks."""
+    live = _check_disjoint(g, blocks)
     src = canonicalize(g, [b.source_piece() for b in live])
     rng = canonicalize(g, [b.range_piece() for b in live])
     if src != rng:
@@ -236,69 +236,72 @@ def inverse(e: Element) -> Element:
                                          key=Block.key)))
 
 
-def _restrict_block_to_range(g: Graph, b: Block, piece: Piece) -> Block:
-    """Restriction of b whose range piece is the given sub-piece."""
-    lam = piece.mu.edges[len(b.mu):]
-    return Block(piece.mu, piece.punctures, Path(b.nu.base, b.nu.edges + lam))
-
-
 def _totalize(e: Element):
     """Table blocks plus identity blocks covering the carrier complement.
 
     The complement is one walk over the carrier's path trie
     (``Clopen.complement``), not a subtraction from the whole space.
     """
-    blocks = list(e.blocks)
-    for p in e.carrier().complement().pieces:
-        blocks.append(Block(p.mu, p.punctures, p.mu))
-    return blocks
+    return list(e.blocks) + identity_blocks(support(e).complement().pieces)
+
+
+def identity_blocks(pieces):
+    """Blocks fixing each of the given pieces pointwise."""
+    return [Block(p.mu, p.punctures, p.mu) for p in pieces]
+
+
+def compose_bisections(g: Graph, outer, inner):
+    """Blocks of the partial bisection acting as outer after inner.
+
+    This is the one place where a block is restricted to a sub-piece and
+    re-prefixed. An inner block's range piece and an outer block's source
+    piece meet in at most one piece; restricting the inner block to it
+    and fusing with the outer prefix exchange yields one block of the
+    product. Two pieces meet only when one path is a prefix of the other,
+    so each inner range piece is paired only with the outer blocks whose
+    source path lies on its own path or below it, found through a
+    dictionary over paths. Blocks come out in inner order and, within one
+    inner block, in outer order; they are not sorted.
+    """
+    at_path = {}   # source path -> outer indices sitting on it
+    below = {}     # path -> outer indices whose source path extends it strictly
+    for i, bo in enumerate(outer):
+        base, edges = bo.nu.base, bo.nu.edges
+        at_path.setdefault((base, edges), []).append(i)
+        for cut in range(len(edges)):
+            below.setdefault((base, edges[:cut]), []).append(i)
+    out = []
+    for bi in inner:
+        base, edges = bi.mu.base, bi.mu.edges
+        hits = list(below.get((base, edges), ()))
+        for cut in range(len(edges) + 1):
+            hits.extend(at_path.get((base, edges[:cut]), ()))
+        for i in sorted(hits):
+            bo = outer[i]
+            piece = intersect_pieces(g, bi.range_piece(), bo.source_piece())
+            if piece is None:
+                continue
+            lam = piece.mu.edges[len(bi.mu):]
+            rho = piece.mu.edges[len(bo.nu):]
+            out.append(Block(Path(bo.mu.base, bo.mu.edges + rho),
+                             piece.punctures,
+                             Path(bi.nu.base, bi.nu.edges + lam)))
+    return out
 
 
 def compose(f: Element, g_elt: Element) -> Element:
     """The element acting as x -> f(g(x)).
 
-    Every pair of a g-block range piece and an f-block source piece meets
-    in at most one piece; restricting g's block to it and fusing with f's
-    prefix exchange yields one block of the product. Identity blocks over
-    the carrier complements make both tables total, so the pieces cover
-    everything exactly once.
-
-    Two pieces meet only when one path is a prefix of the other, so each
-    g-block range piece is paired only with the f-blocks whose source
-    path lies on its own path or below it, found through a dictionary
-    over paths. Candidates are visited in f's table order, so the output
-    is the same as pairing every block with every block.
+    Identity blocks over the carrier complements make both tables total,
+    so ``compose_bisections`` of the two covers everything exactly once
+    and its blocks form the product's table.
     """
     if f.graph != g_elt.graph:
         raise MalformedGraph("operands live over different graphs")
     graph = f.graph
-    out = []
-    f_total = _totalize(f)
-    g_total = _totalize(g_elt)
+    out = compose_bisections(graph, _totalize(f), _totalize(g_elt))
     bound = f.max_depth() + g_elt.max_depth() + 1
-    at_path = {}   # source path -> f indices sitting on it
-    below = {}     # path -> f indices whose source path extends it strictly
-    for i, bf in enumerate(f_total):
-        base, edges = bf.nu.base, bf.nu.edges
-        at_path.setdefault((base, edges), []).append(i)
-        for cut in range(len(edges)):
-            below.setdefault((base, edges[:cut]), []).append(i)
-    for bg in g_total:
-        base, edges = bg.mu.base, bg.mu.edges
-        hits = list(below.get((base, edges), ()))
-        for cut in range(len(edges) + 1):
-            hits.extend(at_path.get((base, edges[:cut]), ()))
-        for i in sorted(hits):
-            bf = f_total[i]
-            piece = intersect_pieces(graph, bg.range_piece(), bf.source_piece())
-            if piece is None:
-                continue
-            mid = _restrict_block_to_range(graph, bg, piece)
-            rho = piece.mu.edges[len(bf.nu):]
-            fused = Block(Path(bf.mu.base, bf.mu.edges + rho),
-                          mid.punctures, mid.nu)
-            assert max(len(fused.mu), len(fused.nu)) <= bound
-            out.append(fused)
+    assert all(max(len(b.mu), len(b.nu)) <= bound for b in out)
     # fused paths are concatenations of already validated paths, so the
     # per-block path walk of validate_element is skipped here
     return _normalize_table(graph, _check_table(graph, out))
@@ -334,30 +337,16 @@ def same_action(f: Element, g_elt: Element) -> bool:
 
 def support(e: Element) -> Clopen:
     """Union of the source pieces of the (normalized) non-identity blocks."""
-    return Clopen(e.graph,
-                  canonicalize(e.graph, [b.source_piece() for b in e.blocks]))
+    return bisection_source(e.graph, e.blocks)
 
 
 def image_of(e: Element, a: Clopen) -> Clopen:
-    """Exact image e(a) computed blockwise."""
+    """Exact image e(a): e's total table paired by compose_bisections."""
     if a.graph != e.graph:
         raise MalformedGraph("operands live over different graphs")
     g = e.graph
-    pieces = []
-    for p in a.pieces:
-        remaining = [p]
-        for b in e.blocks:
-            hit = intersect_pieces(g, p, b.source_piece())
-            if hit is None:
-                continue
-            lam = hit.mu.edges[len(b.nu):]
-            pieces.append(Piece(Path(b.mu.base, b.mu.edges + lam), hit.punctures))
-            nxt = []
-            for r in remaining:
-                nxt.extend(subtract_piece(g, r, b.source_piece()))
-            remaining = nxt
-        pieces.extend(remaining)  # identity region
-    return Clopen(g, canonicalize(g, pieces))
+    return bisection_range(
+        g, compose_bisections(g, _totalize(e), identity_blocks(a.pieces)))
 
 
 @dataclass(frozen=True)
@@ -384,7 +373,7 @@ def graded_partition(e: Element) -> GradedPartition:
     buckets = {}
     for b in e.blocks:
         buckets.setdefault(b.lag(), []).append(b.source_piece())
-    fixed = e.carrier().complement()
+    fixed = support(e).complement()
     parts = {}
     for k, pieces in buckets.items():
         parts[k] = Clopen(g, canonicalize(g, pieces))
@@ -396,14 +385,7 @@ def graded_partition(e: Element) -> GradedPartition:
 def check_bisection(g: Graph, blocks):
     """Sources pairwise disjoint and ranges pairwise disjoint."""
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
-    blocks = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
-    hit = _find_overlap(g, [b.source_piece() for b in blocks])
-    if hit is not None:
-        raise SourcesOverlap(f"bisection sources overlap at block {hit[1]}")
-    hit = _find_overlap(g, [b.range_piece() for b in blocks])
-    if hit is not None:
-        raise RangesOverlap(f"bisection ranges overlap at block {hit[1]}")
-    return blocks
+    return _check_disjoint(g, blocks)
 
 
 def bisection_source(g: Graph, blocks) -> Clopen:

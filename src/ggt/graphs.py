@@ -140,9 +140,6 @@ class Graph:
             return self._family_map[m[0]][1]
         raise MalformedGraph(f"unknown edge {edge!r}")
 
-    def family_source(self, family: str) -> str:
-        return self._family_map[family][0]
-
     def family_range(self, family: str) -> str:
         return self._family_map[family][1]
 
@@ -164,26 +161,8 @@ class Graph:
     def is_regular(self, v) -> bool:
         return not self.is_singular(v)
 
-    def singular_vertices(self):
-        return tuple(v for v in sorted(self.vertices) if self.is_singular(v))
-
     def regular_vertices(self):
         return tuple(v for v in sorted(self.vertices) if self.is_regular(v))
-
-    def out_edges_sorted(self, v, limit_per_family=1):
-        """Out-edge references at v in key order, families truncated.
-
-        Only meaningful at regular vertices when the full set is needed;
-        at infinite emitters callers must say how many members they want.
-        """
-        refs = list(self._out_concrete[v])
-        for f in self._out_families[v]:
-            refs.extend(family_member(f, k) for k in range(1, limit_per_family + 1))
-        return sorted(refs, key=edge_key)
-
-    def edge_count(self, src, rng) -> int:
-        """Number of concrete edges from src to rng (families excluded)."""
-        return sum(1 for e in self._out_concrete[src] if self._edge_map[e][1] == rng)
 
     # -- reachability ------------------------------------------------------
 
@@ -482,18 +461,6 @@ def find_path(g: Graph, src: str, dst: str, length=None):
         if p is not None:
             return p
     return None
-
-
-def least_path_into(g: Graph, dst: str, length: int):
-    """Least path of the exact length ending at dst, over all start vertices."""
-    best = None
-    for u in sorted(g.vertices):
-        p = find_path(g, u, dst, length=length)
-        if p is not None:
-            key = tuple(edge_key(e) for e in p)
-            if best is None or key < best[0]:
-                best = (key, p)
-    return None if best is None else best[1]
 
 
 def two_disjoint_cycles(g: Graph, v: str, avoid_first=()):

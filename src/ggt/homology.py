@@ -6,20 +6,21 @@ g_{r(e)} over the edges e leaving v; its invariant factors come from the
 Smith normal form of the relation matrix and the first homology is the
 integer kernel of that matrix.
 
-The AF kernel of the canonical cocycle and the skew product are handled
-through a single atom calculus: an atom (v, n) is the class of any
-cylinder over a length-n path ending at v (levels n >= 0 for the kernel
-grading, n in Z for the skew grading). The only relations are the
-forward rewrites (v, n) = sum over e of (r(e), n+1) at regular v, so the
-group is the increasing union of its level-n stage groups. Atoms at
-singular vertices admit no rewrite and generate free summands. Hence a
-vector vanishes iff, after rewriting everything up to its top level, no
-singular atom survives below the top and the top-level vertex vector is
-annihilated by iterated pushing with singular coordinates zero at every
-step; that is exactly membership in the eventual kernel of the pushdown
-matrix. The endomorphism phi shifts atom levels by one; the first
-homology embeds as the kernel of (id - phi), and the index of a table is
-the alternating phi-sum over its graded partition.
+The AF kernel of the canonical cocycle is handled through an atom
+calculus: an atom (v, n) is the class of any cylinder over a length-n
+path ending at v. This kernel grading is the only one, so levels are
+never negative and a negative level raises NegativeLevel. The only
+relations are the forward rewrites (v, n) = sum over e of (r(e), n+1)
+at regular v, so the group is the increasing union of its level-n stage
+groups. Atoms at singular vertices admit no rewrite and generate free
+summands. Hence a vector vanishes iff, after rewriting everything up to
+its top level, no singular atom survives below the top and the
+top-level vertex vector is annihilated by iterated pushing with singular
+coordinates zero at every step; that is exactly membership in the
+eventual kernel of the pushdown matrix. The endomorphism phi shifts
+atom levels by one; the first homology embeds as the kernel of
+(id - phi), and the index of a table is the alternating phi-sum over its
+graded partition.
 """
 
 from __future__ import annotations
@@ -34,53 +35,46 @@ from .graphs import Graph, validate
 from .intlin import IntMatrix, Lattice, cokernel_invariants, eventual_kernel, kernel
 from .pathspace import Clopen, path_range
 
-KERNEL = "kernel"
-SKEW = "skew"
-
 
 @dataclass(frozen=True)
 class ClassVector:
     """Finite integer combination of atoms (vertex, level)."""
 
     graph: Graph = field(repr=False)
-    grading: str = KERNEL
     terms: tuple = ()  # sorted ((level, vertex), coeff) pairs, coeff != 0
 
     def __post_init__(self):
-        if self.grading not in (KERNEL, SKEW):
-            raise ValueError(f"unknown grading {self.grading!r}")
-        if self.grading == KERNEL and any(l < 0 for (l, _), _ in self.terms):
+        if any(l < 0 for (l, _), _ in self.terms):
             raise NegativeLevel("kernel grading has no negative levels")
 
     @classmethod
-    def of(cls, g: Graph, items, grading=KERNEL) -> "ClassVector":
+    def of(cls, g: Graph, items) -> "ClassVector":
         acc = {}
         for (v, n), c in items:
             if v not in g.vertices:
                 raise MalformedGraph(f"unknown vertex {v!r}")
             acc[(n, v)] = acc.get((n, v), 0) + c
         terms = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
-        return cls(g, grading, terms)
+        return cls(g, terms)
 
     @classmethod
-    def zero(cls, g: Graph, grading=KERNEL) -> "ClassVector":
-        return cls(g, grading, ())
+    def zero(cls, g: Graph) -> "ClassVector":
+        return cls(g, ())
 
     @classmethod
-    def atom(cls, g: Graph, v: str, n: int, grading=KERNEL) -> "ClassVector":
-        return cls.of(g, [((v, n), 1)], grading)
+    def atom(cls, g: Graph, v: str, n: int) -> "ClassVector":
+        return cls.of(g, [((v, n), 1)])
 
     def items(self):
         return [((v, n), c) for (n, v), c in self.terms]
 
     def add(self, other: "ClassVector") -> "ClassVector":
-        if self.graph != other.graph or self.grading != other.grading:
+        if self.graph != other.graph:
             raise MalformedGraph("class vectors are not compatible")
-        return ClassVector.of(self.graph, self.items() + other.items(), self.grading)
+        return ClassVector.of(self.graph, self.items() + other.items())
 
     def negate(self) -> "ClassVector":
-        return ClassVector.of(self.graph, [(key, -x) for key, x in self.items()],
-                              self.grading)
+        return ClassVector.of(self.graph, [(key, -x) for key, x in self.items()])
 
     def sub(self, other: "ClassVector") -> "ClassVector":
         return self.add(other.negate())
@@ -101,14 +95,13 @@ def shift(c: ClassVector, m: int) -> ClassVector:
     """Apply phi^m: move every atom (v, n) to (v, n + m)."""
     if m != 0 and c.terms:
         lo = c.min_level()
-        if c.grading == KERNEL and lo + m < 0:
+        if lo + m < 0:
             raise NegativeLevel(
                 f"shift by {m} drops level {lo} below zero")
-    return ClassVector.of(c.graph, [((v, n + m), x) for (v, n), x in c.items()],
-                          c.grading)
+    return ClassVector.of(c.graph, [((v, n + m), x) for (v, n), x in c.items()])
 
 
-def class_of(a: Clopen, grading=KERNEL) -> ClassVector:
+def class_of(a: Clopen) -> ClassVector:
     """Atom expansion of a compact open set.
 
     Each piece Z(mu \\ F) contributes the atom of its range vertex at
@@ -125,7 +118,7 @@ def class_of(a: Clopen, grading=KERNEL) -> ClassVector:
         items.append(((path_range(g, p.mu), len(p.mu)), 1))
         for e in p.punctures:
             items.append(((g.range(e), len(p.mu) + 1), -1))
-    return ClassVector.of(g, items, grading)
+    return ClassVector.of(g, items)
 
 
 @functools.lru_cache(maxsize=None)

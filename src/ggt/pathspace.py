@@ -36,9 +36,6 @@ class Path:
     def extend(self, *edges):
         return Path(self.base, self.edges + tuple(edges))
 
-    def cat(self, other: "Path"):
-        return Path(self.base, self.edges + other.edges)
-
     def is_prefix_of(self, other: "Path") -> bool:
         return (self.base == other.base
                 and other.edges[:len(self.edges)] == self.edges)
@@ -47,10 +44,6 @@ class Path:
         if not self.edges:
             return f"@{self.base}"
         return ".".join(self.edges)
-
-
-def path_source(g: Graph, p: Path) -> str:
-    return p.base
 
 
 def path_range(g: Graph, p: Path) -> str:
@@ -71,19 +64,6 @@ def check_path(g: Graph, p: Path):
 def paths_disjoint(a: Path, b: Path) -> bool:
     """Neither path is a subpath of the other (disjoint cylinders)."""
     return not a.is_prefix_of(b) and not b.is_prefix_of(a)
-
-
-def make_path(g: Graph, base_or_edges, edges=None) -> Path:
-    """Build and validate a path from a vertex plus edges, or edges alone."""
-    if edges is None:
-        edges = tuple(base_or_edges)
-        if not edges:
-            raise MalformedGraph("empty path needs an explicit base vertex")
-        base = g.source(edges[0])
-    else:
-        base = base_or_edges
-        edges = tuple(edges)
-    return check_path(g, Path(base, edges))
 
 
 @dataclass(frozen=True)
@@ -172,10 +152,6 @@ def subtract_piece(g: Graph, a: Piece, b: Piece):
     for e in b.punctures:
         out.append(Piece(at.extend(e)))
     return out
-
-
-def _vertex_is_boundary(g: Graph, v: str) -> bool:
-    return g.is_singular(v)
 
 
 class _Node:
@@ -477,9 +453,6 @@ class BoundaryPoint:
 
     def source(self) -> str:
         return self.prefix.base
-
-    def is_finite(self) -> bool:
-        return self.cycle is None
 
     def __str__(self):
         if self.cycle is None:

@@ -168,6 +168,20 @@ def test_exit_codes(workdir):
     assert code == 2 and out.splitlines()[0] == "ParseError"
 
 
+def test_caps_only_where_they_act(workdir):
+    graph, elem = str(workdir / "einf.graph"), str(workdir / "pair.elem")
+    code, _ = run("check", graph, "--max-depth", "3")
+    assert code == 1
+    code, _ = run("compose", graph, elem, elem, "--max-chain", "3")
+    assert code == 1
+    code, out = run("index", graph, elem, "--max-chain", "50")
+    assert code == 0 and out == run("index", graph, elem)[1]
+    default = run("factor", graph, elem)
+    assert default[0] == 0
+    assert run("factor", graph, elem, "--max-depth", "16") == default
+    assert run("factor", graph, elem, "--max-chain", "50") == default
+
+
 def test_determinism(workdir):
     first = run("homology", str(workdir / "mixed.graph"))
     second = run("homology", str(workdir / "mixed.graph"))

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -23,6 +26,7 @@ from helpers import (mutate_clopen, random_balanced_table, random_clopen,
 
 E2 = rose(2)
 EINF = infinite_rose()
+SRC = FsPath(__file__).resolve().parent.parent / "src"
 
 
 def blk(g, mu, punct, nu):
@@ -149,6 +153,33 @@ def test_af_factor_examples():
     assert len(fact.transpositions) == 2 and fact.certified
     fact = af_factor(Element.identity(E2))
     assert fact.transpositions == () and fact.certified
+
+
+LAGGED_SWAP_REFUSAL = (b"HypothesesFailed: table is not length-balanced: "
+                       b"block [block L#1.L#1 | - | L#2] has lag 1")
+
+
+def test_af_factor_refuses_unbalanced_tables():
+    # a lag-1 swap is an involution but not length-balanced
+    t = transposition(EINF, [blk(EINF, "L#1.L#1", [], "L#2")])
+    with pytest.raises(HypothesesFailed) as info:
+        af_factor(t)
+    assert f"HypothesesFailed: {info.value}".encode() == LAGGED_SWAP_REFUSAL
+    # the refusal does not depend on asserts
+    code = ("from ggt.factor import af_factor\n"
+            "from ggt.fixtures import infinite_rose\n"
+            "from ggt.fullgroup import make_block, transposition\n"
+            "from ggt.pathspace import parse_path\n"
+            "g = infinite_rose()\n"
+            "b = make_block(g, parse_path(g, 'L#1.L#1'), (), parse_path(g, 'L#2'))\n"
+            "af_factor(transposition(g, [b]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    optimized = subprocess.run([sys.executable, "-O", "-c", code],
+                               env=env, capture_output=True, timeout=120)
+    assert optimized.returncode == 1
+    assert optimized.stderr.splitlines()[-1].endswith(LAGGED_SWAP_REFUSAL)
 
 
 def test_af_factor_random_tables():

@@ -7,17 +7,21 @@ from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
                         SourcesOverlap)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
+from ggt.factor import find_bisection
 from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
                            apply, bisection_range, bisection_source, compose,
-                           compose_all, doubling_bisections, graded_partition,
-                           image_of, inverse, is_involution, make_block,
+                           compose_all, compose_bisections,
+                           doubling_bisections, graded_partition, image_of,
+                           inverse, is_involution, make_block,
                            parse_element_text, print_element, same_action,
                            shrink_support, support, transposition,
                            validate_element)
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, intersect_pieces,
-                           parse_clopen, parse_path)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
+                           intersect_pieces, parse_clopen, parse_path,
+                           subtract_piece)
 
-from helpers import point_family, random_element, random_transposition
+from helpers import (mutate_clopen, point_family, random_clopen,
+                     random_element, random_transposition)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -317,8 +321,24 @@ def test_equality_fallback_agreement():
                 assert compose(e, inverse(f)).is_identity()
 
 
+def reference_pairs(g, outer, inner):
+    """compose_bisections by pairing every block with every block."""
+    out = []
+    for bi in inner:
+        for bo in outer:
+            piece = intersect_pieces(g, bi.range_piece(), bo.source_piece())
+            if piece is None:
+                continue
+            lam = piece.mu.edges[len(bi.mu):]
+            rho = piece.mu.edges[len(bo.nu):]
+            out.append(Block(Path(bo.mu.base, bo.mu.edges + rho),
+                             piece.punctures,
+                             Path(bi.nu.base, bi.nu.edges + lam)))
+    return out
+
+
 def reference_compose(f, h):
-    """compose by pairing every block with every block.
+    """compose through the all-pairs reference.
 
     Both tables are made total with identity blocks over the carrier
     complement, computed as a subtraction from the whole space.
@@ -326,23 +346,70 @@ def reference_compose(f, h):
     g = f.graph
 
     def total(e):
-        rest = Clopen.full(g).subtract(e.carrier())
+        rest = Clopen.full(g).subtract(support(e))
         return list(e.blocks) + [Block(p.mu, p.punctures, p.mu)
                                  for p in rest.pieces]
 
-    out = []
-    f_total = total(f)
-    for bh in total(h):
-        for bf in f_total:
-            piece = intersect_pieces(g, bh.range_piece(), bf.source_piece())
-            if piece is None:
-                continue
-            lam = piece.mu.edges[len(bh.mu):]
-            rho = piece.mu.edges[len(bf.nu):]
-            out.append(Block(Path(bf.mu.base, bf.mu.edges + rho),
-                             piece.punctures,
-                             Path(bh.nu.base, bh.nu.edges + lam)))
+    out = reference_pairs(g, total(f), total(h))
     return _normalize_table(g, _check_table(g, out))
+
+
+def reference_image_of(e, a):
+    """image_of by restricting each block and subtracting its source."""
+    g = e.graph
+    pieces = []
+    for p in a.pieces:
+        remaining = [p]
+        for b in e.blocks:
+            hit = intersect_pieces(g, p, b.source_piece())
+            if hit is None:
+                continue
+            lam = hit.mu.edges[len(b.nu):]
+            pieces.append(Piece(Path(b.mu.base, b.mu.edges + lam), hit.punctures))
+            remaining = [x for r in remaining
+                         for x in subtract_piece(g, r, b.source_piece())]
+        pieces.extend(remaining)  # identity region
+    return Clopen(g, canonicalize(g, pieces))
+
+
+def test_compose_bisections_matches_all_pairs_reference():
+    # partial block lists: nothing makes either side total
+    rng = random.Random(73)
+    graphs = (E2, EINF, emitter_two_loops(), mixed_graph())
+    for g in graphs:
+        for _ in range(15):
+            outer = list(random_transposition(g, rng).blocks)
+            inner = list(random_transposition(g, rng).blocks)
+            for o, i in ((outer, inner), (inner, outer), (outer, outer)):
+                got = compose_bisections(g, o, i)
+                assert (sorted(got, key=Block.key)
+                        == sorted(reference_pairs(g, o, i), key=Block.key))
+    # chained matchings a -> b -> c; mixed_graph has a source, so its
+    # classes (and find_bisection) are undefined
+    for g in graphs[:3]:
+        done = 0
+        while done < 8:
+            a = random_clopen(g, rng, pieces=2, max_len=2)
+            if a.is_empty():
+                continue
+            b = mutate_clopen(g, rng, a, moves=2)
+            c = mutate_clopen(g, rng, b, moves=2)
+            inner, outer = find_bisection(a, b), find_bisection(b, c)
+            got = compose_bisections(g, outer, inner)
+            assert (sorted(got, key=Block.key)
+                    == sorted(reference_pairs(g, outer, inner), key=Block.key))
+            assert bisection_source(g, got).equal(a)
+            assert bisection_range(g, got).equal(c)
+            done += 1
+
+
+def test_image_of_matches_subtraction_reference():
+    rng = random.Random(79)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(12):
+            e = random_element(g, rng, rng.randrange(0, 4))
+            for a in (random_clopen(g, rng), support(e), Clopen.full(g)):
+                assert image_of(e, a) == reference_image_of(e, a)
 
 
 def test_compose_matches_all_pairs_reference():

@@ -84,6 +84,9 @@ def test_shift_examples():
     assert shift(c, 0) == c
     with pytest.raises(NegativeLevel):
         shift(ClassVector.atom(E2, "v", 0), -1)
+    # the kernel grading is the only one: no vector has a negative level
+    with pytest.raises(NegativeLevel):
+        ClassVector.of(EINF, [(("v", -2), 1)])
 
 
 def test_is_zero_examples():
@@ -105,14 +108,6 @@ def test_relation_soundness():
                     assert is_zero(ClassVector.of(g, items))
                 else:
                     assert not is_zero(ClassVector.atom(g, v, n))
-
-
-def test_skew_grading_allows_negative_levels():
-    c = ClassVector.of(EINF, [(("v", -2), 1)], grading="skew")
-    assert not is_zero(c)
-    assert is_zero(c.sub(c))
-    shifted = shift(c, -3)
-    assert shifted.min_level() == -5
 
 
 def test_phi_naturality_on_lag_one_bisection():
