@@ -9,9 +9,11 @@ a permutation of a stable clopen partition and splits into canonical
 swaps; and a general element with vanishing index is conjugated off its
 support by an explicit transposition built from mutually disjoint paths
 through a distinguished infinite emitter, after which the balanced case
-applies. Every public factorization is certified once, by exact
-recomposition, before it is returned; a failed certification raises
-VerificationFailed.
+applies. Every public factorization is certified once before it is
+returned, by one exact fold: the inverse of the input is pushed through
+the factors over total tables, no partial product is normalized, and the
+final table is checked once (``fullgroup.acts_as``). A failed
+certification raises VerificationFailed.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from dataclasses import dataclass, field
 from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
                      MatchingDepthExceeded, NotEquivalent, ParseError,
                      VerificationFailed)
-from .fullgroup import (Block, Element, bisection_range, bisection_source,
-                        check_bisection, compose, compose_all,
-                        compose_bisections, graded_partition, identity_blocks,
-                        inverse, is_involution, parse_element_text,
-                        print_element, same_action, shrink_support, support,
-                        transposition)
+from .fullgroup import (Block, Element, acts_as, bisection_range,
+                        bisection_source, check_bisection, compose,
+                        compose_all, compose_bisections, graded_partition,
+                        identity_blocks, inverse, is_involution,
+                        parse_element_text, print_element, shrink_support,
+                        support, transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
 from .homology import class_of, classes_equal, index, shift
 from .pathspace import Clopen, Path, Piece, canonicalize, path_range
@@ -80,6 +82,24 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
     return None if leftover else blocks
 
 
+def _check_matched(g: Graph, blocks, a: Clopen, b: Clopen, lag: int):
+    """The checked blocks of a lag-``lag`` bisection from a onto b.
+
+    A failed check raises VerificationFailed naming it, also under
+    ``python -O``.
+    """
+    blocks = check_bisection(g, blocks)
+    bad = next((x for x in blocks if x.lag() != lag), None)
+    if bad is not None:
+        raise VerificationFailed(
+            f"lag check failed: block [{bad}] has lag {bad.lag()}, not {lag}")
+    if not bisection_source(g, blocks).equal(a):
+        raise VerificationFailed(f"source check failed: source is not {a}")
+    if not bisection_range(g, blocks).equal(b):
+        raise VerificationFailed(f"range check failed: range is not {b}")
+    return blocks
+
+
 def find_bisection(a: Clopen, b: Clopen, max_depth=DEFAULT_MAX_DEPTH):
     """Blocks of a lag-zero bisection with source a and range b.
 
@@ -97,11 +117,7 @@ def find_bisection(a: Clopen, b: Clopen, max_depth=DEFAULT_MAX_DEPTH):
     for depth in range(start, max(max_depth, start) + 1):
         blocks = _match_at_depth(g, a, b, depth)
         if blocks is not None:
-            blocks = check_bisection(g, blocks)
-            assert all(b_.lag() == 0 for b_ in blocks)
-            assert bisection_source(g, blocks).equal(a)
-            assert bisection_range(g, blocks).equal(b)
-            return sorted(blocks, key=Block.key)
+            return sorted(_check_matched(g, blocks, a, b, 0), key=Block.key)
     raise MatchingDepthExceeded(
         f"no bisection between {a} and {b} within depth {max_depth}")
 
@@ -140,11 +156,7 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int, max_depth=DEFAULT_MAX_DEPT
                                     key=Piece.key)))
     closing = find_bisection(lifted, b, max_depth=max_depth)
     blocks = sorted(compose_bisections(g, closing, lift), key=Block.key)
-    blocks = check_bisection(g, blocks)
-    assert all(b_.lag() == n for b_ in blocks)
-    assert bisection_source(g, blocks).equal(a)
-    assert bisection_range(g, blocks).equal(b)
-    return blocks
+    return _check_matched(g, blocks, a, b, n)
 
 
 # -- disjoint path families --------------------------------------------------
@@ -323,11 +335,13 @@ class Factorization:
 
 
 def verify_product(e: Element, factors) -> bool:
-    """Recompose the ordered factors and compare with e exactly."""
-    factors = list(factors)
-    if not factors:
-        return e.is_identity()
-    return same_action(compose_all(factors), e)
+    """Exact check that the ordered factors multiply to e.
+
+    The first factor is applied last. e^{-1} is folded through the factors
+    by ``fullgroup.acts_as`` and the final table is checked once; no
+    partial product is normalized.
+    """
+    return acts_as(factors, e)
 
 
 def _certify(e: Element, factors) -> Factorization:
@@ -359,7 +373,12 @@ def af_factor(e: Element) -> Factorization:
 
 
 def _af_swaps(e: Element):
-    """The uncertified swaps of af_factor; none for the identity."""
+    """The uncertified swaps of af_factor; none for the identity.
+
+    A refinement round that splits no block, or cuts below the table's
+    depth, raises VerificationFailed with the table size and depth, also
+    under ``python -O``.
+    """
     g = e.graph
     table = list(e.blocks)
     depth_cap = e.max_depth()
@@ -371,9 +390,12 @@ def _af_swaps(e: Element):
         # cut every block's source along the range pieces
         refined = compose_bisections(
             g, table, identity_blocks([b.range_piece() for b in table]))
-        assert max(x.depth() for bl in refined
-                   for x in (bl.source_piece(), bl.range_piece())) <= depth_cap
-        assert len(refined) > len(table), "refinement stalled"
+        depth = max((x.depth() for bl in refined
+                     for x in (bl.source_piece(), bl.range_piece())), default=0)
+        if depth > depth_cap or len(refined) <= len(table):
+            raise VerificationFailed(
+                f"AF refinement stalled: table={len(table)} refined={len(refined)} "
+                f"depth={depth} depth_cap={depth_cap}")
         table = refined
     perm = {b.source_piece(): (b.range_piece(), b) for b in table}
     pieces = sorted(perm, key=Piece.key)

@@ -318,21 +318,47 @@ def compose_all(factors) -> Element:
     return acc
 
 
+def acts_as(factors, e: Element) -> bool:
+    """True when the ordered product of the factors equals e pointwise.
+
+    One fold over total tables, never normalized: e^{-1}'s total table is
+    pushed through the factors, last factor first, with
+    ``compose_bisections``, which partitions the product of two total
+    tables exactly. The product f_1 ... f_n e^{-1} is the identity iff the
+    factors multiply to e. The final table is checked once: the table
+    axioms, totality (its sources cover the whole space), and every block
+    fixing its source pointwise. A prefix exchange with mu != nu fixes at
+    most one point, which ``_block_is_identity``'s singleton rule decides,
+    so no normal form is needed.
+    """
+    g = e.graph
+    table = _totalize(inverse(e))
+    for f in reversed(list(factors)):
+        if f.graph != g:
+            raise MalformedGraph("operands live over different graphs")
+        table = compose_bisections(g, _totalize(f), table)
+    live = _check_table(g, table)
+    if not bisection_source(g, live).equal(Clopen.full(g)):
+        return False
+    return all(_block_is_identity(g, b) for b in live)
+
+
 def is_involution(t: Element) -> bool:
     """True when t squares to the identity.
 
     A table equal to its inverse's table is an involution; this check
     costs one sort. Normal forms are not known to be unique, so when the
-    tables differ the answer comes from recomposing ``compose(t, t)``.
+    tables differ the answer comes from the fold
+    ``acts_as([t, t], identity)``.
     """
     if inverse(t).blocks == t.blocks:
         return True
-    return compose(t, t).is_identity()
+    return acts_as([t, t], Element.identity(t.graph))
 
 
 def same_action(f: Element, g_elt: Element) -> bool:
-    """Equality as homeomorphisms: f g^{-1} normalizes to the identity."""
-    return compose(f, inverse(g_elt)).is_identity()
+    """Equality as homeomorphisms: the fold ``acts_as([f], g_elt)``."""
+    return acts_as([f], g_elt)
 
 
 def support(e: Element) -> Clopen:

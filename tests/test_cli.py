@@ -16,6 +16,7 @@ from ggt.graphs import print_graph
 from ggt.pathspace import parse_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
 
 ALPHA0 = """element alpha0 over e2
 block a | - | a.a
@@ -224,11 +225,28 @@ FACTOR_PAIR = ("import sys\n"
                "sys.exit(main(['factor', 'einf.graph', 'pair.elem']))\n")
 
 
+AF_BALANCED = ("import random, sys\n"
+               f"sys.path.insert(0, {str(TESTS)!r})\n"
+               "from helpers import random_balanced_table\n"
+               "from ggt.factor import af_factor, print_factorization\n"
+               "from ggt.fixtures import rose\n"
+               "g = rose(2)\n"
+               "e = random_balanced_table(g, random.Random(5), depth=3)\n"
+               "sys.stdout.write(print_factorization('bal', af_factor(e), g))\n")
+
+
 def test_factor_does_not_depend_on_asserts(workdir):
     plain = run_python(workdir, [], FACTOR_PAIR.format(patch=""))
     optimized = run_python(workdir, ["-O"], FACTOR_PAIR.format(patch=""))
     assert plain.returncode == 0 and optimized.returncode == 0
     assert plain.stdout.startswith(b"product-of 2 transpositions, certified=true")
+    assert optimized.stdout == plain.stdout
+    # the AF path on a seeded balanced table prints the same bytes too
+    plain = run_python(workdir, [], AF_BALANCED)
+    optimized = run_python(workdir, ["-O"], AF_BALANCED)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout.split(b"\n")[0].endswith(b"certified=true")
+    assert plain.stdout.count(b"element bal_f") > 1
     assert optimized.stdout == plain.stdout
     # a failed recomposition still refuses when asserts are stripped
     broken = FACTOR_PAIR.format(

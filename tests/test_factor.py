@@ -16,8 +16,9 @@ from ggt.factor import (Factorization, af_factor, compose_bisections,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
-                           compose, compose_all, is_involution, make_block,
-                           support, transposition, validate_element)
+                           compose, compose_all, inverse, is_involution,
+                           make_block, support, transposition,
+                           validate_element)
 from ggt.homology import class_of, classes_equal, shift
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path
 
@@ -155,6 +156,15 @@ def test_af_factor_examples():
     assert fact.transpositions == () and fact.certified
 
 
+def python_o(code):
+    """Run code under ``python -O``; a hang fails through the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, timeout=120)
+
+
 LAGGED_SWAP_REFUSAL = (b"HypothesesFailed: table is not length-balanced: "
                        b"block [block L#1.L#1 | - | L#2] has lag 1")
 
@@ -173,11 +183,7 @@ def test_af_factor_refuses_unbalanced_tables():
             "g = infinite_rose()\n"
             "b = make_block(g, parse_path(g, 'L#1.L#1'), (), parse_path(g, 'L#2'))\n"
             "af_factor(transposition(g, [b]))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    optimized = subprocess.run([sys.executable, "-O", "-c", code],
-                               env=env, capture_output=True, timeout=120)
+    optimized = python_o(code)
     assert optimized.returncode == 1
     assert optimized.stderr.splitlines()[-1].endswith(LAGGED_SWAP_REFUSAL)
 
@@ -404,3 +410,133 @@ def test_criterion_5_factors_are_structural_involutions(monkeypatch):
 
     monkeypatch.setattr(sys.modules["ggt.fullgroup"], "compose", no_compose)
     assert all(is_involution(t) for t in factors)
+
+
+def reference_verify(e, factors):
+    """Certification before the fold: recompose the factors one compose
+    at a time and normalize the quotient by e."""
+    if not factors:
+        return e.is_identity()
+    return compose(compose_all(factors), inverse(e)).is_identity()
+
+
+def corruptions(factors):
+    """Wrong factor lists: first, middle or last factor dropped, the order
+    reversed, one factor duplicated at the end."""
+    n = len(factors)
+    return [factors[1:], factors[:n // 2] + factors[n // 2 + 1:],
+            factors[:-1], factors[::-1], factors + [factors[n // 2]]]
+
+
+def test_fold_matches_recomposition_reference():
+    # seed 90 keeps every factorization under 25 factors
+    rng = random.Random(90)
+    cases = []
+    for _ in range(4):
+        parts = [random_transposition(EINF, rng, max_len=2)
+                 for _ in range(rng.randrange(2, 5))]
+        e = compose_all(parts)
+        cases.append((e, list(factor(e).transpositions)))
+    for depth in (2, 3):
+        for _ in range(2):
+            e = random_balanced_table(E2, rng, depth=depth)
+            cases.append((e, list(af_factor(e).transpositions)))
+    pet = emitter_two_loops()
+    for _ in range(3):
+        e = random_element(pet, rng, 3, max_len=2)
+        cases.append((e, list(factor(e).transpositions)))
+    graphs = set()
+    refused = 0
+    for e, factors in cases:
+        if not factors:
+            continue
+        graphs.add(e.graph.name)
+        assert verify_product(e, factors) and reference_verify(e, factors)
+        for wrong in corruptions(factors):
+            got = verify_product(e, wrong)
+            assert got == reference_verify(e, wrong)
+            refused += not got
+    assert graphs == {"einf", "e2", "petal"}
+    assert refused >= 2 * len(cases)
+
+
+# source pieces {a, b.a, b.b} and range pieces {b, a.b, a.a}: af_factor
+# must refine this table before it can read off a permutation
+TANGLED = (("b", "a"), ("a.b", "b.a"), ("a.a", "b.b"))
+STALLED = b"VerificationFailed: AF refinement stalled: table=3 refined=3"
+
+
+def test_af_refinement_stall_raises(monkeypatch):
+    # a refinement that changes nothing must refuse, not loop
+    e = elem(E2, *[(mu, [], nu) for mu, nu in TANGLED])
+    assert af_factor(e).certified
+    mod = sys.modules["ggt.factor"]
+    monkeypatch.setattr(mod, "compose_bisections",
+                        lambda g, outer, inner: list(outer))
+    with pytest.raises(VerificationFailed) as info:
+        af_factor(e)
+    assert f"VerificationFailed: {info.value}".encode().startswith(STALLED)
+    stalled = python_o(
+        "import sys\n"
+        "from ggt.factor import af_factor\n"
+        "from ggt.fixtures import rose\n"
+        "from ggt.fullgroup import make_block, validate_element\n"
+        "from ggt.pathspace import parse_path\n"
+        "g = rose(2)\n"
+        "e = validate_element(g, [make_block(g, parse_path(g, mu), (),\n"
+        "                                    parse_path(g, nu))\n"
+        f"                        for mu, nu in {TANGLED!r}])\n"
+        "sys.modules['ggt.factor'].compose_bisections = (\n"
+        "    lambda g, outer, inner: list(outer))\n"
+        "af_factor(e)\n")
+    assert stalled.returncode == 1
+    assert STALLED in stalled.stderr.splitlines()[-1]
+
+
+def test_matcher_results_are_checked_without_asserts(monkeypatch):
+    mod = sys.modules["ggt.factor"]
+    real = mod._match_at_depth
+
+    def drop_last(g, a, b, depth):
+        blocks = real(g, a, b, depth)
+        return None if blocks is None else blocks[:-1]
+
+    monkeypatch.setattr(mod, "_match_at_depth", drop_last)
+    with pytest.raises(VerificationFailed, match="source check failed"):
+        find_bisection(parse_clopen(E2, "Z(a)"), parse_clopen(E2, "Z(b)"))
+    with pytest.raises(VerificationFailed, match="source check failed"):
+        graded_cancellation(parse_clopen(E2, "Z(a)"),
+                            parse_clopen(E2, "Z(a.a)"), 1)
+    code = ("import sys\n"
+            "import ggt.factor\n"
+            "mod = sys.modules['ggt.factor']\n"
+            "real = mod._match_at_depth\n"
+            "def drop_last(*args):\n"
+            "    blocks = real(*args)\n"
+            "    return None if blocks is None else blocks[:-1]\n"
+            "mod._match_at_depth = drop_last\n"
+            "from ggt.fixtures import rose\n"
+            "from ggt.pathspace import parse_clopen\n"
+            "g = rose(2)\n"
+            "mod.{call}\n")
+    for call in ("find_bisection(parse_clopen(g, 'Z(a)'), parse_clopen(g, 'Z(b)'))",
+                 "graded_cancellation(parse_clopen(g, 'Z(a)'), "
+                 "parse_clopen(g, 'Z(a.a)'), 1)"):
+        refused = python_o(code.format(call=call))
+        assert refused.returncode == 1
+        assert refused.stderr.splitlines()[-1].startswith(
+            b"ggt.errors.VerificationFailed: source check failed")
+
+
+def test_af_certification_does_not_compose(monkeypatch):
+    # af_factor certifies by the fold alone: no compose, no compose_all
+    e = random_balanced_table(E2, random.Random(89), depth=3)
+
+    def no_compose(*args):
+        raise AssertionError("certification fell back to compose")
+
+    for mod in ("ggt.fullgroup", "ggt.factor"):
+        monkeypatch.setattr(sys.modules[mod], "compose", no_compose)
+    monkeypatch.setattr(sys.modules["ggt.factor"], "compose_all", no_compose)
+    fact = af_factor(e)
+    assert fact.certified and len(fact.transpositions) > 1

@@ -9,13 +9,14 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
 from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
-                           apply, bisection_range, bisection_source, compose,
-                           compose_all, compose_bisections,
+                           acts_as, apply, bisection_range, bisection_source,
+                           compose, compose_all, compose_bisections,
                            doubling_bisections, graded_partition, image_of,
                            inverse, is_involution, make_block,
                            parse_element_text, print_element, same_action,
                            shrink_support, support, transposition,
                            validate_element)
+from ggt.graphs import Graph
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            intersect_pieces, parse_clopen, parse_path,
                            subtract_piece)
@@ -432,15 +433,16 @@ def three_cycle_with_lag():
 def test_is_involution_structural_and_fallback(monkeypatch):
     fg = sys.modules["ggt.fullgroup"]
     calls = []
-    real = fg.compose
-    monkeypatch.setattr(fg, "compose",
-                        lambda f, h: calls.append(1) or real(f, h))
-    # transpositions equal their inverse tables: no recomposition
+    real = fg.acts_as
+    monkeypatch.setattr(fg, "acts_as",
+                        lambda fs, h: calls.append(1) or real(fs, h))
+    # transpositions equal their inverse tables: no fold
     t = transposition(EINF, [blk(EINF, "L#1.L#1", [], "L#2")])
     assert is_involution(t) and is_involution(swap_e2())
     assert is_involution(Element.identity(EINF))
     assert calls == []
-    # a table that differs from its inverse is decided by compose(t, t)
+    # a table that differs from its inverse is decided by the fold
+    # acts_as([t, t], identity)
     c = three_cycle_with_lag()
     assert any(b.lag() == 1 for b in c.blocks)
     assert not is_involution(c)
@@ -449,3 +451,31 @@ def test_is_involution_structural_and_fallback(monkeypatch):
     flipped = Element(E2, tuple(reversed(swap_e2().blocks)))
     assert is_involution(flipped)
     assert calls == [1, 1]
+
+
+def test_acts_as_decides_fixed_singletons():
+    # Z(f) is the single point f.x.x...: a lag-2 swap of it with a.f.x
+    # equals the lag-1 swap with a.f, so the fold leaves the block
+    # (a.f | - | a.f.x), whose one source point it fixes
+    g = Graph("tail", ["u", "c"],
+              [("a", "u", "u"), ("b", "u", "u"), ("f", "u", "c"),
+               ("x", "c", "c")])
+    t1 = transposition(g, [blk(g, "a.f", [], "f")])
+    t2 = transposition(g, [blk(g, "a.f.x", [], "f")])
+    assert t1.blocks != t2.blocks
+    assert acts_as([t1], t2) and acts_as([t2], t1)
+    assert acts_as([t1, t2], Element.identity(g))
+    t3 = transposition(g, [blk(g, "b.f", [], "f")])
+    assert not acts_as([t3], t1)
+
+
+def test_acts_as_refuses_partial_tables(monkeypatch):
+    # tables that do not cover the space must not pass as identities:
+    # with the identity blocks off the carriers left out, the fold of
+    # t12 . t34 against t12 ends empty, which is not total
+    t12 = transposition(EINF, [blk(EINF, "L#1", [], "L#2")])
+    t34 = transposition(EINF, [blk(EINF, "L#3", [], "L#4")])
+    assert acts_as([t12], t12) and not acts_as([t12, t34], t12)
+    monkeypatch.setattr(sys.modules["ggt.fullgroup"], "_totalize",
+                        lambda e: list(e.blocks))
+    assert not acts_as([t12, t34], t12)
