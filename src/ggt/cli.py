@@ -14,12 +14,12 @@ import argparse
 import sys
 from pathlib import Path as FsPath
 
-from .errors import GgtError, RefusalError, VerificationFailed
+from .errors import GgtError, RefusalError
 from . import fullgroup as fg
 from . import graphs as gr
 from . import pathspace as ps
-from .factor import DEFAULT_MAX_DEPTH, factor as run_factor
-from .factor import parse_factorization, print_factorization, verify_product
+from .factor import DEFAULT_MAX_DEPTH, certify, factor as run_factor
+from .factor import parse_factorization, print_factorization
 from .homology import abelianization_report, homology, index as index_class
 
 
@@ -94,7 +94,7 @@ def _cmd_homology(args) -> str:
 def _cmd_index(args) -> str:
     g = _load_graph(args.graph)
     _, e = _load_element(g, args.element)
-    value = index_class(e, max_chain=args.max_chain)
+    value = index_class(e)
     return f"index = {value.vector}\nzero = {_bool(value.zero)}\n"
 
 
@@ -121,7 +121,7 @@ def _cmd_partition(args) -> str:
 def _cmd_factor(args) -> str:
     g = _load_graph(args.graph)
     name, e = _load_element(g, args.element)
-    fact = run_factor(e, max_depth=args.max_depth, max_chain=args.max_chain)
+    fact = run_factor(e, max_depth=args.max_depth)
     return print_factorization(name, fact, g)
 
 
@@ -129,12 +129,7 @@ def _cmd_verify(args) -> str:
     g = _load_graph(args.graph)
     _, e = _load_element(g, args.element)
     _, elements = parse_factorization(g, _read(args.factors))
-    ok = verify_product(e, elements)
-    involutive = all(fg.is_involution(t) for t in elements)
-    if not (ok and involutive):
-        raise VerificationFailed(
-            f"factors={len(elements)} recompose={_bool(ok)} "
-            f"involutions={_bool(involutive)}")
+    certify(e, elements)
     return f"factors = {len(elements)}\ncertified=true\n"
 
 
@@ -159,22 +154,19 @@ def _cmd_double(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the caps are registered only on the commands whose computation reads them
+# the one cap, registered only on the command whose computation reads it
 _MAX_DEPTH = ("--max-depth", dict(dest="max_depth", type=int,
                                   default=DEFAULT_MAX_DEPTH,
                                   help="refinement cap for bisection matching"))
-_MAX_CHAIN = ("--max-chain", dict(dest="max_chain", type=int, default=None,
-                                  help="iteration cap for the eventual-kernel chain"))
 
 _COMMANDS = {
     "check": (_cmd_check, [("graph", {})]),
     "homology": (_cmd_homology, [("graph", {})]),
-    "index": (_cmd_index, [("graph", {}), ("element", {}), _MAX_CHAIN]),
+    "index": (_cmd_index, [("graph", {}), ("element", {})]),
     "compose": (_cmd_compose, [("graph", {}), ("left", {}), ("right", {})]),
     "invert": (_cmd_invert, [("graph", {}), ("element", {})]),
     "partition": (_cmd_partition, [("graph", {}), ("element", {})]),
-    "factor": (_cmd_factor, [("graph", {}), ("element", {}), _MAX_DEPTH,
-                             _MAX_CHAIN]),
+    "factor": (_cmd_factor, [("graph", {}), ("element", {}), _MAX_DEPTH]),
     "verify": (_cmd_verify, [("graph", {}), ("element", {}), ("factors", {})]),
     "move-t": (_cmd_move_t, [("graph", {}), ("vertex", {})]),
     "move-s": (_cmd_move_s, [("graph", {}), ("vertex", {})]),

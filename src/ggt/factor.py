@@ -9,11 +9,11 @@ a permutation of a stable clopen partition and splits into canonical
 swaps; and a general element with vanishing index is conjugated off its
 support by an explicit transposition built from mutually disjoint paths
 through a distinguished infinite emitter, after which the balanced case
-applies. Every public factorization is certified once before it is
-returned, by one exact fold: the inverse of the input is pushed through
-the factors over total tables, no partial product is normalized, and the
-final table is checked once (``fullgroup.acts_as``). A failed
-certification raises VerificationFailed.
+applies. ``certify`` checks every public factorization once: each
+factor must be an involution, and one exact fold pushes the inverse of
+the input through the factors over total tables, normalizing no partial
+product, and checks the final table once (``fullgroup.acts_as``). A
+failed certification raises VerificationFailed.
 """
 
 from __future__ import annotations
@@ -204,20 +204,6 @@ def _plain_cylinder_inside(g: Graph, region: Clopen) -> Path:
     raise MalformedGraph("region piece admits no extension")
 
 
-def _distinguished_emitter(g: Graph):
-    """Least emitter carrying a loop family and edges to every vertex."""
-    for w in sorted(g.vertices):
-        if not g.is_infinite_emitter(w):
-            continue
-        loop_fams = [f for f in g.out_families(w) if g.family_range(f) == w]
-        if not loop_fams:
-            continue
-        if all(v in set(g.successors(w)) for v in g.vertices):
-            return w, loop_fams[0]
-    raise HypothesesFailed(
-        "no emitter with a loop family and edges to every vertex")
-
-
 def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
                              pos_keys, neg_keys, targets) -> PathFamilies:
     """Build the three path families used by the factorization.
@@ -226,7 +212,8 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
     neg_keys, 0 and pos_keys. All paths run through the distinguished
     emitter: a common prefix fixes which side of the region they land
     in, a block of distinct loops separates them pairwise, and a final
-    connector edge reaches the target vertex.
+    connector edge reaches the target vertex. The emitter is the one
+    ``graphs.validate`` records as ``CriteriaReport.emitter``.
     """
     report = validate(g)
     if not report.factor_hypotheses:
@@ -242,7 +229,7 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
     if outside.is_empty():
         raise HypothesesFailed("region must be a proper subset of the ambient")
 
-    w, loop_fam = _distinguished_emitter(g)
+    w, loop_fam = report.emitter
     mu = _plain_cylinder_inside(g, outside)
     mu = Path(mu.base, mu.edges + find_path(g, path_range(g, mu), w))
     mu_p = _plain_cylinder_inside(g, region)
@@ -308,6 +295,8 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
 
 
 def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
+    """VerificationFailed naming the first path that breaks the families'
+    disjointness, length, end vertex or containment, also under -O."""
     outside = ambient.subtract(region)
     from .pathspace import paths_disjoint
     for clause, expected_len, container in (
@@ -317,13 +306,18 @@ def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
         paths = [p for _, p in clause]
         for i in range(len(paths)):
             for j in range(i + 1, len(paths)):
-                assert paths_disjoint(paths[i], paths[j]), "paths not disjoint"
+                if not paths_disjoint(paths[i], paths[j]):
+                    raise VerificationFailed(
+                        f"paths not disjoint: {paths[i]} and {paths[j]}")
         for key, p in clause:
             extra = key[2] if len(key) == 3 else 0
-            assert len(p) == expected_len(key[0], extra), "wrong path length"
-            assert path_range(g, p) == targets[key[:2]], "wrong end vertex"
-            assert Clopen.cylinder(g, p).subtract(container).is_empty(), \
-                "cylinder escapes its container"
+            if len(p) != expected_len(key[0], extra):
+                raise VerificationFailed(f"wrong path length: {key} -> {p}")
+            if path_range(g, p) != targets[key[:2]]:
+                raise VerificationFailed(f"wrong end vertex: {key} -> {p}")
+            if not Clopen.cylinder(g, p).subtract(container).is_empty():
+                raise VerificationFailed(
+                    f"cylinder escapes its container: {key} -> {p}")
 
 
 # -- AF factorization --------------------------------------------------------
@@ -344,10 +338,16 @@ def verify_product(e: Element, factors) -> bool:
     return acts_as(factors, e)
 
 
-def _certify(e: Element, factors) -> Factorization:
-    """The certified factorization, or VerificationFailed."""
-    if not verify_product(e, factors):
-        raise VerificationFailed(f"factors={len(factors)} recompose=false")
+def certify(e: Element, factors) -> Factorization:
+    """The certified factorization, or VerificationFailed: the ordered
+    factors must recompose to e and every factor must be an involution.
+    ``factor``, ``af_factor`` and ``ggt verify`` all certify here."""
+    recompose = verify_product(e, factors)
+    involutions = all(is_involution(t) for t in factors)
+    if not (recompose and involutions):
+        raise VerificationFailed(
+            f"factors={len(factors)} recompose={str(recompose).lower()} "
+            f"involutions={str(involutions).lower()}")
     return Factorization(tuple(factors), True)
 
 
@@ -361,15 +361,13 @@ def af_factor(e: Element) -> Factorization:
     permutes the partition through canonical arrows and each cycle
     splits into adjacent swaps; holonomy is trivial because canonical
     arrows compose to canonical arrows. A block of nonzero lag raises
-    HypothesesFailed.
+    HypothesesFailed; the swaps are certified by ``certify``.
     """
     for b in e.blocks:
         if b.lag() != 0:
             raise HypothesesFailed(
                 f"table is not length-balanced: block [{b}] has lag {b.lag()}")
-    if e.is_identity():
-        return Factorization((), True)
-    return _certify(e, _af_swaps(e))
+    return certify(e, _af_swaps(e))
 
 
 def _af_swaps(e: Element):
@@ -419,46 +417,47 @@ def _af_swaps(e: Element):
 
 # -- the full pipeline -------------------------------------------------------
 
-def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH, max_chain=None) -> Factorization:
+def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH) -> Factorization:
     """Certified transposition factorization of an index-kernel element.
 
     The graph must satisfy the factorization hypotheses (strongly
     connected with a distinguished emitter); the element must have
     vanishing index. Every returned factor squares to the identity and
-    the ordered product recomposes to the input exactly; both are checked
-    once here, and a failure raises VerificationFailed.
+    the ordered product recomposes to the input exactly; ``certify``
+    checks both once here, and a failure raises VerificationFailed.
     """
     g = e.graph
     report = validate(g)
     if not report.factor_hypotheses:
         raise HypothesesFailed(report.witness("factor_hypotheses")
                                or "factorization hypotheses fail")
-    value = index(e, max_chain=max_chain)
+    value = index(e)
     if not value.zero:
         raise IndexNonzero(f"index class {value.vector} is nonzero")
-    fact = _certify(e, _factor_proper(e, max_depth))
-    if not all(is_involution(t) for t in fact.transpositions):
-        raise VerificationFailed(f"factors={len(fact.transpositions)} "
-                                 f"recompose=true involutions=false")
-    return fact
+    return certify(e, _factor_proper(e, max_depth))
 
 
 def _factor_proper(e: Element, max_depth):
     g = e.graph
+    # one shrink step suffices: the remainder fixes a clopen, so its
+    # support is proper
+    head = []
+    if not e.is_identity() and support(e).equal(Clopen.full(g)):
+        tau, e = shrink_support(e)
+        head = [tau]
     if e.is_identity():
-        return []
-    if support(e).equal(Clopen.full(g)):
-        tau, rest = shrink_support(e)
-        return [tau] + _factor_proper(rest, max_depth)
+        return head
 
     part = graded_partition(e)
     pos = [k for k in part.keys() if k > 0]
     neg = [k for k in part.keys() if k < 0]
     if not pos and not neg:
-        return _af_swaps(e)
+        return head + _af_swaps(e)
     # a nonempty region cannot have vanishing class, so the two sides
     # of the index balance are nonempty together
-    assert pos and neg
+    if not (pos and neg):
+        raise VerificationFailed(
+            f"index balance broken: levels {pos + neg} have one sign")
 
     carrier = support(e)
     zero_part = part.part(0).intersect(carrier)
@@ -492,7 +491,9 @@ def _factor_proper(e: Element, max_depth):
         s_beta[k] = Clopen(g, canonicalize(
             g, [prepend(fam.g0(k, i), p)
                 for i, p in enumerate(region_pieces[k], start=1)]))
-        assert beta_part.part(k).equal(s_beta[k])
+        if not beta_part.part(k).equal(s_beta[k]):
+            raise VerificationFailed(
+                f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 
     # positive side: ladders of lag -1 swaps below the support
     d_sets = {}
@@ -549,9 +550,12 @@ def _factor_proper(e: Element, max_depth):
     tau = compose_all(tau_minus + tau_plus) if (tau_minus or tau_plus) \
         else Element.identity(g)
     balanced = compose(beta, inverse(tau))
-    assert all(b.lag() == 0 for b in balanced.blocks)
+    lagged = next((b for b in balanced.blocks if b.lag() != 0), None)
+    if lagged is not None:
+        raise VerificationFailed(
+            f"ladders left block [{lagged}] of lag {lagged.lag()}")
     core = _af_swaps(balanced)
-    return [tau_v] + core + tau_minus + tau_plus + [tau_v]
+    return head + [tau_v] + core + tau_minus + tau_plus + [tau_v]
 
 
 # -- factorization file format ------------------------------------------------

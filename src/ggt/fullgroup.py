@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
-                     ParseError, RangesOverlap, SourcesOverlap)
+                     ParseError, RangesOverlap, SourcesOverlap,
+                     VerificationFailed)
 from .graphs import Graph, edge_key
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                         check_path, intersect_pieces, make_piece, parse_path,
@@ -301,7 +302,10 @@ def compose(f: Element, g_elt: Element) -> Element:
     graph = f.graph
     out = compose_bisections(graph, _totalize(f), _totalize(g_elt))
     bound = f.max_depth() + g_elt.max_depth() + 1
-    assert all(max(len(b.mu), len(b.nu)) <= bound for b in out)
+    deep = next((b for b in out if max(len(b.mu), len(b.nu)) > bound), None)
+    if deep is not None:
+        raise VerificationFailed(
+            f"composed block [{deep}] is deeper than the bound {bound}")
     # fused paths are concatenations of already validated paths, so the
     # per-block path walk of validate_element is skipped here
     return _normalize_table(graph, _check_table(graph, out))

@@ -267,6 +267,7 @@ class CriteriaReport:
     strongly_connected: bool
     ah_criteria: bool
     factor_hypotheses: bool
+    emitter: tuple | None  # (w, loop family) of the distinguished emitter
     witnesses: tuple
 
     def witness(self, flag):
@@ -333,16 +334,15 @@ def validate(g: Graph) -> CriteriaReport:
 
     ah = no_sinks and cond_l and cofinal and reaches
 
-    factor_ok = False
+    # the least emitter with a loop family and edges to every vertex
+    emitter = None
     if strongly:
         for w in emitters:
-            loop_family = any(g._family_map[f][1] == w for f in g.out_families(w))
-            if not loop_family:
-                continue
-            targets = set(g.successors(w))
-            if all(v in targets for v in g.vertices):
-                factor_ok = True
+            loops = [f for f in g.out_families(w) if g.family_range(f) == w]
+            if loops and set(g.vertices) <= set(g.successors(w)):
+                emitter = (w, loops[0])
                 break
+    factor_ok = emitter is not None
     if not factor_ok:
         if not strongly:
             witnesses.append(("factor_hypotheses", "not strongly connected"))
@@ -353,7 +353,7 @@ def validate(g: Graph) -> CriteriaReport:
                               "no emitter with a loop family and edges to every vertex"))
 
     return CriteriaReport(no_sinks, no_sources, cond_l, cofinal, reaches,
-                          strongly, ah, factor_ok, tuple(witnesses))
+                          strongly, ah, factor_ok, emitter, tuple(witnesses))
 
 
 def _find_cycle_within(g: Graph, allowed):

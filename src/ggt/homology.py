@@ -17,10 +17,12 @@ summands. Hence a vector vanishes iff, after rewriting everything up to
 its top level, no singular atom survives below the top and the
 top-level vertex vector is annihilated by iterated pushing with singular
 coordinates zero at every step; that is exactly membership in the
-eventual kernel of the pushdown matrix. The endomorphism phi shifts
-atom levels by one; the first homology embeds as the kernel of
-(id - phi), and the index of a table is the alternating phi-sum over its
-graded partition.
+eventual kernel of the pushdown matrix. That kernel is the limit of an
+ascending chain of saturated sublattices of Z^|V|, so it is reached
+within |V| + 1 steps and the zero-test takes no iteration cap. The
+endomorphism phi shifts atom levels by one; the first homology embeds as
+the kernel of (id - phi), and the index of a table is the alternating
+phi-sum over its graded partition.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import (CriteriaFailed, MalformedGraph, NegativeLevel,
-                     NotEssential, SourcePresent)
+                     NotEssential, SourcePresent, VerificationFailed)
 from .fullgroup import Element, graded_partition
 from .graphs import Graph, validate
 from .intlin import IntMatrix, Lattice, cokernel_invariants, eventual_kernel, kernel
@@ -139,18 +141,19 @@ def _pushdown(g: Graph) -> IntMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _eventual_kernel_lattice(g: Graph, max_chain) -> Lattice:
+def _eventual_kernel_lattice(g: Graph) -> Lattice:
     verts = sorted(g.vertices)
     forbidden = [i for i, v in enumerate(verts) if g.is_singular(v)]
-    return eventual_kernel(_pushdown(g), forbidden, max_steps=max_chain)
+    return eventual_kernel(_pushdown(g), forbidden)
 
 
-def is_zero(c: ClassVector, max_chain=None) -> bool:
+def is_zero(c: ClassVector) -> bool:
     """Decide whether the class vector vanishes in homology.
 
     Rewrites every regular atom upward to the top level; a surviving
     singular coefficient below the top witnesses nonvanishing, and the
-    top-level vector is tested against the eventual kernel.
+    top-level vector is tested against the eventual kernel. The graph's
+    vertex count bounds that kernel's chain, so the test takes no cap.
     """
     if not c.terms:
         return True
@@ -176,11 +179,11 @@ def is_zero(c: ClassVector, max_chain=None) -> bool:
     z = [0] * len(verts)
     for v, x in by_level.get(top, {}).items():
         z[idx[v]] = x
-    return _eventual_kernel_lattice(g, max_chain).contains(z)
+    return _eventual_kernel_lattice(g).contains(z)
 
 
-def classes_equal(a: ClassVector, b: ClassVector, max_chain=None) -> bool:
-    return is_zero(a.sub(b), max_chain=max_chain)
+def classes_equal(a: ClassVector, b: ClassVector) -> bool:
+    return is_zero(a.sub(b))
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,10 @@ def _phi_term(part: Clopen, k: int) -> ClassVector:
             total = total.add(shift(cls, i))
         return total.negate()
     refined = part.refine_to(-k)
-    assert all(len(p.mu) >= -k for p in refined.pieces)
+    shallow = next((p for p in refined.pieces if len(p.mu) < -k), None)
+    if shallow is not None:
+        raise VerificationFailed(
+            f"refined part has piece {shallow} shallower than depth {-k}")
     cls = class_of(refined)
     total = ClassVector.zero(part.graph)
     for i in range(k, 0):
@@ -290,12 +296,12 @@ def _phi_term(part: Clopen, k: int) -> ClassVector:
     return total
 
 
-def index(e: Element, max_chain=None) -> IndexValue:
+def index(e: Element) -> IndexValue:
     """Index class of a full-group element in the kernel grading.
 
     Requires an essential graph (no sinks, no sources). The result lies
-    in the kernel of (id - phi), which is asserted, and the zero flag is
-    the homology zero-test of the class.
+    in the kernel of (id - phi), which is checked (VerificationFailed
+    otherwise), and the zero flag is the homology zero-test of the class.
     """
     g = e.graph
     report = validate(g)
@@ -305,5 +311,6 @@ def index(e: Element, max_chain=None) -> IndexValue:
     total = ClassVector.zero(g)
     for k, chunk in part.levels:
         total = total.add(_phi_term(chunk, k))
-    assert is_zero(total.sub(shift(total, 1)), max_chain=max_chain)
-    return IndexValue(total, is_zero(total, max_chain=max_chain))
+    if not is_zero(total.sub(shift(total, 1))):
+        raise VerificationFailed(f"index class {total} is not in ker(id - phi)")
+    return IndexValue(total, is_zero(total))

@@ -342,23 +342,24 @@ def restrict_to_zero_coords(lat: Lattice, coords) -> Lattice:
     return Lattice.from_vectors(lat.ambient_dim, vecs)
 
 
-def eventual_kernel(push: IntMatrix, forbidden_coords, max_steps=None) -> Lattice:
+def eventual_kernel(push: IntMatrix, forbidden_coords) -> Lattice:
     """Largest lattice of the chain V0 = {0}, V_{i+1} = {z : z|forbidden = 0, push*z in V_i}.
 
     A vector lies in the result iff iterated pushing annihilates it while
-    keeping the forbidden coordinates zero at every step. Every stage is a
-    saturated sublattice, so the chain stabilizes within ambient_dim + 1
-    steps; the bound only guards against misuse.
+    keeping the forbidden coordinates zero at every step. The chain ascends
+    through saturated sublattices, so each strict step raises the rank and
+    the chain stabilizes within dim + 1 iterations; running past them is a
+    broken invariant, and ChainLimitExceeded names dim and the rank reached.
     """
     if push.rows != push.cols:
         raise ValueError("push matrix must be square")
     dim = push.rows
-    bound = max_steps if max_steps is not None else 4 * max(dim, 1)
     v = Lattice.zero(dim)
-    for _ in range(bound + 1):
+    for _ in range(dim + 1):
         w = restrict_to_zero_coords(preimage(push, v), forbidden_coords)
         if w == v:
             return v
         v = w
     raise ChainLimitExceeded(
-        f"eventual-kernel chain not stable within {bound} steps")
+        f"eventual-kernel chain not stable within {dim + 1} iterations: "
+        f"dim={dim} rank={v.rank}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ggt.cli import main
+from ggt.cli import _COMMANDS, main
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (inverse, make_block, print_element,
@@ -171,16 +171,25 @@ def test_exit_codes(workdir):
 
 def test_caps_only_where_they_act(workdir):
     graph, elem = str(workdir / "einf.graph"), str(workdir / "pair.elem")
+    factors = str(workdir / "pair.factors")
+    assert run("factor", graph, elem, "-o", factors)[0] == 0
+    mixed = str(workdir / "mixed.graph")
+    # every command runs with these arguments, and refuses --max-chain:
+    # the eventual-kernel chain length is bounded by the graph itself
+    commands = {"check": [graph], "homology": [graph], "index": [graph, elem],
+                "compose": [graph, elem, elem], "invert": [graph, elem],
+                "partition": [graph, elem], "factor": [graph, elem],
+                "verify": [graph, elem, factors], "move-t": [graph, "v"],
+                "move-s": [mixed, "u"],
+                "double": [str(workdir / "e2.graph"), "Z(a)"]}
+    assert sorted(commands) == sorted(_COMMANDS)
+    for name, argv in commands.items():
+        assert run(name, *argv)[0] == 0, name
+        assert run(name, *argv, "--max-chain", "50")[0] == 1, name
     code, _ = run("check", graph, "--max-depth", "3")
     assert code == 1
-    code, _ = run("compose", graph, elem, elem, "--max-chain", "3")
-    assert code == 1
-    code, out = run("index", graph, elem, "--max-chain", "50")
-    assert code == 0 and out == run("index", graph, elem)[1]
     default = run("factor", graph, elem)
-    assert default[0] == 0
     assert run("factor", graph, elem, "--max-depth", "16") == default
-    assert run("factor", graph, elem, "--max-chain", "50") == default
 
 
 def test_determinism(workdir):

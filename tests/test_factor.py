@@ -374,6 +374,9 @@ def test_certification_failures_raise(monkeypatch):
     monkeypatch.setattr(mod, "is_involution", lambda t: False)
     with pytest.raises(VerificationFailed, match="involutions=false"):
         factor(e)
+    with pytest.raises(VerificationFailed,
+                       match="recompose=true involutions=false"):
+        af_factor(e)
 
 
 def test_factor_certifies_once(monkeypatch):
@@ -540,3 +543,61 @@ def test_af_certification_does_not_compose(monkeypatch):
     monkeypatch.setattr(sys.modules["ggt.factor"], "compose_all", no_compose)
     fact = af_factor(e)
     assert fact.certified and len(fact.transpositions) > 1
+
+
+def test_invariant_checks_raise_typed_errors(monkeypatch):
+    # each internal invariant of the pipeline is broken on purpose and
+    # must raise VerificationFailed naming it; no check is an ``assert``
+    from dataclasses import replace
+    from ggt.factor import _check_path_families
+    mod = sys.modules["ggt.factor"]
+    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
+    e = compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")]))
+    assert factor(e).certified
+
+    class OneSided:
+        def keys(self):
+            return [0, 1]
+
+    for name, fake, message in (
+            ("graded_partition", lambda x: OneSided(), "index balance broken"),
+            ("canonicalize", lambda g, pieces: (), "conjugated part S"),
+            ("compose_all", lambda fs: Element.identity(EINF),
+             "ladders left block")):
+        with monkeypatch.context() as m:
+            m.setattr(mod, name, fake)
+            with pytest.raises(VerificationFailed, match=message):
+                factor(e)
+
+    ambient, region = Clopen.full(EINF), parse_clopen(EINF, "Z(L#1)")
+    targets = {(1, 1): "v", (0, 1): "v", (0, 2): "v"}
+    fam = construct_disjoint_paths(EINF, ambient, region, [1], [], targets)
+    twice = dict(fam.gamma0)[(0, 1)]
+    for broken, region_, targets_, message in (
+            (replace(fam, n_length=fam.n_length + 1), region, targets,
+             "wrong path length"),
+            (replace(fam, gamma0=(((0, 1), twice), ((0, 2), twice))),
+             region, targets, "paths not disjoint"),
+            (fam, region, {**targets, (1, 1): "w"}, "wrong end vertex"),
+            (fam, ambient.subtract(region), targets,
+             "cylinder escapes its container")):
+        with pytest.raises(VerificationFailed, match=message):
+            _check_path_families(EINF, broken, ambient, region_, targets_)
+
+    # the index lies in ker(id - phi), and a refined part has full depth
+    homology = sys.modules["ggt.homology"]
+    with monkeypatch.context() as m:
+        m.setattr(homology, "is_zero", lambda c: False)
+        with pytest.raises(VerificationFailed, match="ker\\(id - phi\\)"):
+            homology.index(e)
+    with monkeypatch.context() as m:
+        m.setattr(Clopen, "refine_to", lambda self, depth: self)
+        with pytest.raises(VerificationFailed, match="shallower than depth 1"):
+            homology._phi_term(Clopen.full(EINF), -1)
+    # a composed block never outgrows the two operands' depths
+    deep = Path("v", ("L#1",) * 6)
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules["ggt.fullgroup"], "compose_bisections",
+                  lambda g, outer, inner: [Block(deep, (), deep)])
+        with pytest.raises(VerificationFailed, match="deeper than the bound 5"):
+            compose(tau_g, tau_g)

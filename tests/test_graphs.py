@@ -169,3 +169,43 @@ def test_graph_round_trip():
     for g in (infinite_rose(), rose(3), cycle_graph(4), mixed_graph(),
               emitter_two_loops()):
         assert parse_graph(print_graph(g), g.name) == g
+
+
+def reference_emitter(g):
+    """The emitter search the factorization made on its own before
+    ``validate`` recorded it: the least emitter carrying a loop family and
+    edges to every vertex, with its first loop family; None if none."""
+    for w in sorted(g.vertices):
+        if not g.is_infinite_emitter(w):
+            continue
+        loop_fams = [f for f in g.out_families(w) if g.family_range(f) == w]
+        if not loop_fams:
+            continue
+        if all(v in set(g.successors(w)) for v in g.vertices):
+            return w, loop_fams[0]
+    return None
+
+
+def test_validate_records_the_distinguished_emitter():
+    pet = emitter_two_loops()
+    core = move_s(mixed_graph(), "u")
+    # two loop families at one emitter; a lesser emitter that misses a vertex
+    twin = Graph("twin", ["a", "b", "w"],
+                 [("x", "a", "w"), ("y", "b", "a"), ("z", "w", "b")],
+                 [("M", "w", "w"), ("K", "w", "w"), ("J", "w", "a"),
+                  ("P", "a", "a")])
+    graphs = [infinite_rose(), pet, move_t(infinite_rose(), "v"),
+              move_t(pet, "w"), core, move_t(core, "c"), twin,
+              rose(2), cycle_graph(3), mixed_graph()]
+    satisfied = 0
+    for g in graphs:
+        rep = validate(g)
+        assert rep.factor_hypotheses == (rep.emitter is not None)
+        if rep.factor_hypotheses:
+            satisfied += 1
+            assert rep.emitter == reference_emitter(g)
+        else:
+            assert rep.emitter is None
+    assert satisfied == 6
+    assert validate(pet).emitter == ("w", "W")
+    assert validate(twin).emitter == ("w", "K")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ggt import intlin
 from ggt.errors import ChainLimitExceeded
 from ggt.intlin import (IntMatrix, Lattice, cokernel_invariants, determinant,
                         eventual_kernel, kernel, preimage,
@@ -152,6 +153,53 @@ def test_eventual_kernel_chain_property():
             assert all(x == 0 for x in v)
 
 
-def test_eventual_kernel_limit():
-    with pytest.raises(ChainLimitExceeded):
-        eventual_kernel(IntMatrix.from_rows([[0, 0], [1, 0]]), set(), max_steps=0)
+def shift_matrix(n):
+    """e_j -> e_{j+1}, e_n -> 0: nilpotent of index n."""
+    return IntMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(n)]
+                                for i in range(n)])
+
+
+def test_eventual_kernel_limit(monkeypatch):
+    # the n x n shift needs exactly n + 1 iterations: n strict steps, each
+    # raising the rank by one, and one more that finds the chain stable
+    real = intlin.preimage
+    for n in range(1, 9):
+        calls = []
+        monkeypatch.setattr(intlin, "preimage",
+                            lambda m, lat: calls.append(lat) or real(m, lat))
+        assert eventual_kernel(shift_matrix(n), set()) == Lattice.full(n)
+        assert len(calls) == n + 1
+    # a chain that never stands still breaks the invariant and is refused
+    grow = iter(range(1, 100))
+    monkeypatch.setattr(intlin, "preimage", lambda m, lat: Lattice.from_vectors(
+        m.cols, [[next(grow)] + [0] * (m.cols - 1)]))
+    with pytest.raises(ChainLimitExceeded, match="dim=2 rank=1"):
+        eventual_kernel(IntMatrix.zeros(2, 2), set())
+    assert next(grow) == 4  # refused after exactly dim + 1 iterations
+
+
+def test_eventual_kernel_chain_length_bound(monkeypatch):
+    # every stage of the chain is recorded; a strict step must raise the
+    # rank, so at most dim + 1 stages are computed
+    real = intlin.restrict_to_zero_coords
+    rng = random.Random(17)
+    longest = 0
+    for trial in range(300):
+        n = rng.randrange(1, 7)
+        if trial % 2:
+            rows = [[rng.randrange(-2, 3) if j < i else 0 for j in range(n)]
+                    for i in range(n)]
+        else:
+            rows = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+        forbidden = [i for i in range(n) if rng.random() < 0.2]
+        chain = [Lattice.zero(n)]
+        monkeypatch.setattr(intlin, "restrict_to_zero_coords",
+                            lambda lat, c: chain.append(real(lat, c)) or chain[-1])
+        result = eventual_kernel(IntMatrix.from_rows(rows), forbidden)
+        steps = len(chain) - 1
+        assert steps <= n + 1 and chain[-1] == chain[-2] == result
+        for before, after in zip(chain[:-2], chain[1:-1]):
+            assert after.rank > before.rank
+            assert all(after.contains(vec) for vec in before.basis)
+        longest = max(longest, steps)
+    assert longest == 7  # the bound dim + 1 is reached, at dim 6
