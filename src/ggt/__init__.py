@@ -24,10 +24,10 @@ from .fullgroup import (Block, Element, GradedPartition, apply, compose,
                         print_element, support, transposition,
                         validate_element)
 from .homology import (ClassVector, HomologyReport, IndexValue,
-                       abelianization_report, class_of, classes_equal,
-                       homology, index, is_zero, shift)
+                       abelianization_report, class_of, classes_equal, index,
+                       is_zero, shift)
 from .factor import (Factorization, PathFamilies, af_factor,
-                     construct_disjoint_paths, factor, find_bisection,
+                     construct_disjoint_paths, find_bisection,
                      graded_cancellation, parse_factorization,
                      print_factorization, verify_product)
 from .intlin import (IntMatrix, Lattice, cokernel_invariants, determinant,

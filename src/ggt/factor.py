@@ -31,7 +31,8 @@ from .fullgroup import (Block, Element, acts_as, bisection_range,
                         support, transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
 from .homology import class_of, classes_equal, index, shift
-from .pathspace import Clopen, Path, Piece, canonicalize, path_range
+from .pathspace import (Clopen, Path, Piece, canonicalize, path_range,
+                        paths_disjoint)
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -298,7 +299,6 @@ def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
     """VerificationFailed naming the first path that breaks the families'
     disjointness, length, end vertex or containment, also under -O."""
     outside = ambient.subtract(region)
-    from .pathspace import paths_disjoint
     for clause, expected_len, container in (
             (fam.gamma0, lambda k, extra: fam.n_length, outside),
             (fam.gamma_pos, lambda k, extra: fam.n_length + extra, region),

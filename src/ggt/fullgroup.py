@@ -8,7 +8,10 @@ both unions agree (the carrier); the element acts as the identity off
 the carrier. Normalization drops blocks that act as the identity, which
 makes the carrier coincide with the support, i.e. the closure of the
 moved points. That identification is exact for effective graph
-groupoids, where supports of full-group elements are clopen.
+groupoids, where supports of full-group elements are clopen. It then
+writes the blocks sharing a reduced prefix exchange as the canonical
+pieces of their union, so over graphs without one-point pieces (all
+graphs meeting the AH criteria) equal elements have equal tables.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass, field
 from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                      ParseError, RangesOverlap, SourcesOverlap,
                      VerificationFailed)
-from .graphs import Graph, edge_key
-from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                        check_path, intersect_pieces, make_piece, parse_path,
-                        path_range, piece_contains, piece_is_empty,
+from .graphs import Graph, edge_key, require_ah_criteria, two_disjoint_cycles
+from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
+                        canonicalize, check_path, intersect_pieces, make_piece,
+                        parse_path, path_range, piece_contains, piece_is_empty,
                         prepend_prefix, singleton_point, strip_prefix)
 
 
@@ -104,60 +107,6 @@ def _block_is_identity(g: Graph, b: Block) -> bool:
     return image == pt
 
 
-def _merge_blocks(g: Graph, blocks):
-    """Merge split siblings back together; the table map is unchanged.
-
-    Rules, applied to a fixed point: a punctured block (mu, F + {e}, nu)
-    absorbs the plain block (mu.e, {}, nu.e); a complete family of plain
-    sibling blocks (mu.e, {}, nu.e) over a regular range collapses to
-    (mu, {}, nu).
-    """
-    blocks = list(blocks)
-    changed = True
-    while changed:
-        changed = False
-        by_paths = {(b.mu, b.nu): b for b in blocks}
-        # absorb a plain child into a punctured parent
-        for b in blocks:
-            if not b.punctures:
-                continue
-            for e in b.punctures:
-                child = by_paths.get((b.mu.extend(e), b.nu.extend(e)))
-                if child is not None and not child.punctures:
-                    rest = tuple(x for x in b.punctures if x != e)
-                    blocks.remove(b)
-                    blocks.remove(child)
-                    blocks.append(Block(b.mu, rest, b.nu))
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            continue
-        # collapse a complete regular family of plain children
-        parents = {}
-        for b in blocks:
-            if b.punctures or not b.mu.edges or not b.nu.edges:
-                continue
-            if b.mu.edges[-1] != b.nu.edges[-1]:
-                continue
-            stem = (Path(b.mu.base, b.mu.edges[:-1]),
-                    Path(b.nu.base, b.nu.edges[:-1]))
-            parents.setdefault(stem, {})[b.mu.edges[-1]] = b
-        for (mu, nu), kids in parents.items():
-            v = path_range(g, mu)
-            if path_range(g, nu) != v or not g.is_regular(v):
-                continue
-            out = g.out_concrete(v)
-            if set(kids) == set(out) and out:
-                for b in kids.values():
-                    blocks.remove(b)
-                blocks.append(Block(mu, (), nu))
-                changed = True
-                break
-    return blocks
-
-
 def _find_overlap(g: Graph, pieces):
     """Indices of two overlapping pieces, or None.
 
@@ -207,9 +156,48 @@ def _check_table(g: Graph, blocks):
 
 
 def _normalize_table(g: Graph, live) -> Element:
-    kept = [b for b in live if not _block_is_identity(g, b)]
-    kept = _merge_blocks(g, kept)
-    kept = [b for b in kept if not _block_is_identity(g, b)]
+    """The normal form of a table of disjoint non-empty blocks.
+
+    Identity blocks are dropped and the rest grouped by reduced prefix
+    exchange: stripping the longest common edge suffix t of mu and nu
+    leaves (mu0, nu0), the exchange applied to Z(t \\ F) at the range of
+    nu0. Each group's tails become the canonical pieces of their union
+    (``pathspace.canonical_pieces``), re-prefixed to (mu0.t', F', nu0.t'),
+    and all are sorted. No rewritten block fixes its source: a merge only
+    joins moved pieces, and a split child fixed pointwise would need its
+    branching parent vertex on an exitless cycle.
+
+    Theorem: without one-point pieces (so over every graph meeting the AH
+    criteria: no sinks and Condition (L)) equal action implies equal
+    normal form. Proof: if blocks (mu, nu) and (mu', nu.s) agree near x,
+    then mu.s.z = mu'.z for an open set of tails z. If |mu.s| = |mu'| both
+    reduce to one exchange; else one side is the other followed by some
+    nonempty q, so z = q.z, i.e. z = qqq..., for every z there: an
+    isolated point. Hence each group's source set is the set of points
+    where the element acts by that exchange, and ``canonicalize`` is
+    unique per set. With one-point pieces forms may differ (see acts_as).
+    """
+    groups = {}   # (mu0, nu0) -> {tail piece: input block}
+    for b in live:
+        if _block_is_identity(g, b):
+            continue
+        n = 0
+        while (n < len(b.mu) and n < len(b.nu)
+               and b.mu.edges[-1 - n] == b.nu.edges[-1 - n]):
+            n += 1
+        mu0 = Path(b.mu.base, b.mu.edges[:len(b.mu) - n])
+        nu0 = Path(b.nu.base, b.nu.edges[:len(b.nu) - n])
+        tail = Piece(Path(path_range(g, nu0), b.nu.edges[len(b.nu) - n:]),
+                     b.punctures)
+        groups.setdefault((mu0, nu0), {})[tail] = b
+    kept = []
+    for (mu0, nu0), tails in groups.items():
+        for p in canonical_pieces(g, tails):
+            b = tails.get(p)
+            if b is None:
+                b = Block(Path(mu0.base, mu0.edges + p.mu.edges), p.punctures,
+                          Path(nu0.base, nu0.edges + p.mu.edges))
+            kept.append(b)
     return Element(g, tuple(sorted(kept, key=Block.key)))
 
 
@@ -217,8 +205,10 @@ def validate_element(g: Graph, blocks) -> Element:
     """Check the table axioms and return the normalized element.
 
     Raises SourcesOverlap / RangesOverlap / CarrierMismatch naming the
-    offending blocks. Normalization drops empty-source and identity
-    blocks, merges split siblings and sorts canonically.
+    offending blocks. Normalization (``_normalize_table``) drops
+    empty-source and identity blocks, rewrites the blocks of each reduced
+    prefix exchange to the canonical pieces of their union and sorts
+    canonically; without one-point pieces the result is unique.
     """
     checked = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     return _normalize_table(g, _check_table(g, checked))
@@ -351,18 +341,14 @@ def is_involution(t: Element) -> bool:
     """True when t squares to the identity.
 
     A table equal to its inverse's table is an involution; this check
-    costs one sort. Normal forms are not known to be unique, so when the
-    tables differ the answer comes from the fold
-    ``acts_as([t, t], identity)``.
+    costs one sort. Over graphs without one-point pieces normal forms are
+    unique (``_normalize_table``), so differing tables mean t is not an
+    involution; only graphs with one-point pieces need the fold
+    ``acts_as([t, t], identity)``, which decides every case.
     """
     if inverse(t).blocks == t.blocks:
         return True
     return acts_as([t, t], Element.identity(t.graph))
-
-
-def same_action(f: Element, g_elt: Element) -> bool:
-    """Equality as homeomorphisms: the fold ``acts_as([f], g_elt)``."""
-    return acts_as([f], g_elt)
 
 
 def support(e: Element) -> Clopen:
@@ -451,12 +437,9 @@ def doubling_bisections(g: Graph, a: Clopen):
     cycles; the cycles avoid the piece's punctures at their first edge so
     both ranges stay inside the piece.
     """
-    from .graphs import two_disjoint_cycles, validate
     if a.graph != g:
         raise MalformedGraph("clopen lives over a different graph")
-    report = validate(g)
-    if not report.ah_criteria:
-        raise MalformedGraph("graph does not satisfy the AH criteria")
+    require_ah_criteria(g)
     if a.is_empty():
         raise MalformedGraph("doubling needs a nonempty clopen")
     scc = g.nontrivial_scc()
@@ -563,7 +546,8 @@ def parse_element_text(g: Graph, text: str):
             raise ParseError(f"line {lineno}: cannot parse {raw!r}")
     if name is None:
         raise ParseError("missing 'element <name> over <graph>' header")
-    return name, validate_element(g, blocks)
+    # every block was checked by make_block as its line was read
+    return name, _normalize_table(g, _check_table(g, blocks))
 
 
 def print_element(name: str, e: Element) -> str:

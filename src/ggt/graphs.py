@@ -17,8 +17,9 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import (MalformedGraph, NoDisjointCycles, NotARegularSource,
-                     NotInfiniteEmitter, NotStronglyConnected, ParseError)
+from .errors import (CriteriaFailed, MalformedGraph, NoDisjointCycles,
+                     NotARegularSource, NotInfiniteEmitter,
+                     NotStronglyConnected, ParseError)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _MEMBER_RE = re.compile(r"^([A-Za-z0-9_]+)#([1-9][0-9]*)$")
@@ -51,7 +52,7 @@ class Graph:
 
     __slots__ = ("name", "vertices", "edges", "families",
                  "_edge_map", "_family_map", "_out_concrete", "_out_families",
-                 "_incoming", "_hash")
+                 "_incoming", "_singular", "_hash")
 
     def __init__(self, name, vertices, edges=(), families=()):
         self.name = name
@@ -100,6 +101,8 @@ class Graph:
         for v in self.vertices:
             self._out_concrete[v].sort()
             self._out_families[v].sort()
+        self._singular = frozenset(v for v in self.vertices
+                                   if self.is_sink(v) or self.is_infinite_emitter(v))
         self._hash = hash((self.vertices, self.edges, self.families))
 
     # -- identity ----------------------------------------------------------
@@ -156,10 +159,10 @@ class Graph:
         return bool(self._out_families[v])
 
     def is_singular(self, v) -> bool:
-        return self.is_sink(v) or self.is_infinite_emitter(v)
+        return v in self._singular
 
     def is_regular(self, v) -> bool:
-        return not self.is_singular(v)
+        return v not in self._singular
 
     def regular_vertices(self):
         return tuple(v for v in sorted(self.vertices) if self.is_regular(v))
@@ -277,8 +280,9 @@ class CriteriaReport:
         return None
 
 
+@functools.lru_cache(maxsize=None)
 def validate(g: Graph) -> CriteriaReport:
-    """Compute all structural flags exactly.
+    """Compute all structural flags exactly, once per graph.
 
     Condition (L) fails iff the subgraph of vertices with total out-degree
     exactly one (and no family) contains a cycle: such a cycle has no exit.
@@ -354,6 +358,18 @@ def validate(g: Graph) -> CriteriaReport:
 
     return CriteriaReport(no_sinks, no_sources, cond_l, cofinal, reaches,
                           strongly, ah, factor_ok, emitter, tuple(witnesses))
+
+
+def require_ah_criteria(g: Graph) -> CriteriaReport:
+    """The report of a graph meeting the AH criteria, else CriteriaFailed
+    naming the witness of every failing criterion."""
+    report = validate(g)
+    if not report.ah_criteria:
+        detail = "; ".join(f"{k}: {w}" for k, w in report.witnesses
+                           if k in ("no_sinks", "condition_L", "cofinal",
+                                    "reaches_all_infinite_emitters"))
+        raise CriteriaFailed(detail or "graph fails the AH criteria")
+    return report
 
 
 def _find_cycle_within(g: Graph, allowed):

@@ -30,10 +30,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import (CriteriaFailed, MalformedGraph, NegativeLevel,
-                     NotEssential, SourcePresent, VerificationFailed)
+from .errors import (MalformedGraph, NegativeLevel, NotEssential,
+                     SourcePresent, VerificationFailed)
 from .fullgroup import Element, graded_partition
-from .graphs import Graph, validate
+from .graphs import Graph, require_ah_criteria, validate
 from .intlin import IntMatrix, Lattice, cokernel_invariants, eventual_kernel, kernel
 from .pathspace import Clopen, path_range
 
@@ -245,12 +245,7 @@ def abelianization_report(g: Graph) -> HomologyReport:
     group is Z^M plus an elementary 2-group of rank at most the 2-rank
     of H0, with M the rank of H1.
     """
-    report = validate(g)
-    if not report.ah_criteria:
-        detail = "; ".join(f"{k}: {w}" for k, w in report.witnesses
-                           if k in ("no_sinks", "condition_L", "cofinal",
-                                    "reaches_all_infinite_emitters"))
-        raise CriteriaFailed(detail or "graph fails the AH criteria")
+    require_ah_criteria(g)
     h = homology(g)
     m, nmax = h.h1_rank, h.h0_tensor_z2_rank
     if m == 0 and nmax == 0:

@@ -185,6 +185,61 @@ def _trie(g: Graph, pieces):
     return roots
 
 
+def _emit(g: Graph, mu: Path, node: _Node):
+    """_FULL if the subtree at mu covers Z(mu), else its canonical pieces."""
+    v = path_range(g, mu)
+    regular = g.is_regular(v)
+    if node.punctures is not None:
+        # coverage is Z(mu \ at_node) plus whatever fills the punctures
+        at_node = frozenset.intersection(*node.punctures)
+        residue = []
+        eff = set(at_node)
+        for e in sorted(at_node, key=edge_key):
+            sub = node.children.get(e)
+            if sub is None:
+                continue
+            r = _emit(g, mu.extend(e), sub)
+            if r is _FULL:
+                eff.discard(e)
+            else:
+                residue.extend(r)
+        if not eff:
+            return _FULL
+        if not regular:
+            residue.insert(0, Piece(mu, tuple(sorted(eff, key=edge_key))))
+        else:
+            # split the punctured regular piece into plain children; a
+            # fully punctured one contributes nothing
+            residue.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                           if e not in eff)
+        return residue
+    # no at-node piece: coverage is the union of the child subtrees
+    results = {e: _emit(g, mu.extend(e), node.children[e])
+               for e in sorted(node.children, key=edge_key)}
+    if (regular and all(r is _FULL for r in results.values())
+            and set(results) == set(g.out_concrete(v))):
+        return _FULL
+    collected = []
+    for e, r in results.items():
+        if r is _FULL:
+            collected.append(Piece(mu.extend(e)))
+        else:
+            collected.extend(r)
+    return collected
+
+
+def canonical_pieces(g: Graph, pieces):
+    """The pieces of ``canonicalize``, in walk order rather than sorted."""
+    out = []
+    for v, node in sorted(_trie(g, pieces).items()):
+        r = _emit(g, Path(v), node)
+        if r is _FULL:
+            out.append(Piece(Path(v)))
+        else:
+            out.extend(r)
+    return out
+
+
 def canonicalize(g: Graph, pieces):
     """Canonical disjoint piece list of the union of the given pieces.
 
@@ -192,67 +247,7 @@ def canonicalize(g: Graph, pieces):
     singular range vertices; complete sibling covers merge into their
     parent; puncture sets are minimal; output is sorted.
     """
-    roots = _trie(g, pieces)
-    out = []
-
-    def emit(mu: Path, node: _Node):
-        """Return _FULL if the subtree covers Z(mu), else append pieces."""
-        v = path_range(g, mu)
-        at_node = None
-        if node.punctures is not None:
-            at_node = frozenset.intersection(*node.punctures)
-        if at_node is not None:
-            # coverage is Z(mu \ at_node) plus whatever fills the punctures
-            residue = []
-            eff = set(at_node)
-            for e in sorted(at_node, key=edge_key):
-                sub = node.children.get(e)
-                if sub is None:
-                    continue
-                r = emit(mu.extend(e), sub)
-                if r is _FULL:
-                    eff.discard(e)
-                else:
-                    residue.extend(r)
-            if not eff and (g.is_singular(v) or not g.out_concrete(v)):
-                return _FULL
-            if g.is_regular(v) and set(g.out_concrete(v)) <= eff:
-                # fully punctured regular cylinder contributes nothing
-                return residue
-            if g.is_regular(v) and eff:
-                # split the punctured regular piece into plain children
-                for e in g.out_concrete(v):
-                    if e not in eff:
-                        residue.append(Piece(mu.extend(e)))
-                return residue
-            if not eff:
-                return _FULL
-            residue.insert(0, Piece(mu, tuple(sorted(eff, key=edge_key))))
-            return residue
-        # no at-node piece: coverage is the union of the child subtrees
-        results = {}
-        for e in sorted(node.children, key=edge_key):
-            results[e] = emit(mu.extend(e), node.children[e])
-        if (g.is_regular(v) and g.out_concrete(v)
-                and set(results) == set(g.out_concrete(v))
-                and all(r is _FULL for r in results.values())):
-            return _FULL
-        collected = []
-        for e in sorted(results, key=edge_key):
-            r = results[e]
-            if r is _FULL:
-                collected.append(Piece(mu.extend(e)))
-            else:
-                collected.extend(r)
-        return collected
-
-    for v in sorted(roots):
-        r = emit(Path(v), roots[v])
-        if r is _FULL:
-            out.append(Piece(Path(v)))
-        else:
-            out.extend(r)
-    return tuple(sorted(out, key=Piece.key))
+    return tuple(sorted(canonical_pieces(g, pieces), key=Piece.key))
 
 
 @dataclass(frozen=True)

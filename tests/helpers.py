@@ -9,7 +9,7 @@ the code paths they check.
 import random
 
 from ggt.fullgroup import Block, Element, compose, transposition, validate_element
-from ggt.graphs import family_member
+from ggt.graphs import edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
 
@@ -202,6 +202,51 @@ def random_element(g, rng, transpositions=4, max_len=3, balanced=False):
     for _ in range(transpositions):
         acc = compose(acc, random_transposition(g, rng, max_len, balanced))
     return acc
+
+
+def punctured_transposition(g, rng, max_len=2):
+    """A transposition given by one block with punctures at a regular
+    range vertex, which no normal form keeps; a plain random transposition
+    when the sampled block has no regular range of out-degree two."""
+    t = random_transposition(g, rng, max_len)
+    b = t.blocks[0]
+    v = path_range(g, b.nu)
+    out = g.out_concrete(v)
+    if b.punctures or not g.is_regular(v) or len(out) < 2:
+        return t
+    punct = sorted(rng.sample(out, rng.randrange(1, len(out))), key=edge_key)
+    return transposition(g, [Block(b.mu, tuple(punct), b.nu)])
+
+
+def refine_blocks(g, blocks, rng, splits=3, members=4):
+    """The same table map with blocks split at random out-edges.
+
+    Splitting (mu, F, nu) at an edge e outside F leaves the plain child
+    (mu.e, {}, nu.e) and the parent (mu, F + {e}, nu), which is dropped
+    once it is empty; at a regular range vertex the parent keeps a
+    regular puncture.
+    """
+    blocks = list(blocks)
+    for _ in range(splits):
+        if not blocks:
+            break
+        i = rng.randrange(len(blocks))
+        b = blocks[i]
+        v = path_range(g, b.nu)
+        refs = list(g.out_concrete(v))
+        for f in g.out_families(v):
+            refs.extend(family_member(f, k) for k in range(1, members + 1))
+        refs = [e for e in refs if e not in b.punctures]
+        if not refs:
+            continue
+        e = rng.choice(refs)
+        parent = Block(b.mu, tuple(sorted(set(b.punctures) | {e}, key=edge_key)),
+                       b.nu)
+        split = [Block(b.mu.extend(e), (), b.nu.extend(e))]
+        if not piece_is_empty(g, parent.source_piece()):
+            split.append(parent)
+        blocks[i:i + 1] = split
+    return blocks
 
 
 def random_balanced_table(g, rng, depth=2):

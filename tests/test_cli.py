@@ -153,6 +153,15 @@ def test_moves_and_double(workdir):
                    "bisection w2\nblock a.b | - | a\n")
 
 
+def test_double_refuses_graphs_failing_criteria(workdir):
+    # a well-formed graph failing the AH criteria is refused as
+    # abelianization_report refuses it, naming the witness
+    code, out = run("double", str(workdir / "c2.graph"), "Z(x1)")
+    assert code == 2
+    assert out.splitlines() == ["CriteriaFailed",
+                                "condition_L: exitless cycle at u1"]
+
+
 def test_exit_codes(workdir):
     code, _ = run("nosuchcommand")
     assert code == 1

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
                            compose, compose_all, inverse, is_involution,
                            make_block, support, transposition,
                            validate_element)
+from ggt.graphs import Graph, validate
 from ggt.homology import class_of, classes_equal, shift
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path
 
@@ -359,7 +361,7 @@ def test_support_symmetry_and_factor_supports():
 
 
 def test_certification_failures_raise(monkeypatch):
-    # ``import ggt.factor`` binds the function, so reach the module itself
+    # patch the module namespace that af_factor reads verify_product from
     mod = sys.modules["ggt.factor"]
     t12 = transposition(EINF, [blk(EINF, "L#1", [], "L#2")])
     t34 = transposition(EINF, [blk(EINF, "L#3", [], "L#4")])
@@ -601,3 +603,22 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
                   lambda g, outer, inner: [Block(deep, (), deep)])
         with pytest.raises(VerificationFailed, match="deeper than the bound 5"):
             compose(tau_g, tau_g)
+
+
+def test_factor_validates_once():
+    # validate is cached per graph: the three stages of factor() that
+    # read the criteria share one computation
+    g = Graph("einf_copy", ["v"], [], [("L", "v", "v")])
+    tau_g = transposition(g, [blk(g, "L#1.L#1", [], "L#2")])
+    e = compose(tau_g, transposition(g, [blk(g, "L#3", [], "L#4")]))
+    validate.cache_clear()
+    assert factor(e).certified
+    info = validate.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_submodules_are_not_shadowed():
+    import ggt.factor
+    import ggt.homology
+    assert inspect.ismodule(ggt.factor) and inspect.ismodule(ggt.homology)
+    assert ggt.factor.factor is factor

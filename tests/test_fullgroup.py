@@ -13,16 +13,16 @@ from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
                            compose, compose_all, compose_bisections,
                            doubling_bisections, graded_partition, image_of,
                            inverse, is_involution, make_block,
-                           parse_element_text, print_element, same_action,
-                           shrink_support, support, transposition,
-                           validate_element)
+                           parse_element_text, print_element, shrink_support,
+                           support, transposition, validate_element)
 from ggt.graphs import Graph
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            intersect_pieces, parse_clopen, parse_path,
                            subtract_piece)
 
-from helpers import (mutate_clopen, point_family, random_clopen,
-                     random_element, random_transposition)
+from helpers import (mutate_clopen, point_family, punctured_transposition,
+                     random_clopen, random_element, random_transposition,
+                     refine_blocks)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -72,8 +72,8 @@ def test_compose_examples():
     assert compose(inverse(a0), a0).is_identity()
     rng = random.Random(2)
     e = random_element(E2, rng, 3)
-    assert same_action(compose(e, Element.identity(E2)), e)
-    assert same_action(compose(Element.identity(E2), e), e)
+    assert acts_as([compose(e, Element.identity(E2))], e)
+    assert acts_as([compose(Element.identity(E2), e)], e)
 
 
 def test_inverse_examples():
@@ -112,10 +112,10 @@ def test_group_laws_random():
             a = random_element(g, rng, 2)
             b = random_element(g, rng, 2)
             c = random_element(g, rng, 2)
-            assert same_action(compose(compose(a, b), c),
-                               compose(a, compose(b, c)))
+            assert acts_as([compose(compose(a, b), c)],
+                           compose(a, compose(b, c)))
             assert compose(a, inverse(a)).is_identity()
-            assert same_action(a, a)
+            assert acts_as([a], a)
 
 
 def test_support_examples():
@@ -279,11 +279,11 @@ def test_doubling_routes_into_component():
 def test_shrink_support():
     swap = swap_e2()
     tau, rest = shrink_support(swap)
-    assert same_action(tau, swap) and rest.is_identity()
+    assert acts_as([tau], swap) and rest.is_identity()
     a0 = alpha0()
     tau, rest = shrink_support(a0)
     assert compose(tau, tau).is_identity()
-    assert same_action(compose(tau, rest), a0)
+    assert acts_as([compose(tau, rest)], a0)
     assert not support(rest).equal(Clopen.full(E2))
     rng = random.Random(33)
     for g in (E2, EINF):
@@ -293,7 +293,7 @@ def test_shrink_support():
                 continue
             tau, rest = shrink_support(e)
             assert compose(tau, tau).is_identity()
-            assert same_action(compose(tau, rest), e)
+            assert acts_as([compose(tau, rest)], e)
             assert not support(rest).equal(Clopen.full(g))
 
 
@@ -308,18 +308,48 @@ def test_element_file_round_trip():
 
 
 def test_equality_fallback_agreement():
+    # normal forms are unique on these graphs: equal action is table
+    # equality, and a product with the inverse of an equal element is
+    # the identity
     rng = random.Random(39)
     for g in (E2, EINF):
         for _ in range(10):
             e = random_element(g, rng, 3)
             f = random_element(g, rng, 3)
-            assert same_action(e, f) == (e == f) or same_action(e, f)
-            # structural equality implies equal action; the converse is
-            # checked by normalizing through composition
-            if e == f:
-                assert same_action(e, f)
-            if same_action(e, f):
-                assert compose(e, inverse(f)).is_identity()
+            for x, y in ((e, f), (e, e)):
+                assert acts_as([x], y) == (x == y)
+                if x == y:
+                    assert compose(x, inverse(y)).is_identity()
+
+
+def test_regular_puncture_normal_form():
+    # one element of rose(2), once with a puncture at the regular vertex
+    # and once with plain blocks, normalizes to one table
+    e = elem(E2, ("b", ["a"], "a"), ("a", ["a"], "b"))
+    f = elem(E2, ("b.b", [], "a.b"), ("a.b", [], "b.b"))
+    assert e == f and acts_as([e], f)
+    assert str(e) == "block b.b | - | a.b\nblock a.b | - | b.b"
+
+
+def test_normal_form_unique_over_orders_and_refinements():
+    # none of these graphs has a one-point piece, so equal action must
+    # be table equality
+    rng = random.Random(113)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(5):
+            a, b, c = (compose(random_element(g, rng, 1, max_len=2),
+                               punctured_transposition(g, rng))
+                       for _ in range(3))
+            left = compose(compose(a, b), c)
+            right = compose(a, compose(b, c))
+            assert left.blocks == right.blocks
+            refined = [validate_element(g, refine_blocks(g, e.blocks, rng))
+                       for e in (a, left)]
+            assert refined == [a, left]
+            pool = (a, b, left, right, refined[0], inverse(c))
+            for x in pool:
+                for y in pool:
+                    assert acts_as([x], y) == (x == y)
 
 
 def reference_pairs(g, outer, inner):
