@@ -5,8 +5,9 @@ but produces explicit bisection tables: equal homology classes of
 compact opens are witnessed by depth-matched bisections inside the AF
 kernel of the cocycle; a level shift of the class is witnessed by a
 bisection of constant lag; an element whose table is length-balanced is
-a permutation of a stable clopen partition and splits into canonical
-swaps; and a general element with vanishing index is conjugated off its
+a permutation of a stable clopen partition and the product of two
+involutions, each one multi-block transposition through canonical
+arrows; and a general element with vanishing index is conjugated off its
 support by an explicit transposition built from mutually disjoint paths
 through a distinguished infinite emitter, after which the balanced case
 applies. ``certify`` checks every public factorization once: each
@@ -47,7 +48,9 @@ def _pool_insert(pools, g, piece, depth):
 
 
 def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
-    """Signature matching at one working depth; None if residue remains.
+    """Signature matching at one working depth: (blocks, residue), where
+    residue counts the pieces left unmatched; the blocks are a bisection
+    from a onto b only when it is 0.
 
     Pieces are grouped by (length, range vertex). Two paired pieces with
     different puncture sets are split to the common superset: the middle
@@ -60,7 +63,7 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
     for p in b.pieces:
         _pool_insert(pools_b, g, p, depth)
     blocks = []
-    leftover = False
+    residue = 0
     while True:
         keys = sorted(set(pools_a) | set(pools_b))
         key = next((k for k in keys if pools_a.get(k) or pools_b.get(k)), None)
@@ -78,9 +81,8 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
                 if f not in q.punctures:
                     _pool_insert(pools_b, g, Piece(q.mu.extend(f)), depth)
             blocks.append(Block(q.mu, punct, p.mu))
-        if la or lb:
-            leftover = True
-    return None if leftover else blocks
+        residue += len(la) + len(lb)
+    return blocks, residue
 
 
 def _check_matched(g: Graph, blocks, a: Clopen, b: Clopen, lag: int):
@@ -115,12 +117,14 @@ def find_bisection(a: Clopen, b: Clopen, max_depth=DEFAULT_MAX_DEPTH):
     if a.is_empty():
         return []
     start = max(a.depth(), b.depth(), 1)
-    for depth in range(start, max(max_depth, start) + 1):
-        blocks = _match_at_depth(g, a, b, depth)
-        if blocks is not None:
+    stop = max(max_depth, start)
+    for depth in range(start, stop + 1):
+        blocks, residue = _match_at_depth(g, a, b, depth)
+        if not residue:
             return sorted(_check_matched(g, blocks, a, b, 0), key=Block.key)
     raise MatchingDepthExceeded(
-        f"no bisection between {a} and {b} within depth {max_depth}")
+        f"no bisection between {a} and {b} at depths {start}..{stop}: "
+        f"residue={residue} pieces at depth {stop}")
 
 
 def _least_path_into(g: Graph, dst: str, length: int):
@@ -352,16 +356,28 @@ def certify(e: Element, factors) -> Factorization:
 
 
 def af_factor(e: Element) -> Factorization:
-    """Certified transposition decomposition of a length-balanced table.
+    """Certified decomposition of a length-balanced table into at most
+    two transpositions.
 
     The table is refined until its source pieces and range pieces agree
     as a partition; balanced blocks preserve piece depth under
     restriction, so the refinement stays inside the finite universe of
     pieces over the table's own paths and terminates. The element then
-    permutes the partition through canonical arrows and each cycle
-    splits into adjacent swaps; holonomy is trivial because canonical
-    arrows compose to canonical arrows. A block of nonzero lag raises
-    HypothesesFailed; the swaps are certified by ``certify``.
+    permutes the partition's pieces through canonical arrows.
+
+    Bound: at most two factors; one when the element is an involution,
+    none for the identity. A cycle c_0 -> c_1 -> ... -> c_{m-1} equals
+    s.r with r: c_i <-> c_{-i} and s: c_i <-> c_{1-i} (indices mod m),
+    since s(r(c_i)) = s(c_{-i}) = c_{1+i}. Both swap disjoint pairs of
+    pieces, and pieces of different cycles are disjoint, so the pairs of
+    r over all cycles form one multi-block transposition and those of s
+    another. r has a pair only in a cycle of length >= 3 and s only in
+    one of length >= 2; a side without pairs is dropped. The pieces of a
+    cycle share length, range vertex and punctures, so every pair is
+    swapped through a canonical arrow; holonomy is trivial because
+    canonical arrows compose to canonical arrows, so s.r moves each
+    piece by the element's own prefix exchange. A block of nonzero lag
+    raises HypothesesFailed; the factors are certified by ``certify``.
     """
     for b in e.blocks:
         if b.lag() != 0:
@@ -371,7 +387,8 @@ def af_factor(e: Element) -> Factorization:
 
 
 def _af_swaps(e: Element):
-    """The uncertified swaps of af_factor; none for the identity.
+    """The uncertified factors [s, r] of af_factor (s applied last),
+    with an empty side dropped; none for the identity.
 
     A refinement round that splits no block, or cuts below the table's
     depth, raises VerificationFailed with the table size and depth, also
@@ -395,24 +412,26 @@ def _af_swaps(e: Element):
                 f"AF refinement stalled: table={len(table)} refined={len(refined)} "
                 f"depth={depth} depth_cap={depth_cap}")
         table = refined
-    perm = {b.source_piece(): (b.range_piece(), b) for b in table}
-    pieces = sorted(perm, key=Piece.key)
+    perm = {b.source_piece(): b.range_piece() for b in table}
     seen = set()
-    factors = []
-    for start in pieces:
+    r_pairs, s_pairs = [], []
+    for start in sorted(perm, key=Piece.key):
         if start in seen:
             continue
         cycle = [start]
         seen.add(start)
-        nxt = perm[start][0]
+        nxt = perm[start]
         while nxt != start:
             cycle.append(nxt)
             seen.add(nxt)
-            nxt = perm[nxt][0]
-        for i in range(len(cycle) - 1):
-            p, q = cycle[i], cycle[i + 1]
-            factors.append(transposition(g, [Block(q.mu, q.punctures, p.mu)]))
-    return factors
+            nxt = perm[nxt]
+        # c_i -> c_{i+1} is s.r with r: c_i <-> c_{-i}, s: c_i <-> c_{1-i}
+        m = len(cycle)
+        r_pairs.extend((cycle[i], cycle[m - i]) for i in range(1, (m + 1) // 2))
+        s_pairs.extend((cycle[i], cycle[(1 - i) % m])
+                       for i in range(1, m // 2 + 1))
+    return [transposition(g, [Block(q.mu, q.punctures, p.mu) for p, q in pairs])
+            for pairs in (s_pairs, r_pairs) if pairs]
 
 
 # -- the full pipeline -------------------------------------------------------

@@ -425,8 +425,10 @@ def transposition(g: Graph, blocks) -> Element:
     if not src.intersect(rng).is_empty():
         raise OverlappingSourceRange(
             f"bisection source {src} meets range {rng}")
-    table = list(blocks) + [b.inverse() for b in blocks]
-    return validate_element(g, table)
+    # check_bisection has run make_block on every block, and inverting a
+    # valid block leaves it valid, so the table is not re-validated
+    table = blocks + [b.inverse() for b in blocks]
+    return _normalize_table(g, _check_table(g, table))
 
 
 def doubling_bisections(g: Graph, a: Clopen):

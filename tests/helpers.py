@@ -8,7 +8,8 @@ the code paths they check.
 
 import random
 
-from ggt.fullgroup import Block, Element, compose, transposition, validate_element
+from ggt.fullgroup import (Block, Element, apply, compose, transposition,
+                           validate_element)
 from ggt.graphs import edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
@@ -129,6 +130,18 @@ def point_family(g, max_prefix=4, members=3):
 
 def member_set(clopen, points):
     return frozenset(i for i, x in enumerate(points) if clopen.contains(x))
+
+
+def acts_pointwise(e, factors, points):
+    """The ordered product of the factors moves every point as e does;
+    the first factor acts last. Neither ``compose`` nor ``acts_as`` runs."""
+    for x in points:
+        y = x
+        for t in reversed(factors):
+            y = apply(t, y)
+        if y != apply(e, x):
+            return False
+    return True
 
 
 # -- random generators ---------------------------------------------------------

@@ -7,11 +7,12 @@ tolerances are the stated wall-clock budgets.
 
 import random
 import time
+from collections import Counter
 
 from ggt.factor import af_factor, factor, find_bisection
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.fullgroup import (Block, Element, apply, bisection_range,
+from ggt.fullgroup import (Block, Element, bisection_range,
                            bisection_source, compose, compose_all,
                            doubling_bisections, graded_partition, image_of,
                            inverse, make_block, support, transposition,
@@ -19,9 +20,9 @@ from ggt.fullgroup import (Block, Element, apply, bisection_range,
 from ggt.homology import class_of, homology, index, is_zero, shift
 from ggt.pathspace import Clopen, Path, parse_path
 
-from helpers import (member_set, mutate_clopen, point_family,
-                     random_balanced_table, random_clopen, random_element,
-                     random_transposition)
+from helpers import (acts_pointwise, member_set, mutate_clopen,
+                     point_family, random_balanced_table, random_clopen,
+                     random_element, random_transposition)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -160,21 +161,10 @@ def test_criterion_4_cancellation_suite():
     report(4, f"100 pairs matched in {elapsed:.1f}s")
 
 
-def acts_pointwise(e, factors, points):
-    """The ordered product of the factors moves every point as e does;
-    the first factor acts last. Neither ``compose`` nor ``acts_as`` runs."""
-    for x in points:
-        y = x
-        for t in reversed(factors):
-            y = apply(t, y)
-        if y != apply(e, x):
-            return False
-    return True
-
-
 def test_criterion_5_factorization():
     rng = random.Random(109)
     points = {g: point_family(g) for g in (EINF, E2)}
+    lengths = Counter()
     start = time.monotonic()
     for i in range(50):
         parts = [random_transposition(EINF, rng, max_len=rng.choice([1, 1, 2]))
@@ -190,14 +180,20 @@ def test_criterion_5_factorization():
         assert acts_pointwise(e, fact.transpositions, points[EINF])
         for t in fact.transpositions:
             assert compose(t, t).is_identity()
+        lengths[len(fact.transpositions)] += 1
     for _ in range(20):
         e = random_balanced_table(E2, rng, depth=2)
         fact = af_factor(e)
         assert fact.certified
+        assert len(fact.transpositions) <= 2
         assert acts_pointwise(e, fact.transpositions, points[E2])
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    report(5, f"50 full + 20 balanced factorizations in {elapsed:.1f}s")
+    # the balanced core is two involutions; the ladders are still long
+    assert max(lengths) <= 12
+    histogram = " ".join(f"{n}:{c}" for n, c in sorted(lengths.items()))
+    report(5, f"50 full + 20 balanced factorizations in {elapsed:.1f}s; "
+              f"full lengths (factors:count) {histogram}")
 
 
 def test_criterion_6_boolean_oracle():

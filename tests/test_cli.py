@@ -1,6 +1,7 @@
 import io
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,7 +258,8 @@ def test_factor_does_not_depend_on_asserts(workdir):
     plain = run_python(workdir, [], FACTOR_PAIR.format(patch=""))
     optimized = run_python(workdir, ["-O"], FACTOR_PAIR.format(patch=""))
     assert plain.returncode == 0 and optimized.returncode == 0
-    assert plain.stdout.startswith(b"product-of 2 transpositions, certified=true")
+    # pair is an involution, so it is its own single factor
+    assert plain.stdout.startswith(b"product-of 1 transpositions, certified=true")
     assert optimized.stdout == plain.stdout
     # the AF path on a seeded balanced table prints the same bytes too
     plain = run_python(workdir, [], AF_BALANCED)
@@ -272,3 +274,29 @@ def test_factor_does_not_depend_on_asserts(workdir):
     refused = run_python(workdir, ["-O"], broken)
     assert refused.returncode == 3
     assert refused.stdout.splitlines()[0] == b"VerificationFailed"
+
+
+def readme_fence(text, lead):
+    """The fenced block that follows the line ``lead`` in the README."""
+    found = re.search(re.escape(lead) + r"\n\n```\n(.*?)```\n", text, re.S)
+    assert found, lead
+    return found.group(1)
+
+
+def test_readme_factor_example(workdir):
+    # the README's pair.elem, factored over infinite_rose, prints exactly
+    # the block the README shows, and the file-format example agrees
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    elem = re.search(r"cat > pair\.elem <<'EOF'\n(.*?\n)EOF\n", text, re.S)
+    assert elem
+    (workdir / "readme.elem").write_text(elem.group(1))
+    code, _ = run("factor", str(workdir / "einf.graph"),
+                  str(workdir / "readme.elem"),
+                  "-o", str(workdir / "readme.factors"))
+    assert code == 0
+    out = (workdir / "readme.factors").read_text()
+    assert out == readme_fence(
+        text, "For this input `pair.factors` comes out as:")
+    example = readme_fence(
+        text, "Factorization files (written by `ggt factor`, read by `ggt verify`):")
+    assert out.startswith(example.split("...\n")[0])

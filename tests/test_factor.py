@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import os
 import random
 import subprocess
@@ -8,8 +10,9 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from ggt.errors import (HypothesesFailed, IndexNonzero, NotEquivalent,
-                        VerificationFailed)
+from ggt.cli import main
+from ggt.errors import (HypothesesFailed, IndexNonzero, MatchingDepthExceeded,
+                        NotEquivalent, VerificationFailed)
 from ggt.factor import (Factorization, af_factor, compose_bisections,
                         construct_disjoint_paths, factor, find_bisection,
                         graded_cancellation, parse_factorization,
@@ -18,17 +21,25 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
                            compose, compose_all, inverse, is_involution,
-                           make_block, support, transposition,
-                           validate_element)
-from ggt.graphs import Graph, validate
+                           make_block, parse_element_text, print_element,
+                           support, transposition, validate_element)
+from ggt.graphs import Graph, print_graph, validate
 from ggt.homology import class_of, classes_equal, shift
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path
 
-from helpers import (mutate_clopen, random_balanced_table, random_clopen,
-                     random_element, random_transposition)
+from helpers import (acts_pointwise, mutate_clopen, point_family,
+                     random_balanced_table, random_clopen, random_element,
+                     random_transposition)
 
 E2 = rose(2)
 EINF = infinite_rose()
+# the README's example element: two disjoint swaps, itself an involution
+PAIR = """element pair over einf
+block L#1 | - | L#2
+block L#2 | - | L#1
+block L#3 | - | L#4
+block L#4 | - | L#3
+"""
 SRC = FsPath(__file__).resolve().parent.parent / "src"
 
 
@@ -433,23 +444,28 @@ def corruptions(factors):
             factors[:-1], factors[::-1], factors + [factors[n // 2]]]
 
 
-def test_fold_matches_recomposition_reference():
-    # seed 90 keeps every factorization under 25 factors
-    rng = random.Random(90)
-    cases = []
+def fold_inputs(rng):
+    """(factorizer, element) pairs, in order: four infinite_rose products
+    for ``factor``, four rose(2) balanced tables for ``af_factor`` and
+    three petal elements for ``factor``."""
+    inputs = []
     for _ in range(4):
         parts = [random_transposition(EINF, rng, max_len=2)
                  for _ in range(rng.randrange(2, 5))]
-        e = compose_all(parts)
-        cases.append((e, list(factor(e).transpositions)))
+        inputs.append((factor, compose_all(parts)))
     for depth in (2, 3):
         for _ in range(2):
-            e = random_balanced_table(E2, rng, depth=depth)
-            cases.append((e, list(af_factor(e).transpositions)))
+            inputs.append((af_factor, random_balanced_table(E2, rng, depth=depth)))
     pet = emitter_two_loops()
     for _ in range(3):
-        e = random_element(pet, rng, 3, max_len=2)
-        cases.append((e, list(factor(e).transpositions)))
+        inputs.append((factor, random_element(pet, rng, 3, max_len=2)))
+    return inputs
+
+
+def test_fold_matches_recomposition_reference():
+    # seed 90 keeps every factorization under 25 factors
+    cases = [(e, list(run(e).transpositions))
+             for run, e in fold_inputs(random.Random(90))]
     graphs = set()
     refused = 0
     for e, factors in cases:
@@ -498,13 +514,78 @@ def test_af_refinement_stall_raises(monkeypatch):
     assert STALLED in stalled.stderr.splitlines()[-1]
 
 
+def test_af_factor_uses_at_most_two_involutions():
+    # a permutation of the refined partition is s.r for two involutions
+    rng = random.Random(131)
+    points = point_family(E2)
+    tables = [random_balanced_table(E2, rng, depth=depth)
+              for depth in (2, 3, 4) for _ in range(4)]
+    tables.append(elem(E2, *[(mu, [], nu) for mu, nu in TANGLED]))
+    for e in tables:
+        fact = af_factor(e)
+        assert fact.certified and len(fact.transpositions) <= 2
+        assert acts_pointwise(e, fact.transpositions, points)
+    assert max(len(af_factor(e).transpositions) for e in tables) == 2
+    # an involution is its own single factor, the identity has none
+    _, pair = parse_element_text(EINF, PAIR)
+    assert len(af_factor(pair).transpositions) == 1
+    assert af_factor(Element.identity(EINF)).transpositions == ()
+
+
+def test_petal_element_factors_short():
+    # the ninth fold input at seed 83 is a 9-block petal element whose
+    # balanced core, split into one swap per cycle step, takes 313 factors
+    run, e = fold_inputs(random.Random(83))[8]
+    assert e.graph.name == "petal" and len(e.blocks) == 9
+    fact = run(e)
+    assert fact.certified and len(fact.transpositions) <= 20
+    assert acts_pointwise(e, fact.transpositions, point_family(e.graph))
+
+
+def test_matching_depth_refusal_names_its_numbers(monkeypatch, tmp_path):
+    # no input reaches this refusal, so the matcher is patched to leave
+    # two pieces unmatched at every depth
+    mod = sys.modules["ggt.factor"]
+    real = mod._match_at_depth
+    tried = []
+
+    def leave_residue(g, a, b, depth):
+        tried.append(depth)
+        blocks, _ = real(g, a, b, depth)
+        return blocks[:-1], 2
+
+    monkeypatch.setattr(mod, "_match_at_depth", leave_residue)
+    a, b = parse_clopen(E2, "Z(a)"), parse_clopen(E2, "Z(b)")
+    with pytest.raises(MatchingDepthExceeded) as info:
+        find_bisection(a, b, max_depth=4)
+    assert tried == [1, 2, 3, 4]
+    assert str(info.value) == (f"no bisection between {a} and {b} at depths "
+                               "1..4: residue=2 pieces at depth 4")
+    # through the CLI: exit 3 and the error name on the first line
+    # an element with levels -1 and 1, whose ladders call find_bisection
+    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
+    e = compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")]))
+    (tmp_path / "einf.graph").write_text(print_graph(EINF))
+    (tmp_path / "lagged.elem").write_text(print_element("lagged", e))
+    tried.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["factor", str(tmp_path / "einf.graph"),
+                     str(tmp_path / "lagged.elem")])
+    lines = out.getvalue().splitlines()
+    assert code == 3 and lines[0] == "MatchingDepthExceeded"
+    assert lines[1].startswith("no bisection between ")
+    assert lines[1].endswith(f"at depths {tried[0]}..{tried[-1]}: "
+                             f"residue=2 pieces at depth {tried[-1]}")
+
+
 def test_matcher_results_are_checked_without_asserts(monkeypatch):
     mod = sys.modules["ggt.factor"]
     real = mod._match_at_depth
 
     def drop_last(g, a, b, depth):
-        blocks = real(g, a, b, depth)
-        return None if blocks is None else blocks[:-1]
+        blocks, residue = real(g, a, b, depth)
+        return blocks[:-1], residue
 
     monkeypatch.setattr(mod, "_match_at_depth", drop_last)
     with pytest.raises(VerificationFailed, match="source check failed"):
@@ -517,8 +598,8 @@ def test_matcher_results_are_checked_without_asserts(monkeypatch):
             "mod = sys.modules['ggt.factor']\n"
             "real = mod._match_at_depth\n"
             "def drop_last(*args):\n"
-            "    blocks = real(*args)\n"
-            "    return None if blocks is None else blocks[:-1]\n"
+            "    blocks, residue = real(*args)\n"
+            "    return blocks[:-1], residue\n"
             "mod._match_at_depth = drop_last\n"
             "from ggt.fixtures import rose\n"
             "from ggt.pathspace import parse_clopen\n"
