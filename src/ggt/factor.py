@@ -27,7 +27,7 @@ from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
 from .fullgroup import (Block, Element, acts_as, bisection_range,
                         bisection_source, check_bisection, compose,
                         compose_all, compose_bisections, graded_partition,
-                        identity_blocks, inverse, is_involution,
+                        identity_blocks, is_involution,
                         parse_element_text, print_element, shrink_support,
                         support, transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
@@ -457,6 +457,16 @@ def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH) -> Factorization:
 
 
 def _factor_proper(e: Element, max_depth):
+    """The uncertified factors of ``factor``, first factor applied last.
+
+    After at most one shrink step, a transposition tau_v conjugates e off
+    its support to beta = tau_v e tau_v; ladders tau_minus and tau_plus
+    cancel beta's nonzero lags, and the balanced remainder beta . tau^-1
+    goes to ``_af_swaps``. beta and the remainder are one
+    ``compose_all`` fold each, so each is checked and normalized once;
+    the S(k) checks, the lag check on the remainder and ``certify`` in
+    ``factor`` read only those two normal forms.
+    """
     g = e.graph
     # one shrink step suffices: the remainder fixes a clopen, so its
     # support is proper
@@ -502,7 +512,8 @@ def _factor_proper(e: Element, max_depth):
             moved = prepend(fam.g0(k, i), p)
             v_blocks.append(Block(moved.mu, moved.punctures, p.mu))
     tau_v = transposition(g, v_blocks)
-    beta = compose(tau_v, compose(e, tau_v))
+    # one fold, normalized once: graded_partition reads beta's lags
+    beta = compose_all([tau_v, e, tau_v])
 
     beta_part = graded_partition(beta)
     s_beta = {}
@@ -566,9 +577,10 @@ def _factor_proper(e: Element, max_depth):
             ladder.append(transposition(g, t_blocks))
         tau_minus.extend(reversed(ladder))
 
-    tau = compose_all(tau_minus + tau_plus) if (tau_minus or tau_plus) \
-        else Element.identity(g)
-    balanced = compose(beta, inverse(tau))
+    # beta . tau^-1 for the ladder product tau = tau_minus . tau_plus:
+    # every ladder factor is its own inverse, so tau^-1 is the ladders in
+    # reverse order, and the whole product is one fold normalized once
+    balanced = compose_all([beta] + list(reversed(tau_minus + tau_plus)))
     lagged = next((b for b in balanced.blocks if b.lag() != 0), None)
     if lagged is not None:
         raise VerificationFailed(

@@ -145,10 +145,19 @@ def _check_disjoint(g: Graph, blocks):
 
 
 def _check_table(g: Graph, blocks):
-    """Disjointness and carrier axioms for a list of valid blocks."""
+    """Disjointness and carrier axioms for a list of valid blocks.
+
+    When the source pieces and the range pieces are the same pieces the
+    two unions are equal and nothing is canonicalized; the live sources
+    are disjoint and nonempty, hence distinct, so comparing sets is exact.
+    """
     live = _check_disjoint(g, blocks)
-    src = canonicalize(g, [b.source_piece() for b in live])
-    rng = canonicalize(g, [b.range_piece() for b in live])
+    src = [b.source_piece() for b in live]
+    rng = [b.range_piece() for b in live]
+    if set(src) == set(rng):
+        return live
+    src = canonicalize(g, src)
+    rng = canonicalize(g, rng)
     if src != rng:
         raise CarrierMismatch(f"source union {Clopen(g, src)} differs "
                               f"from range union {Clopen(g, rng)}")
@@ -248,25 +257,42 @@ def compose_bisections(g: Graph, outer, inner):
     re-prefixed. An inner block's range piece and an outer block's source
     piece meet in at most one piece; restricting the inner block to it
     and fusing with the outer prefix exchange yields one block of the
-    product. Two pieces meet only when one path is a prefix of the other,
-    so each inner range piece is paired only with the outer blocks whose
+    product. Two pieces meet only when one path is a prefix of the other
+    and no puncture of the shorter one is the longer path's next edge, so
+    each inner range piece is paired only with the outer blocks whose
     source path lies on its own path or below it, found through a
-    dictionary over paths. Blocks come out in inner order and, within one
-    inner block, in outer order; they are not sorted.
+    dictionary over paths, minus those a puncture separates from it. The
+    puncture test runs only for punctured pieces. Blocks come out in
+    inner order and, within one inner block, in outer order; they are
+    not sorted.
     """
-    at_path = {}   # source path -> outer indices sitting on it
+    at_path = {}   # source path -> outer indices with unpunctured sources on it
+    at_punct = {}  # source path -> outer indices with punctured sources on it
     below = {}     # path -> outer indices whose source path extends it strictly
     for i, bo in enumerate(outer):
         base, edges = bo.nu.base, bo.nu.edges
-        at_path.setdefault((base, edges), []).append(i)
+        (at_punct if bo.punctures else at_path).setdefault(
+            (base, edges), []).append(i)
         for cut in range(len(edges)):
             below.setdefault((base, edges[:cut]), []).append(i)
     out = []
     for bi in inner:
         base, edges = bi.mu.base, bi.mu.edges
-        hits = list(below.get((base, edges), ()))
+        hits = below.get((base, edges), ())
+        if bi.punctures:
+            # an outer source below meets this piece only off its punctures
+            n = len(edges)
+            hits = [i for i in hits if outer[i].nu.edges[n] not in bi.punctures]
+        else:
+            hits = list(hits)
         for cut in range(len(edges) + 1):
             hits.extend(at_path.get((base, edges[:cut]), ()))
+        if at_punct:
+            hits.extend(at_punct.get((base, edges), ()))
+            # a punctured outer source above meets it only off its punctures
+            for cut in range(len(edges)):
+                hits.extend(i for i in at_punct.get((base, edges[:cut]), ())
+                            if edges[cut] not in outer[i].punctures)
         for i in sorted(hits):
             bo = outer[i]
             piece = intersect_pieces(g, bi.range_piece(), bo.source_piece())
@@ -280,58 +306,81 @@ def compose_bisections(g: Graph, outer, inner):
     return out
 
 
-def compose(f: Element, g_elt: Element) -> Element:
-    """The element acting as x -> f(g(x)).
+def _fold(g: Graph, factors, table):
+    """Push a total table through the factors, last factor first.
 
-    Identity blocks over the carrier complements make both tables total,
-    so ``compose_bisections`` of the two covers everything exactly once
-    and its blocks form the product's table.
+    Each step is ``compose_bisections`` of a factor's total table after
+    the running one; no partial product is checked or normalized. Each
+    distinct factor is totalized once per fold.
     """
-    if f.graph != g_elt.graph:
-        raise MalformedGraph("operands live over different graphs")
-    graph = f.graph
-    out = compose_bisections(graph, _totalize(f), _totalize(g_elt))
-    bound = f.max_depth() + g_elt.max_depth() + 1
-    deep = next((b for b in out if max(len(b.mu), len(b.nu)) > bound), None)
+    totals = {}
+    for f in reversed(factors):
+        if f.graph != g:
+            raise MalformedGraph("operands live over different graphs")
+        outer = totals.get(id(f))
+        if outer is None:
+            outer = totals[id(f)] = _totalize(f)
+        table = compose_bisections(g, outer, table)
+    return table
+
+
+def compose(f: Element, g_elt: Element) -> Element:
+    """The element acting as x -> f(g(x)): the two-factor fold
+    ``compose_all([f, g_elt])``."""
+    return compose_all([f, g_elt])
+
+
+def compose_all(factors) -> Element:
+    """Ordered product: the first factor is applied last.
+
+    One fold of total tables (identity blocks over each carrier
+    complement), last factor first, with ``compose_bisections``, which
+    partitions the product of two total tables exactly; so the folded
+    blocks form the product's table. Nothing in between is checked or
+    normalized: the table is checked and normalized once at the end.
+
+    Depth guard. A total table's paths are no longer than its element's
+    ``max_depth``: an identity block over the carrier complement reaches
+    at most one edge below a carrier path, and only below a punctured
+    piece, which ``max_depth`` counts. A fused block's range path is the
+    outer block's range path followed by the part of the inner range
+    path beyond the outer source path, and its source path is the inner
+    source path followed by the part of the outer source path beyond the
+    inner range path; so each step lengthens a path by at most the outer
+    factor's depth, and the folded paths stay within the sum of the
+    factors' depths. The guard allows one edge more per step, the bound
+    sum(max_depth) + (n - 1), which is f + g + 1 for two factors; a block
+    beyond it raises VerificationFailed.
+    """
+    factors = list(factors)
+    if not factors:
+        raise ValueError("compose_all needs at least one element")
+    g = factors[-1].graph
+    table = _fold(g, factors[:-1], _totalize(factors[-1]))
+    bound = sum(f.max_depth() for f in factors) + len(factors) - 1
+    deep = next((b for b in table if max(len(b.mu), len(b.nu)) > bound), None)
     if deep is not None:
         raise VerificationFailed(
             f"composed block [{deep}] is deeper than the bound {bound}")
     # fused paths are concatenations of already validated paths, so the
     # per-block path walk of validate_element is skipped here
-    return _normalize_table(graph, _check_table(graph, out))
-
-
-def compose_all(factors) -> Element:
-    """Ordered product: the first factor is applied last."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("compose_all needs at least one element")
-    acc = factors[-1]
-    for f in reversed(factors[:-1]):
-        acc = compose(f, acc)
-    return acc
+    return _normalize_table(g, _check_table(g, table))
 
 
 def acts_as(factors, e: Element) -> bool:
     """True when the ordered product of the factors equals e pointwise.
 
     One fold over total tables, never normalized: e^{-1}'s total table is
-    pushed through the factors, last factor first, with
-    ``compose_bisections``, which partitions the product of two total
-    tables exactly. The product f_1 ... f_n e^{-1} is the identity iff the
-    factors multiply to e. The final table is checked once: the table
+    pushed through the factors, last factor first, by the fold of
+    ``compose_all``. The product f_1 ... f_n e^{-1} is the identity iff
+    the factors multiply to e. The final table is checked once: the table
     axioms, totality (its sources cover the whole space), and every block
     fixing its source pointwise. A prefix exchange with mu != nu fixes at
     most one point, which ``_block_is_identity``'s singleton rule decides,
     so no normal form is needed.
     """
     g = e.graph
-    table = _totalize(inverse(e))
-    for f in reversed(list(factors)):
-        if f.graph != g:
-            raise MalformedGraph("operands live over different graphs")
-        table = compose_bisections(g, _totalize(f), table)
-    live = _check_table(g, table)
+    live = _check_table(g, _fold(g, list(factors), _totalize(inverse(e))))
     if not bisection_source(g, live).equal(Clopen.full(g)):
         return False
     return all(_block_is_identity(g, b) for b in live)

@@ -280,7 +280,8 @@ class Clopen:
             raise MalformedGraph("operands live over different graphs")
 
     def is_empty(self) -> bool:
-        return not canonicalize(self.graph, self.pieces)
+        """A union is empty iff every piece is; ``piece_is_empty`` is exact."""
+        return all(piece_is_empty(self.graph, p) for p in self.pieces)
 
     def canonical(self) -> "Clopen":
         return Clopen(self.graph, canonicalize(self.graph, self.pieces))

@@ -644,11 +644,17 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
         def keys(self):
             return [0, 1]
 
+    real_compose_all = mod.compose_all
+
+    def drop_ladders(fs):
+        # the conjugation [tau_v, e, tau_v] folds as usual; the product
+        # [beta, ladders...] loses its ladders and stays beta
+        return real_compose_all(fs) if fs[0] is fs[-1] else fs[0]
+
     for name, fake, message in (
             ("graded_partition", lambda x: OneSided(), "index balance broken"),
             ("canonicalize", lambda g, pieces: (), "conjugated part S"),
-            ("compose_all", lambda fs: Element.identity(EINF),
-             "ladders left block")):
+            ("compose_all", drop_ladders, "ladders left block")):
         with monkeypatch.context() as m:
             m.setattr(mod, name, fake)
             with pytest.raises(VerificationFailed, match=message):
@@ -698,6 +704,23 @@ def test_factor_validates_once():
     assert factor(e).certified
     info = validate.cache_info()
     assert info.misses == 1 and info.hits >= 2
+
+
+def test_factor_normalizes_each_product_once(monkeypatch):
+    # the conjugation beta and the balanced core are one fold each,
+    # normalized once; every other normal form is a transposition's
+    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
+    e = compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")]))
+    assert {-1, 1} <= {b.lag() for b in e.blocks} <= {-1, 0, 1}
+    fg, mod = sys.modules["ggt.fullgroup"], sys.modules["ggt.factor"]
+    real_normalize, real_transposition = fg._normalize_table, mod.transposition
+    normalized, built = [], []
+    monkeypatch.setattr(fg, "_normalize_table", lambda g, live: (
+        normalized.append(1) or real_normalize(g, live)))
+    monkeypatch.setattr(mod, "transposition", lambda g, blocks: (
+        built.append(1) or real_transposition(g, blocks)))
+    assert factor(e).certified
+    assert built and len(normalized) == 2 + len(built)
 
 
 def test_submodules_are_not_shadowed():

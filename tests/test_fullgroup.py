@@ -4,17 +4,18 @@ import sys
 import pytest
 
 from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
-                        SourcesOverlap)
+                        SourcesOverlap, VerificationFailed)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
 from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
-                           acts_as, apply, bisection_range, bisection_source,
-                           compose, compose_all, compose_bisections,
-                           doubling_bisections, graded_partition, image_of,
-                           inverse, is_involution, make_block,
-                           parse_element_text, print_element, shrink_support,
-                           support, transposition, validate_element)
+                           _totalize, acts_as, apply, bisection_range,
+                           bisection_source, compose, compose_all,
+                           compose_bisections, doubling_bisections,
+                           graded_partition, image_of, inverse, is_involution,
+                           make_block, parse_element_text, print_element,
+                           shrink_support, support, transposition,
+                           validate_element)
 from ggt.graphs import Graph
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            intersect_pieces, parse_clopen, parse_path,
@@ -452,6 +453,108 @@ def test_compose_matches_all_pairs_reference():
             h = random_element(g, rng, rng.randrange(1, 5))
             for x, y in ((f, h), (h, f), (f, inverse(f)), (f, f)):
                 assert compose(x, y).blocks == reference_compose(x, y).blocks
+
+
+def separated(a, b):
+    """True when one piece's path extends the other's through one of the
+    shorter piece's punctures, so the two pieces cannot meet."""
+    for short, long_ in ((a, b), (b, a)):
+        if (short.mu.is_prefix_of(long_.mu) and len(short.mu) < len(long_.mu)
+                and long_.mu.edges[len(short.mu)] in short.punctures):
+            return True
+    return False
+
+
+def test_pairing_skips_pieces_a_puncture_separates(monkeypatch):
+    # total tables of random elements carry punctures on both sides; the
+    # pairing must give the all-pairs list in the same order, and never
+    # intersect two pieces that a puncture keeps apart
+    fg = sys.modules["ggt.fullgroup"]
+    real = fg.intersect_pieces
+    paired = []
+    monkeypatch.setattr(fg, "intersect_pieces",
+                        lambda g, a, b: paired.append((a, b)) or real(g, a, b))
+    rng = random.Random(97)
+    skipped = 0
+    for g in (EINF, emitter_two_loops(), mixed_graph()):
+        tables = [_totalize(random_element(g, rng, rng.randrange(1, 4)))
+                  for _ in range(10)]
+        assert sum(bool(b.punctures) for t in tables for b in t) > 10
+        for outer in tables[:5]:
+            for inner in tables[5:]:
+                for o, i in ((outer, inner), (inner, outer)):
+                    paired.clear()
+                    assert compose_bisections(g, o, i) == reference_pairs(g, o, i)
+                    assert not any(separated(a, b) for a, b in paired)
+                    skipped += sum(separated(bi.range_piece(), bo.source_piece())
+                                   for bi in i for bo in o)
+    assert skipped > 100
+
+
+def test_compose_all_is_one_fold_of_compose():
+    # normal forms are unique, so the n-fold product and the pairwise
+    # left fold must give the same table
+    rng = random.Random(101)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(8):
+            fs = [random_element(g, rng, rng.randrange(1, 3), max_len=2)
+                  for _ in range(rng.randrange(1, 6))]
+            acc = fs[0]
+            for f in fs[1:]:
+                acc = compose(acc, f)
+            assert compose_all(fs).blocks == acc.blocks
+
+
+def test_compose_all_depth_guard_is_the_summed_bound(monkeypatch):
+    # three factors: sum(max_depth) + 2 edges pass, one more is refused
+    fs = [transposition(EINF, [blk(EINF, mu, [], nu)])
+          for mu, nu in (("L#2.L#1", "L#1"), ("L#3", "L#4"),
+                         ("L#5.L#5.L#5", "L#6"))]
+    bound = sum(f.max_depth() for f in fs) + 2
+    assert bound == 2 + 1 + 3 + 2
+    fg = sys.modules["ggt.fullgroup"]
+    for length in (bound, bound + 1):
+        deep = Path("v", ("L#1",) * length)
+        monkeypatch.setattr(fg, "compose_bisections",
+                            lambda g, outer, inner: [Block(deep, (), deep)])
+        if length == bound:
+            assert compose_all(fs).is_identity()
+        else:
+            with pytest.raises(VerificationFailed,
+                               match=f"deeper than the bound {bound}$"):
+                compose_all(fs)
+
+
+def test_transposition_checks_its_carrier_without_canonicalizing(monkeypatch):
+    # blocks plus inverses have the same source and range pieces, so the
+    # carrier check in _check_table needs no canonical form
+    fg = sys.modules["ggt.fullgroup"]
+    real_check, real_canon = fg._check_table, fg.canonicalize
+    inside, calls = [], []
+
+    def check(g, blocks):
+        inside.append(1)
+        try:
+            return real_check(g, blocks)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fg, "_check_table", check)
+    monkeypatch.setattr(fg, "canonicalize", lambda g, pieces: (
+        calls.append(len(inside)) or real_canon(g, pieces)))
+    rng = random.Random(103)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(5):
+            assert is_involution(random_transposition(g, rng))
+    assert calls and not any(calls)
+    # differing pieces still go through the canonical forms
+    calls.clear()
+    assert len(alpha0().blocks) == 3
+    assert calls == [1, 1]
+    with pytest.raises(CarrierMismatch, match=(
+            r"^source union Z\(@v\) differs from range union "
+            r"Z\(b\) \+ Z\(a\.a\)$")):
+        elem(E2, ("a.a", [], "a"), ("b", [], "b"))
 
 
 def three_cycle_with_lag():

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from ggt.errors import MalformedGraph, ParseError
-from ggt.fixtures import cycle_graph, infinite_rose, mixed_graph, rose
-from ggt.graphs import Graph, family_member
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
-                           parse_clopen, parse_path, parse_piece, path_range,
-                           prepend_prefix, singleton_point, strip_prefix)
+from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
+                          mixed_graph, rose)
+from ggt.graphs import Graph, edge_key, family_member
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
+                           make_piece, parse_clopen, parse_path, parse_piece,
+                           path_range, prepend_prefix, singleton_point,
+                           strip_prefix)
 
-from helpers import member_set, point_family, random_clopen
+from helpers import member_set, point_family, random_clopen, random_walk
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -205,3 +207,40 @@ def test_complement_matches_subtraction_and_points():
     assert str(clo(EINF, r"Z(@v \ L#2) + Z(L#2.L#1)").complement()) == \
         r"Z(L#2 \ L#1)"
     assert str(clo(TAIL, "Z(a) + Z(b)").complement()) == "Z(@s) + Z(c)"
+
+
+def raw_piece(g, rng):
+    """A piece built without make_piece: any punctures at its range
+    vertex, now and then every out-edge of a regular one (an empty piece)."""
+    mu = random_walk(g, rng, rng.choice(sorted(g.vertices)), rng.randrange(0, 3))
+    v = path_range(g, mu)
+    out = list(g.out_concrete(v))
+    out += [family_member(f, k) for f in g.out_families(v) for k in (1, 2, 3)]
+    if g.is_regular(v) and rng.random() < 0.3:
+        punct = out
+    else:
+        punct = rng.sample(out, rng.randrange(0, len(out) + 1))
+    return Piece(mu, tuple(sorted(set(punct), key=edge_key)))
+
+
+def test_is_empty_agrees_with_canonical_form():
+    # non-canonical tuples: overlapping pieces, a piece with its own
+    # extension, fully punctured regular pieces
+    rng = random.Random(107)
+    seen = set()
+    for g in (E2, EINF, emitter_two_loops(), MIXED):
+        for _ in range(80):
+            pieces = [raw_piece(g, rng) for _ in range(rng.randrange(0, 4))]
+            if pieces and rng.random() < 0.3:
+                p = pieces[0]
+                ext = random_walk(g, rng, path_range(g, p.mu), 1)
+                pieces.append(Piece(p.mu.extend(*ext.edges)))
+            c = Clopen(g, tuple(pieces))
+            empty = not canonicalize(g, pieces)
+            assert c.is_empty() == empty
+            seen.add((empty, bool(pieces)))
+        for _ in range(10):
+            c = random_clopen(g, rng)
+            assert c.is_empty() == (not canonicalize(g, c.pieces))
+    # some nonempty tuples are empty sets, and both answers occur
+    assert seen == {(True, False), (True, True), (False, True)}
