@@ -8,12 +8,11 @@ certified factorization of index-kernel elements into transpositions.
 
 from .errors import (CarrierMismatch, ChainLimitExceeded, CriteriaFailed,
                      GgtError, HypothesesFailed, IndexNonzero, MalformedGraph,
-                     MatchingDepthExceeded, NegativeLevel, NoDisjointCycles,
-                     NotARegularSource, NotEquivalent, NotEssential,
-                     NotInfiniteEmitter, NotStronglyConnected,
-                     OverlappingSourceRange, ParseError, RangesOverlap,
-                     RefusalError, SourcePresent, SourcesOverlap,
-                     VerificationFailed)
+                     NegativeLevel, NoDisjointCycles, NotARegularSource,
+                     NotEquivalent, NotEssential, NotInfiniteEmitter,
+                     NotStronglyConnected, OverlappingSourceRange,
+                     ParseError, RangesOverlap, RefusalError, SourcePresent,
+                     SourcesOverlap, VerificationFailed)
 from .graphs import Graph, CriteriaReport, validate, move_t, move_s, \
     find_path, two_disjoint_cycles, parse_graph, print_graph
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, parse_clopen,
@@ -25,7 +24,7 @@ from .fullgroup import (Block, Element, GradedPartition, apply, compose,
                         validate_element)
 from .homology import (ClassVector, HomologyReport, IndexValue,
                        abelianization_report, class_of, classes_equal, index,
-                       is_zero, shift)
+                       is_zero, shift, vanishing_level)
 from .factor import (Factorization, PathFamilies, af_factor,
                      construct_disjoint_paths, find_bisection,
                      graded_cancellation, parse_factorization,

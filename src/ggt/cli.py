@@ -2,7 +2,7 @@
 
 Commands: check, homology, index, compose, invert, partition, factor,
 verify, move-t, move-s, double. Reports are byte-deterministic for fixed
-inputs and options; artifacts go to stdout or to the path given with -o.
+inputs; artifacts go to stdout or to the path given with -o.
 
 Exit codes: 0 success, 1 usage error, 2 validation or parse error,
 3 mathematical refusal (the error name is the first output line).
@@ -18,7 +18,7 @@ from .errors import GgtError, RefusalError
 from . import fullgroup as fg
 from . import graphs as gr
 from . import pathspace as ps
-from .factor import DEFAULT_MAX_DEPTH, certify, factor as run_factor
+from .factor import certify, factor as run_factor
 from .factor import parse_factorization, print_factorization
 from .homology import abelianization_report, homology, index as index_class
 
@@ -121,7 +121,7 @@ def _cmd_partition(args) -> str:
 def _cmd_factor(args) -> str:
     g = _load_graph(args.graph)
     name, e = _load_element(g, args.element)
-    fact = run_factor(e, max_depth=args.max_depth)
+    fact = run_factor(e)
     return print_factorization(name, fact, g)
 
 
@@ -154,23 +154,18 @@ def _cmd_double(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the one cap, registered only on the command whose computation reads it
-_MAX_DEPTH = ("--max-depth", dict(dest="max_depth", type=int,
-                                  default=DEFAULT_MAX_DEPTH,
-                                  help="refinement cap for bisection matching"))
-
 _COMMANDS = {
-    "check": (_cmd_check, [("graph", {})]),
-    "homology": (_cmd_homology, [("graph", {})]),
-    "index": (_cmd_index, [("graph", {}), ("element", {})]),
-    "compose": (_cmd_compose, [("graph", {}), ("left", {}), ("right", {})]),
-    "invert": (_cmd_invert, [("graph", {}), ("element", {})]),
-    "partition": (_cmd_partition, [("graph", {}), ("element", {})]),
-    "factor": (_cmd_factor, [("graph", {}), ("element", {}), _MAX_DEPTH]),
-    "verify": (_cmd_verify, [("graph", {}), ("element", {}), ("factors", {})]),
-    "move-t": (_cmd_move_t, [("graph", {}), ("vertex", {})]),
-    "move-s": (_cmd_move_s, [("graph", {}), ("vertex", {})]),
-    "double": (_cmd_double, [("graph", {}), ("clopen", {})]),
+    "check": (_cmd_check, ["graph"]),
+    "homology": (_cmd_homology, ["graph"]),
+    "index": (_cmd_index, ["graph", "element"]),
+    "compose": (_cmd_compose, ["graph", "left", "right"]),
+    "invert": (_cmd_invert, ["graph", "element"]),
+    "partition": (_cmd_partition, ["graph", "element"]),
+    "factor": (_cmd_factor, ["graph", "element"]),
+    "verify": (_cmd_verify, ["graph", "element", "factors"]),
+    "move-t": (_cmd_move_t, ["graph", "vertex"]),
+    "move-s": (_cmd_move_s, ["graph", "vertex"]),
+    "double": (_cmd_double, ["graph", "clopen"]),
 }
 
 
@@ -179,8 +174,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for arg, kw in arguments:
-            p.add_argument(arg, **kw)
+        for arg in arguments:
+            p.add_argument(arg)
         p.add_argument("-o", dest="out", default=None,
                        help="write the report to a file instead of stdout")
     return parser

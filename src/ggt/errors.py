@@ -83,10 +83,6 @@ class NotEquivalent(RefusalError):
     pass
 
 
-class MatchingDepthExceeded(RefusalError):
-    pass
-
-
 class ChainLimitExceeded(RefusalError):
     pass
 

@@ -2,19 +2,20 @@
 
 The pipeline mirrors the structure of the underlying existence proofs
 but produces explicit bisection tables: equal homology classes of
-compact opens are witnessed by depth-matched bisections inside the AF
-kernel of the cocycle; a level shift of the class is witnessed by a
-bisection of constant lag; an element whose table is length-balanced is
-a permutation of a stable clopen partition and the product of two
-involutions, each one multi-block transposition through canonical
-arrows; and a general element with vanishing index is conjugated off its
-support by an explicit transposition built from mutually disjoint paths
-through a distinguished infinite emitter, after which the balanced case
-applies. ``certify`` checks every public factorization once: each
-factor must be an involution, and one exact fold pushes the inverse of
-the input through the factors over total tables, normalizing no partial
-product, and checks the final table once (``fullgroup.acts_as``). A
-failed certification raises VerificationFailed.
+compact opens are witnessed by bisections matched inside the AF kernel
+of the cocycle, at a depth read off the zero test; a level shift of the
+class is witnessed by a bisection of constant lag; an element whose
+table is length-balanced is a permutation of a stable clopen partition
+and the product of two involutions, each one multi-block transposition
+through canonical arrows; and a general element with vanishing index is
+conjugated off its support by an explicit transposition built from
+mutually disjoint paths through a distinguished infinite emitter, after
+which the balanced case applies. ``certify`` checks every public
+factorization once: each factor must be an involution, and one exact
+fold pushes the inverse of the input through the factors over total
+tables, normalizing no partial product, and checks the final table once
+(``fullgroup.acts_as``). A failed certification raises
+VerificationFailed.
 """
 
 from __future__ import annotations
@@ -22,20 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
-                     MatchingDepthExceeded, NotEquivalent, ParseError,
-                     VerificationFailed)
+                     NotEquivalent, ParseError, VerificationFailed)
 from .fullgroup import (Block, Element, acts_as, bisection_range,
-                        bisection_source, check_bisection, compose,
-                        compose_all, compose_bisections, graded_partition,
-                        identity_blocks, is_involution,
-                        parse_element_text, print_element, shrink_support,
-                        support, transposition)
+                        bisection_source, check_bisection, compose_all,
+                        compose_bisections, graded_partition,
+                        identity_blocks, is_involution, parse_element_text,
+                        print_element, shrink_support, support,
+                        transposition)
 from .graphs import Graph, edge_key, family_member, find_path, validate
-from .homology import class_of, classes_equal, index, shift
+from .homology import class_of, classes_equal, index, shift, vanishing_level
 from .pathspace import (Clopen, Path, Piece, canonicalize, path_range,
                         paths_disjoint)
-
-DEFAULT_MAX_DEPTH = 16
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -103,28 +101,56 @@ def _check_matched(g: Graph, blocks, a: Clopen, b: Clopen, lag: int):
     return blocks
 
 
-def find_bisection(a: Clopen, b: Clopen, max_depth=DEFAULT_MAX_DEPTH):
+def find_bisection(a: Clopen, b: Clopen):
     """Blocks of a lag-zero bisection with source a and range b.
 
-    Requires equal classes in the kernel grading. Iterative deepening:
-    matching at a fixed depth is not known to be complete, so a miss
-    deepens the refinement and a persistent miss raises
-    MatchingDepthExceeded rather than returning a wrong answer.
+    Requires equal classes in the kernel grading, else NotEquivalent.
+    The matcher runs once, at depth D = max(start, L), where start =
+    max(a.depth(), b.depth(), 1) and L = ``vanishing_level`` of
+    c = class(a) - class(b).
+
+    Theorem: for D >= start, ``_match_at_depth`` leaves no residue iff
+    the rewrite of c to level D is empty, that is iff D >= L; so
+    max(start, L) is the least working depth >= start that matches.
+
+    (1) Every pooled piece lies at a level <= D, and regular pieces lie
+    exactly at D: the input pieces have depth <= start <= D, so a
+    punctured one has length < D, and regular ranges are refined to D.
+    Only a key holding a punctured piece releases, and a released piece
+    is plain and goes to length + 1 <= D. (2) A paired p and q leave two
+    middle parts of equal class plus released pieces whose atoms are
+    exactly the punctures the other side has, so the signed atom sum of
+    the pools changes only by the forward rewrites of refinement, which
+    fix its rewrite to level D: that stays the rewrite of c. (3) Keys are
+    visited in ascending (length, vertex) order and releases go to longer
+    keys, so a key is complete when it is visited, and the count
+    difference there is what stays unmatched, all on one side. With no
+    residue the pools end empty, so c rewrites to nothing. Otherwise take
+    the least key (n, v) left unmatched. If v is singular and n < D,
+    the coefficient of (v, n) in the level-D rewrite of the leftovers is
+    that count difference: rewriting adds only higher atoms, and an atom
+    at level n from a puncture, or rewritten from below, comes from a
+    smaller key. If n = D, which every regular key has, no leftover is
+    punctured or shorter, so at level D what remains is the level-D
+    vector, whose coordinate v is again that difference. Either way the
+    rewrite of c is not empty.
+
+    A residue at the derived depth is thus a broken invariant and raises
+    VerificationFailed naming the depth, the level and the residue.
     """
     g = a.graph
-    if not classes_equal(class_of(a), class_of(b)):
+    level = vanishing_level(class_of(a).sub(class_of(b)))
+    if level is None:
         raise NotEquivalent(f"classes of {a} and {b} differ")
     if a.is_empty():
         return []
-    start = max(a.depth(), b.depth(), 1)
-    stop = max(max_depth, start)
-    for depth in range(start, stop + 1):
-        blocks, residue = _match_at_depth(g, a, b, depth)
-        if not residue:
-            return sorted(_check_matched(g, blocks, a, b, 0), key=Block.key)
-    raise MatchingDepthExceeded(
-        f"no bisection between {a} and {b} at depths {start}..{stop}: "
-        f"residue={residue} pieces at depth {stop}")
+    depth = max(a.depth(), b.depth(), 1, level)
+    blocks, residue = _match_at_depth(g, a, b, depth)
+    if residue:
+        raise VerificationFailed(
+            f"matching {a} onto {b} at depth {depth} (vanishing level "
+            f"{level}) left residue={residue} pieces")
+    return sorted(_check_matched(g, blocks, a, b, 0), key=Block.key)
 
 
 def _least_path_into(g: Graph, dst: str, length: int):
@@ -140,7 +166,7 @@ def _least_path_into(g: Graph, dst: str, length: int):
     return best[1]
 
 
-def graded_cancellation(a: Clopen, b: Clopen, n: int, max_depth=DEFAULT_MAX_DEPTH):
+def graded_cancellation(a: Clopen, b: Clopen, n: int):
     """Blocks of a lag-n bisection with source a and range b.
 
     Requires phi^n of the class of a to equal the class of b. Length-n
@@ -159,7 +185,7 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int, max_depth=DEFAULT_MAX_DEPT
                           p.punctures, p.mu))
     lifted = Clopen(g, tuple(sorted((b_.range_piece() for b_ in lift),
                                     key=Piece.key)))
-    closing = find_bisection(lifted, b, max_depth=max_depth)
+    closing = find_bisection(lifted, b)
     blocks = sorted(compose_bisections(g, closing, lift), key=Block.key)
     return _check_matched(g, blocks, a, b, n)
 
@@ -436,7 +462,7 @@ def _af_swaps(e: Element):
 
 # -- the full pipeline -------------------------------------------------------
 
-def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH) -> Factorization:
+def factor(e: Element) -> Factorization:
     """Certified transposition factorization of an index-kernel element.
 
     The graph must satisfy the factorization hypotheses (strongly
@@ -453,10 +479,10 @@ def factor(e: Element, max_depth=DEFAULT_MAX_DEPTH) -> Factorization:
     value = index(e)
     if not value.zero:
         raise IndexNonzero(f"index class {value.vector} is nonzero")
-    return certify(e, _factor_proper(e, max_depth))
+    return certify(e, _factor_proper(e))
 
 
-def _factor_proper(e: Element, max_depth):
+def _factor_proper(e: Element):
     """The uncertified factors of ``factor``, first factor applied last.
 
     After at most one shrink step, a transposition tau_v conjugates e off
@@ -562,7 +588,7 @@ def _factor_proper(e: Element, max_depth):
             d_all = d_all.union(d_sets[(p_key, j)])
         d_all = d_all.union(s_beta[p_key])
 
-    matching = find_bisection(x_all, d_all, max_depth=max_depth)
+    matching = find_bisection(x_all, d_all)
     tau_minus = []
     for q_key in neg:
         c_sets = {}
@@ -572,8 +598,7 @@ def _factor_proper(e: Element, max_depth):
             c_sets[l] = bisection_range(g, compose_bisections(
                 g, matching, identity_blocks(x_sets[(q_key, l)].pieces)))
             target = s_beta[q_key] if l == 1 else c_sets[l - 1]
-            t_blocks = graded_cancellation(c_sets[l], target, 1,
-                                           max_depth=max_depth)
+            t_blocks = graded_cancellation(c_sets[l], target, 1)
             ladder.append(transposition(g, t_blocks))
         tau_minus.extend(reversed(ladder))
 

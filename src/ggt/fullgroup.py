@@ -293,9 +293,10 @@ def compose_bisections(g: Graph, outer, inner):
             for cut in range(len(edges)):
                 hits.extend(i for i in at_punct.get((base, edges[:cut]), ())
                             if edges[cut] not in outer[i].punctures)
+        rng = bi.range_piece()
         for i in sorted(hits):
             bo = outer[i]
-            piece = intersect_pieces(g, bi.range_piece(), bo.source_piece())
+            piece = intersect_pieces(g, rng, bo.source_piece())
             if piece is None:
                 continue
             lam = piece.mu.edges[len(bi.mu):]

@@ -13,13 +13,16 @@ never negative and a negative level raises NegativeLevel. The only
 relations are the forward rewrites (v, n) = sum over e of (r(e), n+1)
 at regular v, so the group is the increasing union of its level-n stage
 groups. Atoms at singular vertices admit no rewrite and generate free
-summands. Hence a vector vanishes iff, after rewriting everything up to
-its top level, no singular atom survives below the top and the
-top-level vertex vector is annihilated by iterated pushing with singular
-coordinates zero at every step; that is exactly membership in the
-eventual kernel of the pushdown matrix. That kernel is the limit of an
-ascending chain of saturated sublattices of Z^|V|, so it is reached
-within |V| + 1 steps and the zero-test takes no iteration cap. The
+summands. Hence a vector vanishes iff rewriting it level by level
+upward leaves no singular coefficient at any level and, at some level
+at or above its top, nothing at all. The top-level vectors that die this
+way form the eventual kernel of the pushdown map
+(``intlin.eventual_kernel``), the limit of an ascending chain of
+saturated sublattices of Z^|V| that is stable from step |V| on, so the
+rewrite runs at most |V| levels past the top and the zero test takes no
+iteration cap. The level where the rewrite first empties
+(``vanishing_level``) is also the depth at which the bisection matcher
+pairs two clopens of equal class (``factor.find_bisection``). The
 endomorphism phi shifts atom levels by one; the first homology embeds as
 the kernel of (id - phi), and the index of a table is the alternating
 phi-sum over its graded partition.
@@ -27,14 +30,13 @@ phi-sum over its graded partition.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
 from .fullgroup import Element, graded_partition
 from .graphs import Graph, require_ah_criteria, validate
-from .intlin import IntMatrix, Lattice, cokernel_invariants, eventual_kernel, kernel
+from .intlin import IntMatrix, cokernel_invariants, kernel
 from .pathspace import Clopen, path_range
 
 
@@ -123,63 +125,49 @@ def class_of(a: Clopen) -> ClassVector:
     return ClassVector.of(g, items)
 
 
-@functools.lru_cache(maxsize=None)
-def _pushdown(g: Graph) -> IntMatrix:
-    """Matrix of one rewriting step on level vectors.
+def vanishing_level(c: ClassVector) -> int | None:
+    """The least level at or above the top where c rewrites to nothing,
+    or None when c does not vanish in homology.
 
-    Column v (regular) sends the unit vector to the edge-count vector of
-    its successors; singular columns are zero since their atoms persist.
-    """
-    verts = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    rows = [[0] * len(verts) for _ in verts]
-    for v in verts:
-        if g.is_regular(v):
-            for e in g.out_concrete(v):
-                rows[idx[g.range(e)]][idx[v]] += 1
-    return IntMatrix.from_rows(rows)
-
-
-@functools.lru_cache(maxsize=None)
-def _eventual_kernel_lattice(g: Graph) -> Lattice:
-    verts = sorted(g.vertices)
-    forbidden = [i for i, v in enumerate(verts) if g.is_singular(v)]
-    return eventual_kernel(_pushdown(g), forbidden)
-
-
-def is_zero(c: ClassVector) -> bool:
-    """Decide whether the class vector vanishes in homology.
-
-    Rewrites every regular atom upward to the top level; a surviving
-    singular coefficient below the top witnesses nonvanishing, and the
-    top-level vector is tested against the eventual kernel. The graph's
-    vertex count bounds that kernel's chain, so the test takes no cap.
+    Regular atoms are rewritten one level up at a time from the lowest
+    level. Rewriting never touches a singular atom, and the level-n
+    stage group is free on the singular atoms below n and all atoms at
+    n, so a nonzero singular coefficient at any level witnesses a
+    nonzero class and an empty rewrite at a level at or above the top
+    witnesses zero. Past the top nothing new enters: a vector z with
+    zero singular coordinates at every step dies after k pushes iff it
+    lies in the k-th lattice of the chain of ``intlin.eventual_kernel``,
+    which is stable from step |V| on. So the rewrite runs at most |V|
+    levels past the top, and a survivor there is nonzero. The empty
+    vector vanishes at level 0.
     """
     if not c.terms:
-        return True
+        return 0
     g = c.graph
-    verts = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
     top = c.max_level()
     by_level = {}
     for (v, n), x in c.items():
-        by_level.setdefault(n, {})[v] = by_level.setdefault(n, {}).get(v, 0) + x
-    for n in range(c.min_level(), top):
-        coeffs = by_level.get(n, {})
-        for v in sorted(coeffs):
-            x = coeffs[v]
-            if x == 0:
-                continue
-            if g.is_singular(v):
-                return False
-            nxt = by_level.setdefault(n + 1, {})
+        by_level.setdefault(n, {})[v] = x
+    vec = {}
+    for n in range(c.min_level(), top + len(g.vertices) + 1):
+        for v, x in by_level.get(n, {}).items():
+            vec[v] = vec.get(v, 0) + x
+        live = {v: x for v, x in vec.items() if x}
+        if not live and n >= top:
+            return n
+        if any(g.is_singular(v) for v in live):
+            return None
+        vec = {}
+        for v, x in live.items():
             for e in g.out_concrete(v):
                 w = g.range(e)
-                nxt[w] = nxt.get(w, 0) + x
-    z = [0] * len(verts)
-    for v, x in by_level.get(top, {}).items():
-        z[idx[v]] = x
-    return _eventual_kernel_lattice(g).contains(z)
+                vec[w] = vec.get(w, 0) + x
+    return None
+
+
+def is_zero(c: ClassVector) -> bool:
+    """Decide whether the class vector vanishes in homology."""
+    return vanishing_level(c) is not None
 
 
 def classes_equal(a: ClassVector, b: ClassVector) -> bool:

@@ -10,7 +10,7 @@ import random
 
 from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
-from ggt.graphs import edge_key, family_member
+from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
 
@@ -142,6 +142,49 @@ def acts_pointwise(e, factors, points):
         if y != apply(e, x):
             return False
     return True
+
+
+# -- graphs with twin vertices -------------------------------------------------
+
+def twin_chain(k):
+    """Two chains a1 -> ... -> ak -> c and b1 -> ... -> bk -> c, with c
+    feeding a1 (edge s) and b1 (edge t). The class (a1, n) - (b1, n)
+    rewrites to (ai, n + i - 1) - (bi, n + i - 1) and vanishes exactly at
+    level n + k, so Z(s) and Z(t) match first at depth 1 + k."""
+    if k < 1:
+        raise ValueError("a twin chain needs at least one link")
+    verts = [f"{side}{i}" for side in "ab" for i in range(1, k + 1)] + ["c"]
+    edges = [("s", "c", "a1"), ("t", "c", "b1")]
+    for side, name in (("a", "p"), ("b", "q")):
+        for i in range(1, k + 1):
+            nxt = f"{side}{i + 1}" if i < k else "c"
+            edges.append((f"{name}{i}", f"{side}{i}", nxt))
+    return Graph(f"chain{k}", verts, edges)
+
+
+def random_twin_graph(rng):
+    """A random strongly connected graph on 3-6 vertices meeting the
+    factorization hypotheses, with twins, so that the eventual kernel of
+    the pushdown is nontrivial.
+
+    v0 is an infinite emitter with a loop family W and an edge to every
+    other vertex. v1 and v2 are twins: regular, with equal multisets of
+    out-edge ranges, so (v1, n) - (v2, n) vanishes one level up but not
+    at level n.
+    """
+    for _ in range(1000):
+        n = rng.randrange(3, 7)
+        verts = [f"v{i}" for i in range(n)]
+        outs = {v: sorted(rng.choice(verts) for _ in range(rng.randrange(1, 4)))
+                for v in verts[1:]}
+        outs["v2"] = list(outs["v1"])
+        edges = [(f"w{i}", "v0", v) for i, v in enumerate(verts[1:], start=1)]
+        for v in verts[1:]:
+            edges += [(f"{v}x{j}", v, r) for j, r in enumerate(outs[v])]
+        g = Graph(f"twins{n}", verts, edges, [("W", "v0", "v0")])
+        if validate(g).factor_hypotheses:
+            return g
+    raise RuntimeError("could not sample a strongly connected twin graph")
 
 
 # -- random generators ---------------------------------------------------------

@@ -184,8 +184,9 @@ def test_caps_only_where_they_act(workdir):
     factors = str(workdir / "pair.factors")
     assert run("factor", graph, elem, "-o", factors)[0] == 0
     mixed = str(workdir / "mixed.graph")
-    # every command runs with these arguments, and refuses --max-chain:
-    # the eventual-kernel chain length is bounded by the graph itself
+    # every command runs with these arguments and takes no cap: the
+    # eventual-kernel chain is bounded by the graph, and the matching
+    # depth is read off the zero test
     commands = {"check": [graph], "homology": [graph], "index": [graph, elem],
                 "compose": [graph, elem, elem], "invert": [graph, elem],
                 "partition": [graph, elem], "factor": [graph, elem],
@@ -195,11 +196,8 @@ def test_caps_only_where_they_act(workdir):
     assert sorted(commands) == sorted(_COMMANDS)
     for name, argv in commands.items():
         assert run(name, *argv)[0] == 0, name
+        assert run(name, *argv, "--max-depth", "16")[0] == 1, name
         assert run(name, *argv, "--max-chain", "50")[0] == 1, name
-    code, _ = run("check", graph, "--max-depth", "3")
-    assert code == 1
-    default = run("factor", graph, elem)
-    assert run("factor", graph, elem, "--max-depth", "16") == default
 
 
 def test_determinism(workdir):

@@ -3,6 +3,7 @@ import inspect
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,10 @@ from pathlib import Path as FsPath
 import pytest
 
 from ggt.cli import main
-from ggt.errors import (HypothesesFailed, IndexNonzero, MatchingDepthExceeded,
-                        NotEquivalent, VerificationFailed)
-from ggt.factor import (Factorization, af_factor, compose_bisections,
+from ggt.errors import (HypothesesFailed, IndexNonzero, NotEquivalent,
+                        VerificationFailed)
+from ggt.factor import (Factorization, _check_matched, _match_at_depth,
+                        af_factor, compose_bisections,
                         construct_disjoint_paths, factor, find_bisection,
                         graded_cancellation, parse_factorization,
                         print_factorization, verify_product)
@@ -24,12 +26,13 @@ from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
                            make_block, parse_element_text, print_element,
                            support, transposition, validate_element)
 from ggt.graphs import Graph, print_graph, validate
-from ggt.homology import class_of, classes_equal, shift
-from ggt.pathspace import Clopen, Path, parse_clopen, parse_path
+from ggt.homology import class_of, classes_equal, shift, vanishing_level
+from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
 
 from helpers import (acts_pointwise, mutate_clopen, point_family,
                      random_balanced_table, random_clopen, random_element,
-                     random_transposition)
+                     random_transposition, random_twin_graph, random_walk,
+                     twin_chain)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -545,24 +548,35 @@ def test_petal_element_factors_short():
 
 
 def test_matching_depth_refusal_names_its_numbers(monkeypatch, tmp_path):
-    # no input reaches this refusal, so the matcher is patched to leave
-    # two pieces unmatched at every depth
+    # the matcher runs once, at max(start, vanishing level); over the
+    # 2-link twin chain Z(s) and Z(t) start at depth 1 and vanish at 3
     mod = sys.modules["ggt.factor"]
     real = mod._match_at_depth
     tried = []
+    residue = [0]
 
-    def leave_residue(g, a, b, depth):
+    def counted(g, a, b, depth):
         tried.append(depth)
-        blocks, _ = real(g, a, b, depth)
-        return blocks[:-1], 2
+        blocks, left = real(g, a, b, depth)
+        if residue[0]:
+            return blocks[:-1], residue[0]
+        return blocks, left
 
-    monkeypatch.setattr(mod, "_match_at_depth", leave_residue)
-    a, b = parse_clopen(E2, "Z(a)"), parse_clopen(E2, "Z(b)")
-    with pytest.raises(MatchingDepthExceeded) as info:
-        find_bisection(a, b, max_depth=4)
-    assert tried == [1, 2, 3, 4]
-    assert str(info.value) == (f"no bisection between {a} and {b} at depths "
-                               "1..4: residue=2 pieces at depth 4")
+    monkeypatch.setattr(mod, "_match_at_depth", counted)
+    g = twin_chain(2)
+    a, b = parse_clopen(g, "Z(s)"), parse_clopen(g, "Z(t)")
+    assert [str(x) for x in find_bisection(a, b)] == [
+        "block t.q1.q2 | - | s.p1.p2"]
+    assert tried == [3]
+    # a residue at the derived depth is a broken invariant, so the
+    # matcher is patched to leave two pieces unmatched
+    residue[0] = 2
+    tried.clear()
+    with pytest.raises(VerificationFailed) as info:
+        find_bisection(a, b)
+    assert tried == [3]
+    assert str(info.value) == (f"matching {a} onto {b} at depth 3 "
+                               "(vanishing level 3) left residue=2 pieces")
     # through the CLI: exit 3 and the error name on the first line
     # an element with levels -1 and 1, whose ladders call find_bisection
     tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
@@ -575,10 +589,79 @@ def test_matching_depth_refusal_names_its_numbers(monkeypatch, tmp_path):
         code = main(["factor", str(tmp_path / "einf.graph"),
                      str(tmp_path / "lagged.elem")])
     lines = out.getvalue().splitlines()
-    assert code == 3 and lines[0] == "MatchingDepthExceeded"
-    assert lines[1].startswith("no bisection between ")
-    assert lines[1].endswith(f"at depths {tried[0]}..{tried[-1]}: "
-                             f"residue=2 pieces at depth {tried[-1]}")
+    assert code == 3 and lines[0] == "VerificationFailed"
+    assert len(tried) == 1
+    assert re.fullmatch(rf"matching .+ onto .+ at depth {tried[0]} "
+                        rf"\(vanishing level \d+\) left residue=2 pieces",
+                        lines[1])
+
+
+def deepening_reference(a, b, stop=8):
+    """The matcher as a deepening loop: the blocks and depth of the first
+    depth from max(a.depth(), b.depth(), 1) on that leaves no residue."""
+    g = a.graph
+    start = max(a.depth(), b.depth(), 1)
+    for depth in range(start, stop + 1):
+        blocks, residue = _match_at_depth(g, a, b, depth)
+        if not residue:
+            blocks = _check_matched(g, blocks, a, b, 0)
+            return sorted(blocks, key=Block.key), depth
+    raise AssertionError(f"no match between {a} and {b} up to depth {stop}")
+
+
+def depth_theorem_pairs(rng):
+    """Equal-class pairs: class-preserving mutations over the fixtures
+    and twin graphs, cylinders over twin vertices one level below where
+    their classes meet, and twin chains of 1-3 links."""
+    pairs = []
+    for g in (E2, EINF, emitter_two_loops()):
+        for _ in range(20):
+            a = random_clopen(g, rng, pieces=2, max_len=2)
+            pairs.append((a, mutate_clopen(g, rng, a)))
+    for _ in range(16):
+        g = random_twin_graph(rng)
+        n = rng.randrange(1, 3)
+        ends = {}
+        for v in ("v1", "v2"):
+            while v not in ends:
+                p = random_walk(g, rng, rng.choice(sorted(g.vertices)), n)
+                if path_range(g, p) == v:
+                    ends[v] = Clopen.cylinder(g, p)
+        pairs.append((ends["v1"], ends["v2"]))
+        pairs.append((ends["v1"], mutate_clopen(g, rng, ends["v2"])))
+        a = random_clopen(g, rng, pieces=2, max_len=2)
+        pairs.append((a, mutate_clopen(g, rng, a)))
+    for k in (1, 2, 3):
+        g = twin_chain(k)
+        a, b = parse_clopen(g, "Z(s)"), parse_clopen(g, "Z(t)")
+        pairs += [(a, b), (b, a), (a, mutate_clopen(g, rng, b, moves=2))]
+    return [(a, b) for a, b in pairs if not a.is_empty()]
+
+
+def test_find_bisection_matches_once_at_the_derived_depth(monkeypatch):
+    # for D >= start the matcher leaves no residue iff D >= L, so one
+    # match at max(start, L) gives the deepening loop's blocks
+    mod = sys.modules["ggt.factor"]
+    tried = []
+
+    def counted(g, a, b, depth):
+        tried.append(depth)
+        return _match_at_depth(g, a, b, depth)
+
+    monkeypatch.setattr(mod, "_match_at_depth", counted)
+    gaps = set()
+    for a, b in depth_theorem_pairs(random.Random(97)):
+        start = max(a.depth(), b.depth(), 1)
+        level = vanishing_level(class_of(a).sub(class_of(b)))
+        blocks, depth = deepening_reference(a, b)
+        assert depth == max(start, level)
+        tried.clear()
+        assert find_bisection(a, b) == blocks
+        assert tried == [depth]
+        for d in range(start, max(start, level) + 2):
+            assert (_match_at_depth(a.graph, a, b, d)[1] == 0) == (d >= level)
+        gaps.add(depth - start)
+    assert gaps == {0, 1, 2, 3}
 
 
 def test_matcher_results_are_checked_without_asserts(monkeypatch):
@@ -623,9 +706,10 @@ def test_af_certification_does_not_compose(monkeypatch):
     def no_compose(*args):
         raise AssertionError("certification fell back to compose")
 
-    for mod in ("ggt.fullgroup", "ggt.factor"):
-        monkeypatch.setattr(sys.modules[mod], "compose", no_compose)
-    monkeypatch.setattr(sys.modules["ggt.factor"], "compose_all", no_compose)
+    for mod, name in (("ggt.fullgroup", "compose"),
+                      ("ggt.fullgroup", "compose_all"),
+                      ("ggt.factor", "compose_all")):
+        monkeypatch.setattr(sys.modules[mod], name, no_compose)
     fact = af_factor(e)
     assert fact.certified and len(fact.transpositions) > 1
 

@@ -11,11 +11,12 @@ from ggt.fullgroup import (Block, Element, compose, inverse, make_block,
 from ggt.graphs import Graph
 from ggt.homology import (ClassVector, abelianization_report, class_of,
                           classes_equal, homology, index, is_zero,
-                          relation_matrix, shift)
-from ggt.intlin import IntMatrix
+                          relation_matrix, shift, vanishing_level)
+from ggt.intlin import IntMatrix, eventual_kernel
 from ggt.pathspace import Clopen, Path, Piece, parse_clopen, parse_path
 
-from helpers import naive_invariant_factors, random_element, random_transposition
+from helpers import (naive_invariant_factors, random_element,
+                     random_transposition, random_twin_graph)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -252,3 +253,100 @@ def test_zero_test_with_nontrivial_eventual_kernel():
     # the relation matrix is unimodular here, so both groups vanish
     h = homology(g)
     assert (h.h0_torsion, h.h0_free_rank, h.h1_rank) == ((), 0, 0)
+
+
+def pushdown_lattice(g):
+    """The eventual kernel of the pushdown matrix: column v (regular)
+    holds the successor counts of v, singular columns are zero, and the
+    singular coordinates are forbidden."""
+    verts = sorted(g.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    rows = [[0] * len(verts) for _ in verts]
+    for v in verts:
+        if g.is_regular(v):
+            for e in g.out_concrete(v):
+                rows[idx[g.range(e)]][idx[v]] += 1
+    forbidden = [i for i, v in enumerate(verts) if g.is_singular(v)]
+    return eventual_kernel(IntMatrix.from_rows(rows), forbidden)
+
+
+def lattice_is_zero(c, lattice):
+    """The zero test through the lattice: rewrite regular atoms up to
+    the top level, a singular coefficient below it is nonzero, and the
+    top-level vector must lie in the eventual kernel."""
+    if not c.terms:
+        return True
+    g = c.graph
+    verts = sorted(g.vertices)
+    top = c.max_level()
+    by_level = {}
+    for (v, n), x in c.items():
+        by_level.setdefault(n, {})[v] = x
+    for n in range(c.min_level(), top):
+        for v, x in sorted(by_level.get(n, {}).items()):
+            if x == 0:
+                continue
+            if g.is_singular(v):
+                return False
+            nxt = by_level.setdefault(n + 1, {})
+            for e in g.out_concrete(v):
+                nxt[g.range(e)] = nxt.get(g.range(e), 0) + x
+    return lattice.contains([by_level.get(top, {}).get(v, 0) for v in verts])
+
+
+def random_twin_vector(g, rng, span=3):
+    """A sum of rewriting relations, twin differences (v1, n) - (v2, n),
+    false relations at the emitter v0 and stray atoms."""
+    items = []
+    for _ in range(rng.randrange(1, 4)):
+        n, x = rng.randrange(0, span + 1), rng.choice((-2, -1, 1, 2))
+        kind = rng.random()
+        if kind < 0.7:
+            v = rng.choice(g.regular_vertices()) if kind < 0.35 else "v0"
+            items.append(((v, n), x))
+            items += [((g.range(e), n + 1), -x) for e in g.out_concrete(v)]
+        elif kind < 0.9:
+            items += [(("v1", n), x), (("v2", n), -x)]
+        else:
+            items.append(((rng.choice(sorted(g.vertices)), n), x))
+    return ClassVector.of(g, items)
+
+
+def test_push_zero_test_agrees_with_the_lattice():
+    # graphs with twins have a nontrivial eventual kernel, so some zero
+    # vectors die only past their top level; the false emitter relations
+    # die only when a singular atom is pushed
+    rng = random.Random(103)
+    seen = {"zero": 0, "nonzero": 0, "past_top": 0}
+    for _ in range(40):
+        g = random_twin_graph(rng)
+        lattice = pushdown_lattice(g)
+        for _ in range(30):
+            c = random_twin_vector(g, rng)
+            level = vanishing_level(c)
+            assert is_zero(c) == lattice_is_zero(c, lattice) == (level is not None)
+            if level is None:
+                seen["nonzero"] += 1
+                continue
+            seen["zero"] += 1
+            if c.terms:
+                top = c.max_level()
+                assert top <= level <= top + len(g.vertices)
+                seen["past_top"] += level > top
+    assert min(seen.values()) >= 100, seen
+
+
+def test_index_on_random_twin_graphs():
+    # transpositions, hence their products, have zero index and the
+    # index is additive, over graphs whose zero test can need pushes
+    # past the top level
+    rng = random.Random(107)
+    for _ in range(20):
+        g = random_twin_graph(rng)
+        for _ in range(10):
+            assert index(random_transposition(g, rng)).zero
+        f = random_element(g, rng, 2)
+        h = random_element(g, rng, 2)
+        vf, vh, vfh = index(f), index(h), index(compose(f, h))
+        assert is_zero(vfh.vector.sub(vf.vector.add(vh.vector)))
+        assert vf.zero and vh.zero and vfh.zero
