@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path as FsPath
 
@@ -169,7 +170,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first ``main`` call and reused:
+    parsing leaves it unchanged, a usage error included."""
     parser = _Parser(prog="ggt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
     for name, (_, arguments) in _COMMANDS.items():

@@ -416,9 +416,12 @@ def _af_swaps(e: Element):
     """The uncertified factors [s, r] of af_factor (s applied last),
     with an empty side dropped; none for the identity.
 
-    A refinement round that splits no block, or cuts below the table's
-    depth, raises VerificationFailed with the table size and depth, also
-    under ``python -O``.
+    A round replaces each source piece by pieces inside it, each with a
+    longer path or more punctures, or by itself. It need not split a
+    block: at a vertex with one out-edge e, Z(mu) and Z(mu.e) are one set,
+    so a round may only lengthen paths. A round that changes no block, or
+    cuts below the table's depth, raises VerificationFailed with the table
+    size and depth, also under ``python -O``.
     """
     g = e.graph
     table = list(e.blocks)
@@ -433,7 +436,7 @@ def _af_swaps(e: Element):
             g, table, identity_blocks([b.range_piece() for b in table]))
         depth = max((x.depth() for bl in refined
                      for x in (bl.source_piece(), bl.range_piece())), default=0)
-        if depth > depth_cap or len(refined) <= len(table):
+        if depth > depth_cap or set(refined) == set(table):
             raise VerificationFailed(
                 f"AF refinement stalled: table={len(table)} refined={len(refined)} "
                 f"depth={depth} depth_cap={depth_cap}")
@@ -497,9 +500,11 @@ def _factor_proper(e: Element):
     # one shrink step suffices: the remainder fixes a clopen, so its
     # support is proper
     head = []
-    if not e.is_identity() and support(e).equal(Clopen.full(g)):
+    carrier = support(e)
+    if not e.is_identity() and carrier.equal(Clopen.full(g)):
         tau, e = shrink_support(e)
         head = [tau]
+        carrier = support(e)
     if e.is_identity():
         return head
 
@@ -514,7 +519,6 @@ def _factor_proper(e: Element):
         raise VerificationFailed(
             f"index balance broken: levels {pos + neg} have one sign")
 
-    carrier = support(e)
     zero_part = part.part(0).intersect(carrier)
     region_pieces = {}
     for k in neg + [0] + pos:

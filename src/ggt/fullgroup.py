@@ -23,9 +23,10 @@ from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                      VerificationFailed)
 from .graphs import Graph, edge_key, require_ah_criteria, two_disjoint_cycles
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
-                        canonicalize, check_path, intersect_pieces, make_piece,
-                        parse_path, path_range, piece_contains, piece_is_empty,
-                        prepend_prefix, singleton_point, strip_prefix)
+                        canonicalize, check_path, complement_pieces,
+                        intersect_pieces, make_piece, parse_path, path_range,
+                        piece_contains, piece_is_empty, prepend_prefix,
+                        singleton_point, strip_prefix)
 
 
 @dataclass(frozen=True)
@@ -239,10 +240,15 @@ def inverse(e: Element) -> Element:
 def _totalize(e: Element):
     """Table blocks plus identity blocks covering the carrier complement.
 
-    The complement is one walk over the carrier's path trie
-    (``Clopen.complement``), not a subtraction from the whole space.
+    The complement is one walk over the trie of the raw source pieces
+    (``complement_pieces``), neither merged nor canonicalized: a fold
+    needs only some partition of the identity region. Splitting a block
+    along another partition only appends a common suffix to both of its
+    paths, which keeps its reduced prefix exchange, so the normal form of
+    every product (``_normalize_table``) is the same for any partition.
     """
-    return list(e.blocks) + identity_blocks(support(e).complement().pieces)
+    return list(e.blocks) + identity_blocks(complement_pieces(
+        e.graph, [b.source_piece() for b in e.blocks]))
 
 
 def identity_blocks(pieces):
@@ -307,21 +313,23 @@ def compose_bisections(g: Graph, outer, inner):
     return out
 
 
-def _fold(g: Graph, factors, table):
-    """Push a total table through the factors, last factor first.
+def _fold(g: Graph, factors):
+    """The total table of the ordered product, last factor first.
 
-    Each step is ``compose_bisections`` of a factor's total table after
-    the running one; no partial product is checked or normalized. Each
-    distinct factor is totalized once per fold.
+    The running table starts as the last factor's total table; each step
+    is ``compose_bisections`` of the next factor's total table after it,
+    and no partial product is checked or normalized. Each distinct
+    factor, the last one included, is totalized once per fold.
     """
     totals = {}
+    table = None
     for f in reversed(factors):
         if f.graph != g:
             raise MalformedGraph("operands live over different graphs")
         outer = totals.get(id(f))
         if outer is None:
             outer = totals[id(f)] = _totalize(f)
-        table = compose_bisections(g, outer, table)
+        table = outer if table is None else compose_bisections(g, outer, table)
     return table
 
 
@@ -341,9 +349,10 @@ def compose_all(factors) -> Element:
     normalized: the table is checked and normalized once at the end.
 
     Depth guard. A total table's paths are no longer than its element's
-    ``max_depth``: an identity block over the carrier complement reaches
-    at most one edge below a carrier path, and only below a punctured
-    piece, which ``max_depth`` counts. A fused block's range path is the
+    ``max_depth``: an identity block over the carrier complement
+    (``complement_pieces`` of the raw source pieces) reaches at most one
+    edge below a source path, and only through a puncture, which
+    ``max_depth`` counts. A fused block's range path is the
     outer block's range path followed by the part of the inner range
     path beyond the outer source path, and its source path is the inner
     source path followed by the part of the outer source path beyond the
@@ -357,7 +366,7 @@ def compose_all(factors) -> Element:
     if not factors:
         raise ValueError("compose_all needs at least one element")
     g = factors[-1].graph
-    table = _fold(g, factors[:-1], _totalize(factors[-1]))
+    table = _fold(g, factors)
     bound = sum(f.max_depth() for f in factors) + len(factors) - 1
     deep = next((b for b in table if max(len(b.mu), len(b.nu)) > bound), None)
     if deep is not None:
@@ -381,7 +390,7 @@ def acts_as(factors, e: Element) -> bool:
     so no normal form is needed.
     """
     g = e.graph
-    live = _check_table(g, _fold(g, list(factors), _totalize(inverse(e))))
+    live = _check_table(g, _fold(g, list(factors) + [inverse(e)]))
     if not bisection_source(g, live).equal(Clopen.full(g)):
         return False
     return all(_block_is_identity(g, b) for b in live)
@@ -434,16 +443,15 @@ class GradedPartition:
 
 def graded_partition(e: Element) -> GradedPartition:
     """S(k) collects the source pieces moved with lag k; S(0) adds the
-    fixed region off the carrier."""
+    fixed region off the carrier, one walk over the raw source pieces
+    (``complement_pieces``) canonicalized together with the lag-0 ones."""
     g = e.graph
-    buckets = {}
+    buckets = {0: []}
     for b in e.blocks:
         buckets.setdefault(b.lag(), []).append(b.source_piece())
-    fixed = support(e).complement()
-    parts = {}
-    for k, pieces in buckets.items():
-        parts[k] = Clopen(g, canonicalize(g, pieces))
-    parts[0] = parts.get(0, Clopen.empty(g)).union(fixed)
+    buckets[0] += complement_pieces(g, [b.source_piece() for b in e.blocks])
+    parts = {k: Clopen(g, canonicalize(g, pieces))
+             for k, pieces in buckets.items()}
     levels = tuple((k, parts[k]) for k in sorted(parts) if not parts[k].is_empty())
     return GradedPartition(Clopen.full(g), levels)
 

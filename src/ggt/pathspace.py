@@ -250,6 +250,51 @@ def canonicalize(g: Graph, pieces):
     return tuple(sorted(canonical_pieces(g, pieces), key=Piece.key))
 
 
+def complement_pieces(g: Graph, pieces):
+    """Disjoint pieces covering what the given pieces leave uncovered,
+    by one walk over their path trie; not canonicalized.
+
+    Pieces may overlap and need not be merged. Below a node holding
+    pieces, only the edges punctured by all of them stay uncovered; below
+    a node holding none, the walk follows the taken edges and keeps the
+    out-edges it does not take. So an emitted piece reaches one edge
+    below an input path only through a puncture of a piece there, and
+    otherwise stays on or above some input path: no emitted piece is
+    deeper than the deepest input piece.
+    """
+    roots = _trie(g, pieces)
+    out = []
+    stack = []
+    for v in sorted(g.vertices):
+        if v in roots:
+            stack.append((Path(v), roots[v]))
+        else:
+            out.append(Piece(Path(v)))
+    while stack:
+        mu, node = stack.pop()
+        if node.punctures is not None:
+            # the pieces here leave only their common punctures open;
+            # sorted, so the output order does not follow string hashing
+            edges = sorted(frozenset.intersection(*node.punctures),
+                           key=edge_key)
+        else:
+            # nothing sits here: keep the untaken edges, descend the rest
+            edges = node.children
+            v = path_range(g, mu)
+            if g.is_regular(v):
+                out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                           if e not in edges)
+            else:
+                out.append(Piece(mu, tuple(sorted(edges, key=edge_key))))
+        for e in edges:
+            sub = node.children.get(e)
+            if sub is None:
+                out.append(Piece(mu.extend(e)))
+            else:
+                stack.append((mu.extend(e), sub))
+    return out
+
+
 @dataclass(frozen=True)
 class Clopen:
     """Finite disjoint union of pieces over a fixed graph."""
@@ -315,44 +360,11 @@ class Clopen:
                       canonicalize(self.graph, self.pieces + other.pieces))
 
     def complement(self) -> "Clopen":
-        """The rest of the space, by one walk over the pieces' path trie.
-
-        Pieces may overlap. Below a node holding pieces, only the edges
-        punctured by all of them stay uncovered; below a node holding
-        none, the walk follows the taken edges and keeps the out-edges
-        it does not take. Canonical forms are unique, so the result is
-        the piece list of ``Clopen.full(g).subtract(self)``.
-        """
+        """The rest of the space: the canonical form of
+        ``complement_pieces``, so the piece list of
+        ``Clopen.full(g).subtract(self)``, canonical forms being unique."""
         g = self.graph
-        roots = _trie(g, self.pieces)
-        out = []
-        stack = []
-        for v in sorted(g.vertices):
-            if v in roots:
-                stack.append((Path(v), roots[v]))
-            else:
-                out.append(Piece(Path(v)))
-        while stack:
-            mu, node = stack.pop()
-            if node.punctures is not None:
-                # the pieces here leave only their common punctures open
-                edges = frozenset.intersection(*node.punctures)
-            else:
-                # nothing sits here: keep the untaken edges, descend the rest
-                edges = node.children
-                v = path_range(g, mu)
-                if g.is_regular(v):
-                    out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
-                               if e not in edges)
-                else:
-                    out.append(Piece(mu, tuple(sorted(edges, key=edge_key))))
-            for e in edges:
-                sub = node.children.get(e)
-                if sub is None:
-                    out.append(Piece(mu.extend(e)))
-                else:
-                    stack.append((mu.extend(e), sub))
-        return Clopen(g, canonicalize(g, out))
+        return Clopen(g, canonicalize(g, complement_pieces(g, self.pieces)))
 
     def equal(self, other: "Clopen") -> bool:
         self._check_same_graph(other)

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import json
 import os
 import re
 import subprocess
@@ -226,6 +227,38 @@ def test_verify_rejects_non_involutive_factors(workdir):
     assert code == 3
     assert out == ("VerificationFailed\n"
                    "factors=2 recompose=true involutions=false\n")
+
+
+MAIN_CALLS = ("import contextlib, io, json\n"
+              "from ggt import cli\n"
+              "out = []\n"
+              "for argv in CALLS:\n"
+              "    o, e = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):\n"
+              "        code = cli.main(argv)\n"
+              "    out.append([code, o.getvalue(), e.getvalue()])\n"
+              "assert cli._build_parser() is cli._build_parser()\n"
+              "print(json.dumps(out))\n")
+
+
+def test_main_calls_in_one_process_match_separate_processes(workdir):
+    # the parser is built once per process; usage errors from the top
+    # parser and from a subparser must leave it as a fresh one
+    graph, elem = str(workdir / "einf.graph"), str(workdir / "pair.elem")
+    calls = [["factor", graph, elem], ["nosuchcommand"], ["check", graph],
+             ["index", graph], ["homology", graph], [],
+             ["factor", graph, elem, "--max-depth", "3"],
+             ["factor", graph, elem]]
+
+    def results(batch):
+        proc = run_python(workdir, [], f"CALLS = {batch!r}\n" + MAIN_CALLS)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    together = results(calls)
+    assert together == [r for argv in calls for r in results([argv])]
+    assert [code for code, _, _ in together] == [0, 1, 0, 1, 0, 1, 1, 0]
+    assert together[0] == together[-1]
 
 
 def run_python(workdir, flags, code):

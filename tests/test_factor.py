@@ -318,6 +318,25 @@ def test_factor_randomized_soundness():
     assert time.monotonic() - start < 120
 
 
+def test_factor_on_random_twin_graphs():
+    # graphs beyond the fixtures, checked by the point oracle: twins
+    # push the zero test past the top level, and vertices with one
+    # out-edge give pieces whose paths a refinement may lengthen without
+    # splitting them
+    rng = random.Random(2026)
+    lengths = set()
+    for _ in range(40):
+        g = random_twin_graph(rng)
+        e = compose_all([random_transposition(g, rng, max_len=2)
+                         for _ in range(rng.randrange(1, 4))])
+        fact = factor(e)
+        assert fact.certified
+        assert acts_pointwise(e, fact.transpositions,
+                              point_family(g, max_prefix=3))
+        lengths.add(len(fact.transpositions))
+    assert min(lengths) == 1 and max(lengths) > 8
+
+
 def test_factorization_file_round_trip():
     t12 = transposition(EINF, [blk(EINF, "L#1", [], "L#2")])
     t34 = transposition(EINF, [blk(EINF, "L#3", [], "L#4")])
@@ -515,6 +534,22 @@ def test_af_refinement_stall_raises(monkeypatch):
         "af_factor(e)\n")
     assert stalled.returncode == 1
     assert STALLED in stalled.stderr.splitlines()[-1]
+
+
+def test_af_refinement_may_lengthen_without_splitting():
+    # w has one out-edge d, so Z(a.c) and Z(a.c.d) are one set; no block
+    # has a common suffix for the normal form to merge. The first round
+    # rewrites the source Z(a.c) to the range piece Z(a.c.d) and splits
+    # nothing, and the second finds the partitions equal
+    g = Graph("forced", ["v", "w"], [("a", "v", "v"), ("b", "v", "v"),
+                                     ("c", "v", "w"), ("e", "v", "w"),
+                                     ("d", "w", "v")])
+    e = elem(g, ("b.e", [], "a.c"), ("b.b.a", [], "b.e.d"),
+             ("a.c.d", [], "b.b.a"))
+    assert len(e.blocks) == 3
+    fact = af_factor(e)
+    assert fact.certified and len(fact.transpositions) == 2
+    assert acts_pointwise(e, fact.transpositions, point_family(g))
 
 
 def test_af_factor_uses_at_most_two_involutions():

@@ -18,15 +18,20 @@ from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
                            validate_element)
 from ggt.graphs import Graph
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                           intersect_pieces, parse_clopen, parse_path,
-                           subtract_piece)
+                           complement_pieces, intersect_pieces, parse_clopen,
+                           parse_path, subtract_piece)
 
 from helpers import (mutate_clopen, point_family, punctured_transposition,
                      random_clopen, random_element, random_transposition,
                      refine_blocks)
+from test_pathspace import TAIL
 
 E2 = rose(2)
 EINF = infinite_rose()
+# a branching vertex u feeding the exitless loop at c: every piece
+# ending at c is a single point
+HOOK = Graph("hook", ["u", "c"], [("a", "u", "u"), ("b", "u", "u"),
+                                  ("f", "u", "c"), ("x", "c", "c")])
 
 
 def blk(g, mu, punct, nu):
@@ -369,20 +374,22 @@ def reference_pairs(g, outer, inner):
     return out
 
 
-def reference_compose(f, h):
-    """compose through the all-pairs reference.
+def reference_compose(*factors):
+    """compose_all through the all-pairs reference, last factor first.
 
-    Both tables are made total with identity blocks over the carrier
+    Every table is made total with identity blocks over the carrier
     complement, computed as a subtraction from the whole space.
     """
-    g = f.graph
+    g = factors[0].graph
 
     def total(e):
         rest = Clopen.full(g).subtract(support(e))
         return list(e.blocks) + [Block(p.mu, p.punctures, p.mu)
                                  for p in rest.pieces]
 
-    out = reference_pairs(g, total(f), total(h))
+    out = total(factors[-1])
+    for f in reversed(factors[:-1]):
+        out = reference_pairs(g, total(f), out)
     return _normalize_table(g, _check_table(g, out))
 
 
@@ -453,6 +460,81 @@ def test_compose_matches_all_pairs_reference():
             h = random_element(g, rng, rng.randrange(1, 5))
             for x, y in ((f, h), (h, f), (f, inverse(f)), (f, f)):
                 assert compose(x, y).blocks == reference_compose(x, y).blocks
+
+
+def test_one_point_piece_tables_match_the_subtraction_reference():
+    # the uniqueness theorem of _normalize_table does not cover these
+    # graphs, so the tables are pinned to the reference, whose identity
+    # region is partitioned differently from the trie walk's
+    rng = random.Random(67)
+    products = 0
+    for g in (TAIL, cycle_graph(3), HOOK):
+        for _ in range(10):
+            f = random_element(g, rng, rng.randrange(1, 4))
+            h = random_element(g, rng, rng.randrange(1, 4))
+            for x, y in ((f, h), (h, f), (f, inverse(f)), (f, f)):
+                ref = reference_compose(x, y)
+                assert compose(x, y).blocks == ref.blocks
+                assert acts_as([x, y], ref)
+                products += 1
+            ref = reference_compose(f, h, f)
+            assert compose_all([f, h, f]).blocks == ref.blocks
+            assert acts_as([f, h, f], ref)
+            for a in (random_clopen(g, rng), support(h), Clopen.full(g)):
+                assert image_of(f, a) == reference_image_of(f, a)
+    assert products == 120
+
+
+def test_identity_region_is_one_disjoint_walk():
+    # the raw sources, and a refinement of them, leave pairwise disjoint
+    # pieces off the support, as deep as the element at most, which
+    # canonicalize to the support's complement
+    rng = random.Random(71)
+    graphs = (E2, EINF, emitter_two_loops(), mixed_graph(), TAIL,
+              cycle_graph(3))
+    for g in graphs:
+        for _ in range(15):
+            e = random_element(g, rng, rng.randrange(0, 4))
+            carrier = support(e)
+            for blocks in (e.blocks, refine_blocks(g, e.blocks, rng)):
+                rest = complement_pieces(g, [b.source_piece() for b in blocks])
+                assert not any(intersect_pieces(g, p, q)
+                               for i, p in enumerate(rest) for q in rest[:i])
+                assert not any(intersect_pieces(g, p, q)
+                               for p in rest for q in carrier.pieces)
+                assert canonicalize(g, rest) == carrier.complement().pieces
+                assert all(p.depth() <= e.max_depth() for p in rest)
+
+
+def test_totalize_canonicalizes_nothing_and_runs_once_per_factor(monkeypatch):
+    fg, ps = sys.modules["ggt.fullgroup"], sys.modules["ggt.pathspace"]
+    walks = []
+    for mod in (fg, ps):
+        for name in ("canonicalize", "canonical_pieces"):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda g, pieces, real=real: (
+                walks.append(1) or real(g, pieces)))
+    rng = random.Random(83)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph(), TAIL):
+        for _ in range(5):
+            e = random_element(g, rng, rng.randrange(1, 4))
+            walks.clear()
+            table = _totalize(e)
+            assert walks == []
+            assert bisection_source(g, table) == Clopen.full(g)
+    # compose_all([t, e, t]) totalizes t once, last factor included;
+    # so does the certification fold of acts_as
+    real_totalize = fg._totalize
+    seen = []
+    monkeypatch.setattr(fg, "_totalize",
+                        lambda x: seen.append(id(x)) or real_totalize(x))
+    t = transposition(EINF, [blk(EINF, "L#1.L#1", [], "L#2")])
+    e = elem(EINF, ("L#3", [], "L#4"), ("L#4", [], "L#3"))
+    beta = compose_all([t, e, t])
+    assert sorted(seen) == sorted([id(t), id(e)])
+    seen.clear()
+    assert acts_as([t, e, t], beta)
+    assert len(seen) == 3 and seen.count(id(t)) == 1
 
 
 def separated(a, b):
