@@ -391,19 +391,14 @@ def af_factor(e: Element) -> Factorization:
     pieces over the table's own paths and terminates. The element then
     permutes the partition's pieces through canonical arrows.
 
-    Bound: at most two factors; one when the element is an involution,
-    none for the identity. A cycle c_0 -> c_1 -> ... -> c_{m-1} equals
-    s.r with r: c_i <-> c_{-i} and s: c_i <-> c_{1-i} (indices mod m),
-    since s(r(c_i)) = s(c_{-i}) = c_{1+i}. Both swap disjoint pairs of
-    pieces, and pieces of different cycles are disjoint, so the pairs of
-    r over all cycles form one multi-block transposition and those of s
-    another. r has a pair only in a cycle of length >= 3 and s only in
-    one of length >= 2; a side without pairs is dropped. The pieces of a
-    cycle share length, range vertex and punctures, so every pair is
-    swapped through a canonical arrow; holonomy is trivial because
-    canonical arrows compose to canonical arrows, so s.r moves each
-    piece by the element's own prefix exchange. A block of nonzero lag
-    raises HypothesesFailed; the factors are certified by ``certify``.
+    Bound: at most two factors, the [s, r] of ``_cycle_swaps`` over the
+    cycles of the permutation; one when the element is an involution,
+    none for the identity. The pieces of a cycle share length, range
+    vertex and punctures, so every pair is swapped through a canonical
+    arrow; holonomy is trivial because canonical arrows compose to
+    canonical arrows, so s.r moves each piece by the element's own prefix
+    exchange. A block of nonzero lag raises HypothesesFailed; the factors
+    are certified by ``certify``.
     """
     for b in e.blocks:
         if b.lag() != 0:
@@ -442,24 +437,51 @@ def _af_swaps(e: Element):
                 f"depth={depth} depth_cap={depth_cap}")
         table = refined
     perm = {b.source_piece(): b.range_piece() for b in table}
-    seen = set()
-    r_pairs, s_pairs = [], []
+    cycles, seen = [], set()
     for start in sorted(perm, key=Piece.key):
         if start in seen:
             continue
         cycle = [start]
-        seen.add(start)
         nxt = perm[start]
         while nxt != start:
             cycle.append(nxt)
-            seen.add(nxt)
             nxt = perm[nxt]
-        # c_i -> c_{i+1} is s.r with r: c_i <-> c_{-i}, s: c_i <-> c_{1-i}
+        seen.update(cycle)
+        cycles.append(cycle)
+    return _cycle_swaps(g, cycles, _canonical_arrow)
+
+
+def _canonical_arrow(p: Piece, q: Piece):
+    """The prefix exchange carrying piece p onto q; both pieces share
+    range vertex and punctures."""
+    return [Block(q.mu, q.punctures, p.mu)]
+
+
+def _cycle_swaps(g: Graph, cycles, arrow):
+    """The factors [s, r] (s applied last) of the product of disjoint
+    cycles, with an empty side dropped.
+
+    Each cycle lists disjoint members c_0, c_1, ..., c_{m-1}, and the
+    product carries c_i onto c_{i+1} (indices mod m). ``arrow(a, b)``
+    gives the blocks of a bisection carrying member a onto member b; a
+    transposition swaps both ways, so which of the two it carries does
+    not matter. The cycle is s.r with r: c_i <-> c_{-i} and
+    s: c_i <-> c_{1-i}, since s(r(c_i)) = s(c_{-i}) = c_{1+i}. Both swap
+    disjoint pairs, and members of different cycles are disjoint, so the
+    pairs of r over all cycles form one transposition and those of s
+    another. r has a pair only in a cycle of length >= 3 and s only in
+    one of length >= 2. s.r carries c_i onto c_{i+1} by the arrow through
+    c_{-i}; that is the product's own arrow when holonomy is trivial: the
+    arrows around a cycle compose to the identity, so the arrow from a to
+    b through any member is the arrow from a to b.
+    """
+    r_pairs, s_pairs = [], []
+    for cycle in cycles:
         m = len(cycle)
         r_pairs.extend((cycle[i], cycle[m - i]) for i in range(1, (m + 1) // 2))
         s_pairs.extend((cycle[i], cycle[(1 - i) % m])
                        for i in range(1, m // 2 + 1))
-    return [transposition(g, [Block(q.mu, q.punctures, p.mu) for p, q in pairs])
+    return [transposition(g, [b for a, c in pairs for b in arrow(a, c)])
             for pairs in (s_pairs, r_pairs) if pairs]
 
 
@@ -473,6 +495,20 @@ def factor(e: Element) -> Factorization:
     vanishing index. Every returned factor squares to the identity and
     the ordered product recomposes to the input exactly; ``certify``
     checks both once here, and a failure raises VerificationFailed.
+
+    Bound: at most 9 factors, whatever the lags: the shrink step <= 1,
+    tau_v twice, the balanced core <= 2 (``af_factor``) and each ladder
+    side <= 2. The lag-1 swaps of one positive key's ladder, d_0 <-> d_1,
+    ..., d_{p-1} <-> d_p, multiply to one cycle d_0 -> d_p -> ... -> d_1
+    -> d_0, and a negative key's ladder is the cycle S(q) = c_0 -> c_|q|
+    -> ... -> c_1 -> c_0; so each side is the [s, r] of
+    ``_cycle_swaps``. Holonomy is trivial: positive members are joined by
+    canonical arrows, and every negative member carries its arrow onto
+    c_0, so the arrows around a cycle compose to the identity. The
+    supports of different keys are disjoint: the routed paths are
+    (``_check_path_families``), and the c-sets are images of disjoint
+    X-sets under one bisection. The two sides overlap, since the c-sets
+    lie inside the positive members, so they stay two products.
     """
     g = e.graph
     report = validate(g)
@@ -489,12 +525,13 @@ def _factor_proper(e: Element):
     """The uncertified factors of ``factor``, first factor applied last.
 
     After at most one shrink step, a transposition tau_v conjugates e off
-    its support to beta = tau_v e tau_v; ladders tau_minus and tau_plus
-    cancel beta's nonzero lags, and the balanced remainder beta . tau^-1
-    goes to ``_af_swaps``. beta and the remainder are one
-    ``compose_all`` fold each, so each is checked and normalized once;
-    the S(k) checks, the lag check on the remainder and ``certify`` in
-    ``factor`` read only those two normal forms.
+    its support to beta = tau_v e tau_v. Ladders tau_minus and tau_plus
+    cancel beta's nonzero lags; each is ``_cycle_swaps`` of its cycles,
+    one per routed piece of a positive key and one per negative key. The
+    balanced remainder beta . tau^-1 goes to ``_af_swaps``. beta and the
+    remainder are one ``compose_all`` fold each, so each is checked and
+    normalized once; the S(k) checks, the lag check on the remainder and
+    ``certify`` in ``factor`` read only those two normal forms.
     """
     g = e.graph
     # one shrink step suffices: the remainder fixes a clopen, so its
@@ -555,56 +592,49 @@ def _factor_proper(e: Element):
             raise VerificationFailed(
                 f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 
-    # positive side: ladders of lag -1 swaps below the support
-    d_sets = {}
-    tau_plus = []
-    for p_key in pos:
-        pieces = region_pieces[p_key]
-        for j in range(1, p_key + 1):
-            d_sets[(p_key, j)] = Clopen(g, canonicalize(
-                g, [prepend(fam.gp(p_key, i, j), pc)
-                    for i, pc in enumerate(pieces, start=1)]))
-        ladder = []
-        for j in range(1, p_key + 1):
-            w_blocks = []
-            for i, pc in enumerate(pieces, start=1):
-                upper = prepend(fam.gp(p_key, i, j), pc)
-                lower = (prepend(fam.g0(p_key, i), pc) if j == 1
-                         else prepend(fam.gp(p_key, i, j - 1), pc))
-                w_blocks.append(Block(upper.mu, upper.punctures, lower.mu))
-            ladder.append(transposition(g, w_blocks))
-        tau_plus.extend(reversed(ladder))
+    # positive side: a routed piece cycles from its g0 copy through its
+    # gp(., p), ..., gp(., 1) copies, all joined by canonical arrows
+    plus_cycles = [[prepend(fam.g0(p_key, i), pc)]
+                   + [prepend(fam.gp(p_key, i, j), pc) for j in range(p_key, 0, -1)]
+                   for p_key in pos
+                   for i, pc in enumerate(region_pieces[p_key], start=1)]
+    tau_plus = _cycle_swaps(g, plus_cycles, _canonical_arrow)
 
-    # negative side: cancel against the positive ladders
-    x_sets = {}
-    for q_key in neg:
-        pieces = region_pieces[q_key]
-        for l in range(1, -q_key + 1):
-            x_sets[(q_key, l)] = Clopen(g, canonicalize(
-                g, [prepend(fam.gq(q_key, i, l), pc)
-                    for i, pc in enumerate(pieces, start=1)]))
-    x_all = Clopen.empty(g)
-    for key in sorted(x_sets):
-        x_all = x_all.union(x_sets[key])
-    d_all = Clopen.empty(g)
-    for p_key in pos:
-        for j in range(1, p_key):
-            d_all = d_all.union(d_sets[(p_key, j)])
-        d_all = d_all.union(s_beta[p_key])
-
+    # negative side: S(q) = c_0 cycles through c_|q|, ..., c_1, where c_l
+    # is the image of the gq(., l) copies under a matching onto the
+    # positive members other than the gp(., p) copies; arrows[(q, l)]
+    # carries c_l onto c_0, composed of lag-1 cancellations c_l -> c_{l-1}
+    d_all = Clopen(g, canonicalize(g, [c for cycle in plus_cycles
+                                       for k, c in enumerate(cycle) if k != 1]))
+    x_pieces = {(q_key, l): [prepend(fam.gq(q_key, i, l), pc)
+                             for i, pc in enumerate(region_pieces[q_key], start=1)]
+                for q_key in neg for l in range(1, -q_key + 1)}
+    x_all = Clopen(g, canonicalize(g, [x for xs in x_pieces.values() for x in xs]))
     matching = find_bisection(x_all, d_all)
-    tau_minus = []
+    arrows = {}
+    minus_cycles = []
     for q_key in neg:
-        c_sets = {}
-        ladder = []
+        c_prev = s_beta[q_key]
         for l in range(1, -q_key + 1):
             # restrict the matching to the X part to read off its image
-            c_sets[l] = bisection_range(g, compose_bisections(
-                g, matching, identity_blocks(x_sets[(q_key, l)].pieces)))
-            target = s_beta[q_key] if l == 1 else c_sets[l - 1]
-            t_blocks = graded_cancellation(c_sets[l], target, 1)
-            ladder.append(transposition(g, t_blocks))
-        tau_minus.extend(reversed(ladder))
+            c_l = bisection_range(g, compose_bisections(
+                g, matching, identity_blocks(x_pieces[(q_key, l)])))
+            t_blocks = graded_cancellation(c_l, c_prev, 1)
+            arrows[(q_key, l)] = (t_blocks if l == 1 else compose_bisections(
+                g, arrows[(q_key, l - 1)], t_blocks))
+            c_prev = c_l
+        minus_cycles.append([(q_key, l) for l in [0] + list(range(-q_key, 0, -1))])
+
+    def carry(a, b):
+        # a transposition swaps both ways, so a pair holding c_0 needs
+        # only the other member's arrow
+        if a[1] == 0:
+            a, b = b, a
+        if b[1] == 0:
+            return arrows[a]
+        return compose_bisections(g, [x.inverse() for x in arrows[b]], arrows[a])
+
+    tau_minus = _cycle_swaps(g, minus_cycles, carry)
 
     # beta . tau^-1 for the ladder product tau = tau_minus . tau_plus:
     # every ladder factor is its own inverse, so tau^-1 is the ladders in

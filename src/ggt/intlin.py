@@ -3,7 +3,8 @@
 Provides Smith normal form with unimodular transforms, integer kernels
 and cokernel invariants, canonical (Hermite echelon) lattices with
 decidable equality and membership, and the ascending eventual-kernel
-chain used by the homology zero-test. No floating point anywhere;
+chain whose saturation bounds the homology zero-test (the tests use it
+as the zero-test's reference). No floating point anywhere;
 intermediate entries can blow up during reduction, which is why Python
 integers are mandatory.
 """
@@ -56,56 +57,8 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows,
                          tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)))
 
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = [0] * other.cols
-            for k, a in enumerate(ri):
-                if a:
-                    rk = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * rk[j]
-            out.append(acc)
-        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, other.cols)
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [sum(self.get(i, j) * v[j] for j in range(self.cols)) for i in range(self.rows)]
-
     def diagonal(self):
         return [self.get(i, i) for i in range(min(self.rows, self.cols))]
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _min_abs_entry(a, t, rows, cols):

@@ -367,12 +367,12 @@ class Clopen:
         return Clopen(g, canonicalize(g, complement_pieces(g, self.pieces)))
 
     def equal(self, other: "Clopen") -> bool:
+        """Same set of points. Equal piece tuples are the same set, which
+        skips both canonical forms whenever the two are already one form."""
         self._check_same_graph(other)
-        return (canonicalize(self.graph, self.pieces)
+        return (self.pieces == other.pieces
+                or canonicalize(self.graph, self.pieces)
                 == canonicalize(self.graph, other.pieces))
-
-    def symmetric_difference_empty(self, other: "Clopen") -> bool:
-        return self.subtract(other).is_empty() and other.subtract(self).is_empty()
 
     def refine_to(self, depth: int) -> "Clopen":
         """The same set with every regular-range piece split to the depth.

@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here are deliberately separate implementations: a naive
-Smith reducer without transform tracking, and a boundary-point
+Smith reducer without transform tracking, integer matrix products and
+determinants for checking Smith transforms, and a boundary-point
 enumerator that checks set algebra pointwise. They stay independent of
 the code paths they check.
 """
@@ -11,6 +12,7 @@ import random
 from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
+from ggt.intlin import IntMatrix
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
 
@@ -65,6 +67,51 @@ def naive_invariant_factors(rows):
         diag.append(p)
         t += 1
     return diag
+
+
+# -- integer matrix arithmetic (Smith transform checks) ------------------------
+
+def mat_mul(a, b):
+    """The integer matrix product a * b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.get(i, k) * b.get(k, j) for k in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
+
+
+def mat_vec(m, v):
+    """The integer vector m * v."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch")
+    return [sum(m.get(i, j) * v[j] for j in range(m.cols)) for i in range(m.rows)]
+
+
+def determinant(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # -- boundary point enumeration (oracle) ---------------------------------------
@@ -126,6 +173,11 @@ def point_family(g, max_prefix=4, members=3):
             seen.add(key)
             out.append(x)
     return out
+
+
+def symmetric_difference_empty(a, b):
+    """Set equality by subtraction, without canonical forms."""
+    return a.subtract(b).is_empty() and b.subtract(a).is_empty()
 
 
 def member_set(clopen, points):

@@ -189,8 +189,8 @@ def test_criterion_5_factorization():
         assert acts_pointwise(e, fact.transpositions, points[E2])
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
-    # the balanced core is two involutions; the ladders are still long
-    assert max(lengths) <= 12
+    # head, tau_v twice, two involutions in the core and two per ladder side
+    assert max(lengths) <= 9
     histogram = " ".join(f"{n}:{c}" for n, c in sorted(lengths.items()))
     report(5, f"50 full + 20 balanced factorizations in {elapsed:.1f}s; "
               f"full lengths (factors:count) {histogram}")

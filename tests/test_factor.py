@@ -22,9 +22,10 @@ from ggt.factor import (Factorization, _check_matched, _match_at_depth,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
-                           compose, compose_all, inverse, is_involution,
-                           make_block, parse_element_text, print_element,
-                           support, transposition, validate_element)
+                           compose, compose_all, graded_partition, inverse,
+                           is_involution, make_block, parse_element_text,
+                           print_element, support, transposition,
+                           validate_element)
 from ggt.graphs import Graph, print_graph, validate
 from ggt.homology import class_of, classes_equal, shift, vanishing_level
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
@@ -325,6 +326,7 @@ def test_factor_on_random_twin_graphs():
     # splitting them
     rng = random.Random(2026)
     lengths = set()
+    long_lags = 0
     for _ in range(40):
         g = random_twin_graph(rng)
         e = compose_all([random_transposition(g, rng, max_len=2)
@@ -334,7 +336,22 @@ def test_factor_on_random_twin_graphs():
         assert acts_pointwise(e, fact.transpositions,
                               point_family(g, max_prefix=3))
         lengths.add(len(fact.transpositions))
-    assert min(lengths) == 1 and max(lengths) > 8
+        long_lags += max(abs(k) for k in graded_partition(e).keys()) >= 2
+    # ladders of more than one level run, as cycles of length >= 3
+    assert min(lengths) == 1 and long_lags > 0
+
+
+def test_factor_count_does_not_grow_with_the_lags():
+    # the involution swapping Z(L#1) with Z(L#2^k.L#3) has lags +-k; its
+    # ladders are two cycles of k + 1 members, two involutions per side
+    points = point_family(EINF)
+    for k in range(1, 9):
+        e = elem(EINF, (".".join(["L#2"] * k + ["L#3"]), [], "L#1"),
+                 ("L#1", [], ".".join(["L#2"] * k + ["L#3"])))
+        assert {b.lag() for b in e.blocks} == {-k, k}
+        fact = factor(e)
+        assert fact.certified and len(fact.transpositions) <= 7
+        assert acts_pointwise(e, fact.transpositions, points)
 
 
 def test_factorization_file_round_trip():

@@ -8,7 +8,7 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, compose, inverse, make_block,
                            transposition, validate_element)
-from ggt.graphs import Graph
+from ggt.graphs import Graph, move_s, move_t
 from ggt.homology import (ClassVector, abelianization_report, class_of,
                           classes_equal, homology, index, is_zero,
                           relation_matrix, shift, vanishing_level)
@@ -350,3 +350,46 @@ def test_index_on_random_twin_graphs():
         vf, vh, vfh = index(f), index(h), index(compose(f, h))
         assert is_zero(vfh.vector.sub(vf.vector.add(vh.vector)))
         assert vf.zero and vh.zero and vfh.zero
+
+
+def test_moves_leave_homology_unchanged():
+    # move (T) gives an isomorphic groupoid and move (S) a Kakutani
+    # equivalent one, so the H0 invariant factors, the H0 free rank and
+    # the H1 rank cannot change
+    def invariants(g):
+        h = homology(g)
+        return h.h0_torsion, h.h0_free_rank, h.h1_rank
+
+    def regular_sources(g):
+        return [v for v in sorted(g.vertices)
+                if g._incoming[v] == 0 and g.is_regular(v)]
+
+    rng = random.Random(211)
+    graphs = [infinite_rose(), emitter_two_loops(), mixed_graph(), rose(2),
+              rose(3), cycle_graph(3)]
+    graphs += [random_twin_graph(rng) for _ in range(30)]
+    cases = {"T": 0, "S": 0}
+    for g in graphs:
+        want = invariants(g)
+        if len(g.strongly_connected_components()) == 1:
+            for w in sorted(g.vertices):
+                if g.is_infinite_emitter(w):
+                    assert invariants(move_t(g, w)) == want
+                    assert invariants(move_t(move_t(g, w), w)) == want
+                    cases["T"] += 2
+        # regular sources s0, s1, ... feed g and each other, s_i only
+        # into later ones, so move (S) peels them off again
+        added = [f"s{i}" for i in range(rng.randrange(1, 5))]
+        edges = list(g.edges)
+        for i, s in enumerate(added):
+            for j in range(rng.randrange(1, 4)):
+                r = rng.choice(sorted(g.vertices) + added[i + 1:])
+                edges.append((f"{s}e{j}", s, r))
+        fed = Graph(g.name, list(g.vertices) + added, edges, g.families)
+        assert invariants(fed) == want
+        while regular_sources(fed):
+            for v in regular_sources(fed):
+                assert invariants(move_s(fed, v)) == want
+                cases["S"] += 1
+            fed = move_s(fed, regular_sources(fed)[0])
+    assert cases["T"] >= 60 and cases["S"] >= 100, cases

@@ -11,7 +11,8 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            path_range, prepend_prefix, singleton_point,
                            strip_prefix)
 
-from helpers import member_set, point_family, random_clopen, random_walk
+from helpers import (member_set, point_family, random_clopen, random_walk,
+                     symmetric_difference_empty)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -94,7 +95,7 @@ def test_canonical_idempotent_and_equal_agreement():
             b = random_clopen(g, rng)
             assert a.canonical() == a.canonical().canonical()
             structural = a.equal(b)
-            pointwise = a.symmetric_difference_empty(b)
+            pointwise = symmetric_difference_empty(a, b)
             assert structural == pointwise
             if structural:
                 assert member_set(a, pts) == member_set(b, pts)
