@@ -475,18 +475,22 @@ def transposition(g: Graph, blocks) -> Element:
 
     The bisection's total source and range must be disjoint; the result
     is the table blocks + inverse blocks, identity elsewhere, and squares
-    to the identity.
+    to the identity. Each table axiom is checked once: ``check_bisection``
+    makes every block and keeps the sources apart and the ranges apart,
+    and one overlap search over sources and ranges keeps each source off
+    each range. Those are the table's disjointness axioms, and its source
+    and range unions are both source + range, so the table is not checked
+    again.
     """
     blocks = check_bisection(g, blocks)
-    src = bisection_source(g, blocks)
-    rng = bisection_range(g, blocks)
-    if not src.intersect(rng).is_empty():
-        raise OverlappingSourceRange(
-            f"bisection source {src} meets range {rng}")
-    # check_bisection has run make_block on every block, and inverting a
-    # valid block leaves it valid, so the table is not re-validated
-    table = blocks + [b.inverse() for b in blocks]
-    return _normalize_table(g, _check_table(g, table))
+    hit = _find_overlap(g, [b.source_piece() for b in blocks]
+                        + [b.range_piece() for b in blocks])
+    if hit is not None:
+        # sources and ranges are each disjoint, so i is a source, j a range
+        i, j = sorted(hit)
+        raise OverlappingSourceRange(f"source of block [{blocks[i]}] meets range "
+                                     f"of block [{blocks[j - len(blocks)]}]")
+    return _normalize_table(g, blocks + [b.inverse() for b in blocks])
 
 
 def doubling_bisections(g: Graph, a: Clopen):

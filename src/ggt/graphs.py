@@ -236,26 +236,19 @@ class Graph:
                 strongconnect(v)
         return comps
 
-    def nontrivial_scc(self):
-        """The unique cycle-supporting SCC, or None.
+    def is_cyclic(self, comp):
+        """Whether an SCC contains a cycle: more than one vertex, or a
+        single vertex with a loop edge or loop family."""
+        if len(comp) > 1:
+            return True
+        (v,) = comp
+        return v in self.successors(v)
 
-        A component is nontrivial if it contains a cycle: more than one
-        vertex, or a single vertex with a loop edge or loop family.
-        """
-        found = []
-        for comp in self.strongly_connected_components():
-            if len(comp) > 1:
-                found.append(comp)
-            else:
-                (v,) = comp
-                has_loop = any(self._edge_map[e][1] == v for e in self._out_concrete[v])
-                has_loop = has_loop or any(self._family_map[f][1] == v
-                                           for f in self._out_families[v])
-                if has_loop:
-                    found.append(comp)
-        if len(found) == 1:
-            return found[0]
-        return None
+    def nontrivial_scc(self):
+        """The unique cycle-supporting SCC, or None."""
+        found = [c for c in self.strongly_connected_components()
+                 if self.is_cyclic(c)]
+        return found[0] if len(found) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -284,54 +277,85 @@ class CriteriaReport:
 def validate(g: Graph) -> CriteriaReport:
     """Compute all structural flags exactly, once per graph.
 
-    Condition (L) fails iff the subgraph of vertices with total out-degree
-    exactly one (and no family) contains a cycle: such a cycle has no exit.
-    Cofinality fails iff for some v the set of vertices unreachable from v
-    contains a cycle; with finitely many vertices every infinite path must
-    revisit a vertex, so an infinite path avoidable from v exists exactly
-    when such a cycle does.
+    Every criterion is read off the SCC condensation. Tarjan emits a
+    component only after every component it reaches, so one pass over
+    the components in emission order gives each its reach set: itself
+    plus the reach sets of the components its edges enter. A cycle lies
+    inside one component, and every vertex of a cyclic component lies on
+    a cycle inside it.
+
+    * Condition (L) fails iff some cycle has no exit, i.e. runs through
+      vertices with one concrete out-edge and no family. Such a cycle is
+      closed under successors, so it is a whole component; conversely a
+      cyclic component of such vertices is one exitless cycle.
+    * Cofinality fails at v iff some infinite path avoids every vertex
+      reachable from v. With finitely many vertices an infinite path
+      ends in a cycle, and vertices unreachable from v are closed under
+      predecessors, so this holds iff a cyclic component lies outside
+      the reach set of v's component.
+    * v reaches every infinite emitter iff its component's reach set
+      holds them all.
+
+    Each witness names least vertices in name order, so it depends on no
+    walk order: the least vertex on an exitless cycle; the least v that
+    is not cofinal, with the least vertex on a cycle that v cannot reach;
+    the least v missing an emitter, with the least emitter it misses. The
+    vertices on exitless cycles, and the vertices on cycles unreachable
+    from v, are exactly the vertices of the components found above, so
+    each least vertex is the least vertex of those components.
     """
     witnesses = []
+    verts = sorted(g.vertices)
 
-    sinks = [v for v in sorted(g.vertices) if g.is_sink(v)]
+    sinks = [v for v in verts if g.is_sink(v)]
     no_sinks = not sinks
     if sinks:
         witnesses.append(("no_sinks", f"sink {sinks[0]}"))
 
-    sources = [v for v in sorted(g.vertices) if g._incoming[v] == 0]
+    sources = [v for v in verts if g._incoming[v] == 0]
     no_sources = not sources
     if sources:
         witnesses.append(("no_sources", f"source {sources[0]}"))
 
-    forced = {v for v in g.vertices
-              if len(g.out_concrete(v)) == 1 and not g.out_families(v)}
-    cond_l = True
-    cycle = _find_cycle_within(g, forced)
-    if cycle is not None:
-        cond_l = False
-        witnesses.append(("condition_L", f"exitless cycle at {cycle}"))
-
-    cofinal = True
-    for v in sorted(g.vertices):
-        unreachable = set(g.vertices) - g.reachable_from(v)
-        cyc = _find_cycle_within(g, unreachable)
-        if cyc is not None:
-            cofinal = False
-            witnesses.append(("cofinal", f"{v} cannot reach the cycle at {cyc}"))
-            break
-
-    reaches = True
-    emitters = [v for v in sorted(g.vertices) if g.is_infinite_emitter(v)]
-    for v in sorted(g.vertices):
-        reach = g.reachable_from(v)
-        missing = [w for w in emitters if w not in reach]
-        if missing:
-            reaches = False
-            witnesses.append(("reaches_all_infinite_emitters",
-                              f"{v} cannot reach {missing[0]}"))
-            break
-
     comps = g.strongly_connected_components()
+    reach = {}  # vertex -> the reach set of its component
+    for comp in comps:
+        # successors outside comp lie in components emitted before it
+        r = set(comp).union(*(reach[w] for u in comp for w in g.successors(u)
+                              if w in reach))
+        reach.update(dict.fromkeys(comp, r))
+    cyclic = [c for c in comps if g.is_cyclic(c)]
+
+    exitless = [v for c in cyclic
+                if all(len(g.out_concrete(u)) == 1 and not g.out_families(u)
+                       for u in c)
+                for v in c]
+    cond_l = not exitless
+    if exitless:
+        witnesses.append(("condition_L", f"exitless cycle at {min(exitless)}"))
+
+    def first_miss(targets):
+        """The least v missing a target from its reach set, and the least
+        target it misses; None if every v reaches all targets."""
+        for v in verts:
+            missed = targets - reach[v]
+            if missed:
+                return v, min(missed)
+        return None
+
+    miss = first_miss(set().union(*cyclic))
+    cofinal = miss is None
+    if miss:
+        witnesses.append(("cofinal",
+                          "{} cannot reach the cycle at {}".format(*miss)))
+
+    emitters = [v for v in verts if g.is_infinite_emitter(v)]
+    miss = first_miss(set(emitters))
+    reaches = miss is None
+    if miss:
+        witnesses.append(("reaches_all_infinite_emitters",
+                          "{} cannot reach {}".format(*miss)))
+
     strongly = len(comps) == 1
     if not strongly:
         witnesses.append(("strongly_connected", f"{len(comps)} components"))
@@ -370,24 +394,6 @@ def require_ah_criteria(g: Graph) -> CriteriaReport:
                                     "reaches_all_infinite_emitters"))
         raise CriteriaFailed(detail or "graph fails the AH criteria")
     return report
-
-
-def _find_cycle_within(g: Graph, allowed):
-    """Least vertex lying on a cycle fully inside `allowed`, or None."""
-    allowed = set(allowed)
-    for v in sorted(allowed):
-        # DFS from v through allowed vertices looking for a return to v
-        stack = [v]
-        seen = set()
-        while stack:
-            u = stack.pop()
-            for w in g.successors(u):
-                if w == v:
-                    return v
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return None
 
 
 # -- geometric moves -------------------------------------------------------
@@ -446,37 +452,37 @@ def find_path(g: Graph, src: str, dst: str, length=None):
     """Deterministic path from src to dst as a tuple of edge references.
 
     With `length` given, the lexicographically least path of exactly that
-    length (by edge-name order, family members in index order) or None.
+    length (by edge-name order, family members in index order) or None;
+    None for a negative length.
     Without it, the shortest path, ties broken lexicographically; the
-    empty path when src == dst.
+    empty path when src == dst, and None when dst is not reachable.
+
+    One backward layer table decides everything: ``into[0] = {dst}`` and
+    ``into[j]`` holds the vertices with a successor in ``into[j - 1]``,
+    i.e. those with a length-j path to dst. The path of length l from
+    src exists iff src is in ``into[l]``, and taking at each step the
+    least candidate edge whose range is in the next lower layer gives the
+    least one. The shortest length is the least j with src in
+    ``into[j]``; it is below |V|, and the search stops at 2|V|. No
+    recursion, so the length is limited only by memory.
     """
     if src not in g.vertices or dst not in g.vertices:
         raise MalformedGraph("unknown vertex in path query")
-    if length is not None:
-        memo = {}
-
-        def best(u, l):
-            if l == 0:
-                return () if u == dst else None
-            key = (u, l)
-            if key in memo:
-                return memo[key]
-            memo[key] = None  # cycle guard during recursion; lengths decrease
-            result = None
-            for e in _candidate_edges(g, u, extra_members=1):
-                tail = best(g.range(e), l - 1)
-                if tail is not None:
-                    result = (e,) + tail
-                    break
-            memo[key] = result
-            return result
-
-        return best(src, length)
-    for l in range(0, 2 * len(g.vertices) + 1):
-        p = find_path(g, src, dst, length=l)
-        if p is not None:
-            return p
-    return None
+    if length is not None and length < 0:
+        return None
+    succ = {u: g.successors(u) for u in g.vertices}
+    into = [{dst}]
+    bound = 2 * len(g.vertices) if length is None else length
+    while len(into) <= bound and (length is not None or src not in into[-1]):
+        into.append({u for u, ws in succ.items() if not into[-1].isdisjoint(ws)})
+    if src not in into[-1]:
+        return None
+    path, u = [], src
+    for layer in reversed(into[:-1]):
+        e = next(e for e in _candidate_edges(g, u) if g.range(e) in layer)
+        path.append(e)
+        u = g.range(e)
+    return tuple(path)
 
 
 def two_disjoint_cycles(g: Graph, v: str, avoid_first=()):

@@ -36,7 +36,7 @@ from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
 from .fullgroup import Element, graded_partition
 from .graphs import Graph, require_ah_criteria, validate
-from .intlin import IntMatrix, cokernel_invariants, kernel
+from .intlin import IntMatrix, smith_invariants
 from .pathspace import Clopen, path_range
 
 
@@ -212,15 +212,14 @@ def relation_matrix(g: Graph) -> IntMatrix:
 
 
 def homology(g: Graph) -> HomologyReport:
-    """H0 as cokernel invariants, H1 as the kernel lattice.
+    """H0 as cokernel invariants, H1 as the kernel lattice, both from
+    one Smith normal form of the relation matrix.
 
     Sinks are allowed; they are singular and contribute no relation.
     Higher homology vanishes for every graph groupoid and is reported as
     a constant, never computed.
     """
-    m = relation_matrix(g)
-    torsion, free_rank = cokernel_invariants(m)
-    ker = kernel(m)
+    torsion, free_rank, ker = smith_invariants(relation_matrix(g))
     even = sum(1 for t in torsion if t % 2 == 0)
     return HomologyReport(tuple(torsion), free_rank, ker.rank, ker.basis,
                           free_rank + even)

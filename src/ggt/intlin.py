@@ -159,13 +159,28 @@ def smith_normal_form(m: IntMatrix):
     return um, d, vm
 
 
+def smith_invariants(m: IntMatrix):
+    """(torsion, free rank, kernel) of m, all from one Smith normal form.
+
+    With U*m*V = D of rank k, Z^rows / im(m) is the sum of Z/d_i over the
+    nonzero diagonal entries plus Z^(rows - k): the torsion is the
+    entries above 1. And m*x = 0 iff D*(V^-1 x) = 0, so the last cols - k
+    columns of V span the kernel, in canonical basis. With no columns
+    that is the zero lattice, and with no rows V is the identity and it
+    is the full lattice.
+    """
+    _, d, v = smith_normal_form(m)
+    diag = d.diagonal()
+    rank = sum(1 for x in diag if x != 0)
+    ker = Lattice.from_vectors(m.cols, [[v.get(i, j) for i in range(m.cols)]
+                                        for j in range(rank, m.cols)])
+    return [x for x in diag if x > 1], m.rows - rank, ker
+
+
 def cokernel_invariants(m: IntMatrix):
     """Invariants of Z^rows / im(m): (torsion entries > 1, free rank)."""
-    _, d, _ = smith_normal_form(m)
-    diag = d.diagonal()
-    nonzero = [x for x in diag if x != 0]
-    torsion = [x for x in nonzero if x > 1]
-    return torsion, m.rows - len(nonzero)
+    torsion, free_rank, _ = smith_invariants(m)
+    return torsion, free_rank
 
 
 @dataclass(frozen=True)
@@ -253,18 +268,7 @@ class Lattice:
 
 def kernel(m: IntMatrix) -> Lattice:
     """The full integer kernel {x : m*x = 0} in canonical basis."""
-    if m.cols == 0:
-        return Lattice.zero(0)
-    if m.rows == 0:
-        return Lattice.full(m.cols)
-    _, d, v = smith_normal_form(m)
-    diag = d.diagonal()
-    rank = sum(1 for x in diag if x != 0)
-    cols = []
-    for j in range(m.cols):
-        if j >= rank:
-            cols.append([v.get(i, j) for i in range(m.cols)])
-    return Lattice.from_vectors(m.cols, cols)
+    return smith_invariants(m)[2]
 
 
 def preimage(m: IntMatrix, lat: Lattice) -> Lattice:

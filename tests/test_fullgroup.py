@@ -164,6 +164,11 @@ def test_transposition_examples():
     assert apply(t, x) == x
     with pytest.raises(OverlappingSourceRange):
         transposition(E2, [blk(E2, "a", [], "a")])
+    # the overlap search meets the longer source Z(a.a) first
+    with pytest.raises(OverlappingSourceRange, match=(
+            r"^source of block \[block b\.a \| - \| a\.a\] meets range "
+            r"of block \[block a \| - \| b\.b\]$")):
+        transposition(E2, [blk(E2, "b.a", [], "a.a"), blk(E2, "a", [], "b.b")])
 
 
 def test_transposition_squares_random():
@@ -608,10 +613,11 @@ def test_compose_all_depth_guard_is_the_summed_bound(monkeypatch):
 
 
 def test_transposition_checks_its_carrier_without_canonicalizing(monkeypatch):
-    # blocks plus inverses have the same source and range pieces, so the
-    # carrier check in _check_table needs no canonical form
+    # a transposition's table has source + range as both its source union
+    # and its range union, so building one canonicalizes nothing
     fg = sys.modules["ggt.fullgroup"]
-    real_check, real_canon = fg._check_table, fg.canonicalize
+    ps = sys.modules["ggt.pathspace"]
+    real_check, real_canon = fg._check_table, ps.canonicalize
     inside, calls = [], []
 
     def check(g, blocks):
@@ -621,14 +627,20 @@ def test_transposition_checks_its_carrier_without_canonicalizing(monkeypatch):
         finally:
             inside.pop()
 
+    def canon(g, pieces):
+        calls.append(len(inside))
+        return real_canon(g, pieces)
+
     monkeypatch.setattr(fg, "_check_table", check)
-    monkeypatch.setattr(fg, "canonicalize", lambda g, pieces: (
-        calls.append(len(inside)) or real_canon(g, pieces)))
+    for mod in (fg, ps):
+        monkeypatch.setattr(mod, "canonicalize", canon)
     rng = random.Random(103)
     for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
         for _ in range(5):
-            assert is_involution(random_transposition(g, rng))
-    assert calls and not any(calls)
+            t = random_transposition(g, rng)
+            assert calls == []
+            assert is_involution(t)
+            calls.clear()
     # differing pieces still go through the canonical forms
     calls.clear()
     assert len(alpha0().blocks) == 3

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,8 +7,9 @@ from ggt.errors import (MalformedGraph, NoDisjointCycles, NotARegularSource,
                         NotInfiniteEmitter)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.graphs import (Graph, find_path, move_s, move_t, parse_graph,
-                        print_graph, two_disjoint_cycles, validate)
+from ggt.graphs import (CriteriaReport, Graph, _candidate_edges, find_path,
+                        move_s, move_t, parse_graph, print_graph,
+                        two_disjoint_cycles, validate)
 
 
 def test_malformed_graphs():
@@ -142,6 +144,7 @@ def test_find_path():
     c2 = cycle_graph(2)
     assert find_path(c2, "u1", "u1", length=2) == ("x1", "x2")
     assert find_path(c2, "u1", "u1", length=3) is None
+    assert find_path(c2, "u1", "u1", length=-1) is None
     assert find_path(c2, "u1", "u2") == ("x1",)
     assert find_path(c2, "u1", "u1") == ()
     m = mixed_graph()
@@ -209,3 +212,177 @@ def test_validate_records_the_distinguished_emitter():
     assert satisfied == 6
     assert validate(pet).emitter == ("w", "W")
     assert validate(twin).emitter == ("w", "K")
+
+
+def _find_cycle_within(g, allowed):
+    """Least vertex lying on a cycle fully inside `allowed`, or None."""
+    allowed = set(allowed)
+    for v in sorted(allowed):
+        # DFS from v through allowed vertices looking for a return to v
+        stack = [v]
+        seen = set()
+        while stack:
+            u = stack.pop()
+            for w in g.successors(u):
+                if w == v:
+                    return v
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return None
+
+
+def reference_validate(g):
+    """The per-vertex criteria that ``validate`` read off the component
+    graph replaced: a cycle search inside the out-degree-1 vertices for
+    Condition (L), and one reachability walk per vertex for cofinality
+    and for reaching every infinite emitter."""
+    witnesses = []
+    sinks = [v for v in sorted(g.vertices) if g.is_sink(v)]
+    if sinks:
+        witnesses.append(("no_sinks", f"sink {sinks[0]}"))
+    sources = [v for v in sorted(g.vertices) if g._incoming[v] == 0]
+    if sources:
+        witnesses.append(("no_sources", f"source {sources[0]}"))
+
+    forced = {v for v in g.vertices
+              if len(g.out_concrete(v)) == 1 and not g.out_families(v)}
+    cycle = _find_cycle_within(g, forced)
+    if cycle is not None:
+        witnesses.append(("condition_L", f"exitless cycle at {cycle}"))
+
+    cofinal = True
+    for v in sorted(g.vertices):
+        cyc = _find_cycle_within(g, set(g.vertices) - g.reachable_from(v))
+        if cyc is not None:
+            cofinal = False
+            witnesses.append(("cofinal", f"{v} cannot reach the cycle at {cyc}"))
+            break
+
+    reaches = True
+    emitters = [v for v in sorted(g.vertices) if g.is_infinite_emitter(v)]
+    for v in sorted(g.vertices):
+        reach = g.reachable_from(v)
+        missing = [w for w in emitters if w not in reach]
+        if missing:
+            reaches = False
+            witnesses.append(("reaches_all_infinite_emitters",
+                              f"{v} cannot reach {missing[0]}"))
+            break
+
+    comps = g.strongly_connected_components()
+    strongly = len(comps) == 1
+    if not strongly:
+        witnesses.append(("strongly_connected", f"{len(comps)} components"))
+    emitter = reference_emitter(g) if strongly else None
+    if emitter is None:
+        if not strongly:
+            witnesses.append(("factor_hypotheses", "not strongly connected"))
+        elif not emitters:
+            witnesses.append(("factor_hypotheses", "no infinite emitter"))
+        else:
+            witnesses.append(("factor_hypotheses",
+                              "no emitter with a loop family and edges to every vertex"))
+    no_sinks, cond_l = not sinks, cycle is None
+    return CriteriaReport(no_sinks, not sources, cond_l, cofinal, reaches,
+                          strongly, no_sinks and cond_l and cofinal and reaches,
+                          emitter is not None, emitter, tuple(witnesses))
+
+
+def random_graph(rng, n):
+    """Concrete edges, self-loops, edge families (loop families too) and
+    sinks, often in several components."""
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(f"e{k}", rng.choice(verts), rng.choice(verts))
+             for k in range(rng.randrange(0, 2 * n + 1))]
+    edges += [(f"s{k}", v, v) for k, v in enumerate(verts) if rng.random() < 0.15]
+    families = [(f"F{k}", rng.choice(verts), rng.choice(verts))
+                for k in range(rng.randrange(0, 3))]
+    return Graph("r", verts, edges, families)
+
+
+def strongly_connected_graph(rng, n):
+    """A Hamiltonian cycle plus random chords and families."""
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(f"c{i}", verts[i], verts[(i + 1) % n]) for i in range(n)]
+    edges += [(f"e{k}", rng.choice(verts), rng.choice(verts))
+              for k in range(rng.randrange(0, n))]
+    families = [(f"F{k}", rng.choice(verts), rng.choice(verts))
+                for k in range(rng.randrange(0, 3))]
+    return Graph("sc", rng.sample(verts, n), edges, families)
+
+
+def test_validate_matches_the_per_vertex_reference():
+    rng = random.Random(2031)
+    graphs = [random_graph(rng, rng.randrange(1, 9)) for _ in range(3000)]
+    graphs += [strongly_connected_graph(rng, rng.randrange(10, 61))
+               for _ in range(50)]
+    failing = set()
+    for g in graphs:
+        got = validate.__wrapped__(g)
+        assert got == reference_validate(g), print_graph(g)
+        failing.update(name for name, _ in got.witnesses)
+    # every criterion fails somewhere, so every witness is compared
+    assert failing == {"no_sinks", "no_sources", "condition_L", "cofinal",
+                       "reaches_all_infinite_emitters", "strongly_connected",
+                       "factor_hypotheses"}
+
+
+def test_validate_walks_the_components_once(monkeypatch):
+    counts = {"reachable_from": 0, "strongly_connected_components": 0}
+    for name in counts:
+        real = getattr(Graph, name)
+
+        def counted(self, *args, name=name, real=real):
+            counts[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Graph, name, counted)
+    validate.__wrapped__(mixed_graph())
+    assert counts == {"reachable_from": 0, "strongly_connected_components": 1}
+
+
+def reference_find_path(g, src, dst, length=None):
+    """The memoized recursion that ``find_path``'s layer table replaced."""
+    if length is not None:
+        memo = {}
+
+        def best(u, l):
+            if l == 0:
+                return () if u == dst else None
+            if (u, l) not in memo:
+                memo[(u, l)] = None
+                for e in _candidate_edges(g, u, extra_members=1):
+                    tail = best(g.range(e), l - 1)
+                    if tail is not None:
+                        memo[(u, l)] = (e,) + tail
+                        break
+            return memo[(u, l)]
+
+        return best(src, length)
+    for l in range(0, 2 * len(g.vertices) + 1):
+        p = reference_find_path(g, src, dst, length=l)
+        if p is not None:
+            return p
+    return None
+
+
+def test_find_path_matches_the_recursion():
+    rng = random.Random(77)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 7))
+        for src in g.vertices:
+            for dst in g.vertices:
+                assert find_path(g, src, dst) == reference_find_path(g, src, dst)
+                for length in range(7):
+                    assert (find_path(g, src, dst, length=length)
+                            == reference_find_path(g, src, dst, length=length))
+
+
+def test_find_path_takes_no_stack_frame_per_edge():
+    assert sys.getrecursionlimit() < 5000
+    p = find_path(rose(2), "v", "v", length=5000)
+    assert p == ("a",) * 5000
+    assert find_path(cycle_graph(3), "u1", "u2", length=5000) is None
+    assert find_path(cycle_graph(3), "u1", "u2", length=5002) == (
+        ("x1", "x2", "x3") * 1667 + ("x1",))

@@ -12,10 +12,11 @@ from ggt.graphs import Graph, move_s, move_t
 from ggt.homology import (ClassVector, abelianization_report, class_of,
                           classes_equal, homology, index, is_zero,
                           relation_matrix, shift, vanishing_level)
+from ggt import intlin
 from ggt.intlin import IntMatrix, eventual_kernel
 from ggt.pathspace import Clopen, Path, Piece, parse_clopen, parse_path
 
-from helpers import (naive_invariant_factors, random_element,
+from helpers import (mat_vec, naive_invariant_factors, random_element,
                      random_transposition, random_twin_graph)
 
 E2 = rose(2)
@@ -46,6 +47,27 @@ def test_homology_fixtures():
         h = homology(rose(n))
         expect = () if n == 2 else (n - 1,)
         assert (h.h0_torsion, h.h0_free_rank, h.h1_rank) == (expect, 0, 0)
+
+
+def test_homology_runs_one_smith_normal_form(monkeypatch):
+    real, calls = intlin.smith_normal_form, []
+    monkeypatch.setattr(intlin, "smith_normal_form",
+                        lambda m: calls.append(m) or real(m))
+    graphs = [EINF, E2, rose(4), cycle_graph(3), mixed_graph(),
+              emitter_two_loops(), move_t(EINF, "v"),
+              Graph("g", ["a", "b"], [("e", "a", "b")]),
+              Graph("h", ["a", "b"], [], [("F", "a", "b")])]
+    for g in graphs:
+        calls.clear()
+        h = homology(g)
+        assert len(calls) == 1
+        m = relation_matrix(g)
+        diag = naive_invariant_factors(m.to_rows())
+        rank = sum(1 for x in diag if x != 0)
+        assert list(h.h0_torsion) == [x for x in diag if x > 1]
+        assert (h.h0_free_rank, h.h1_rank) == (m.rows - rank, m.cols - rank)
+        for vec in h.h1_kernel_basis:
+            assert not any(mat_vec(m, list(vec)))
 
 
 def test_homology_allows_sinks():

@@ -52,6 +52,9 @@ def test_kernel_examples():
     assert kernel(IntMatrix.from_rows([[1, -1]])).basis == ((1, 1),)
     assert kernel(IntMatrix.identity(2)).basis == ()
     assert kernel(IntMatrix.from_rows([[0, 0]])).basis == ((1, 0), (0, 1))
+    # no columns: the zero lattice; no rows: the full lattice
+    assert kernel(IntMatrix.zeros(2, 0)) == Lattice.zero(0)
+    assert kernel(IntMatrix.zeros(0, 3)) == Lattice.full(3)
 
 
 def test_kernel_brute_force():
