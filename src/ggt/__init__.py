@@ -29,8 +29,8 @@ from .factor import (Factorization, PathFamilies, af_factor,
                      construct_disjoint_paths, find_bisection,
                      graded_cancellation, parse_factorization,
                      print_factorization, verify_product)
-from .intlin import (IntMatrix, Lattice, cokernel_invariants, eventual_kernel,
-                     kernel, smith_normal_form)
+from .intlin import (IntMatrix, Lattice, eventual_kernel, kernel,
+                     smith_normal_form)
 from . import fixtures
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,7 +30,8 @@ from .fullgroup import (Block, Element, acts_as, bisection_range,
                         identity_blocks, is_involution, parse_element_text,
                         print_element, shrink_support, support,
                         transposition)
-from .graphs import Graph, edge_key, family_member, find_path, validate
+from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
+                     require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
 from .pathspace import (Clopen, Path, Piece, canonicalize, path_range,
                         paths_disjoint)
@@ -196,71 +197,51 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int):
 class PathFamilies:
     """Mutually disjoint routing paths through a distinguished emitter.
 
-    gamma0[(k, i)] has length n_length and its cylinder avoids the
-    support region; gamma_pos[(p, i, j)] has length n_length + j and
-    gamma_neg[(q, i, l)] has length n_length - l, with cylinders inside
-    the support region.
+    ``paths[(k, i, j)]`` routes the i-th piece of level k and has length
+    n_length + j. For j = 0 its cylinder avoids the support region;
+    otherwise j runs over min(k, 0)..max(k, 0) and its cylinder lies
+    inside the region.
     """
 
     n_length: int
-    gamma0: tuple       # ((k, i), Path) pairs
-    gamma_pos: tuple    # ((p, i, j), Path) pairs
-    gamma_neg: tuple    # ((q, i, l), Path) pairs
-
-    def g0(self, k, i):
-        return dict(self.gamma0)[(k, i)]
-
-    def gp(self, p, i, j):
-        return dict(self.gamma_pos)[(p, i, j)]
-
-    def gq(self, q, i, l):
-        return dict(self.gamma_neg)[(q, i, l)]
+    paths: dict         # (k, i, j) -> Path
 
 
 def _plain_cylinder_inside(g: Graph, region: Clopen) -> Path:
-    """Least plain cylinder contained in a nonempty region."""
+    """Least plain cylinder contained in a nonempty region: the least
+    piece, extended by a concrete edge before any family member when it
+    is punctured."""
     piece = min(region.pieces, key=Piece.key)
     if not piece.punctures:
         return piece.mu
-    v = path_range(g, piece.mu)
-    banned = set(piece.punctures)
-    for e in g.out_concrete(v):
-        if e not in banned:
-            return piece.mu.extend(e)
-    for fam in g.out_families(v):
-        k = 1
-        while family_member(fam, k) in banned:
-            k += 1
-        return piece.mu.extend(family_member(fam, k))
-    raise MalformedGraph("region piece admits no extension")
+    free = free_edges(g, path_range(g, piece.mu), piece.punctures)
+    if not free:
+        raise MalformedGraph("region piece admits no extension")
+    return piece.mu.extend(min(free, key=lambda e: split_member(e) is not None))
 
 
 def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
-                             pos_keys, neg_keys, targets) -> PathFamilies:
-    """Build the three path families used by the factorization.
+                             targets) -> PathFamilies:
+    """Build the routing table used by the factorization.
 
-    ``targets`` maps (k, i) to the required end vertex; k ranges over
-    neg_keys, 0 and pos_keys. All paths run through the distinguished
-    emitter: a common prefix fixes which side of the region they land
-    in, a block of distinct loops separates them pairwise, and a final
-    connector edge reaches the target vertex. The emitter is the one
-    ``graphs.validate`` records as ``CriteriaReport.emitter``.
+    ``targets`` maps (k, i) to the required end vertex of the i-th piece
+    of level k; the levels and the buffer are read off its keys. Every
+    path runs through the distinguished emitter w, the one
+    ``graphs.validate`` records as ``CriteriaReport.emitter``: a prefix
+    (mu outside the region for j = 0, mu_p inside it otherwise, both of
+    one length) fixes the side, k_buf + 1 + j copies of a loop edge of
+    its own per (k, i) separate the paths, and a connector edge from w
+    that is not a loop edge reaches the target vertex. k_buf is the
+    largest |k| over the negative levels, so every path takes at least
+    one loop edge.
     """
-    report = validate(g)
-    if not report.factor_hypotheses:
-        raise HypothesesFailed(report.witness("factor_hypotheses")
-                               or "factorization hypotheses fail")
-    pos_keys = sorted(set(pos_keys))
-    neg_keys = sorted(set(neg_keys))
-    if any(k <= 0 for k in pos_keys) or any(k >= 0 for k in neg_keys):
-        raise MalformedGraph("positive and negative key sets are mis-sorted")
+    w, loop_fam = require_factor_hypotheses(g).emitter
     if region.is_empty() or not region.subtract(ambient).is_empty():
         raise HypothesesFailed("region must be a nonempty subset of the ambient")
     outside = ambient.subtract(region)
     if outside.is_empty():
         raise HypothesesFailed("region must be a proper subset of the ambient")
 
-    w, loop_fam = report.emitter
     mu = _plain_cylinder_inside(g, outside)
     mu = Path(mu.base, mu.edges + find_path(g, path_range(g, mu), w))
     mu_p = _plain_cylinder_inside(g, region)
@@ -271,83 +252,48 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
     while len(mu_p) < len(mu):
         mu_p = mu_p.extend(pad)
 
-    k_buf = max((-q for q in neg_keys), default=0)
-    n_length = len(mu) + k_buf + 2
-
-    all_keys = []
-    for k in neg_keys + [0] + pos_keys:
-        i = 1
-        while (k, i) in targets:
-            all_keys.append((k, i))
-            i += 1
-    loops = {}
-    counter = 1
-    for key in sorted(all_keys):
-        loops[key] = family_member(loop_fam, counter)
-        counter += 1
+    keys = sorted(targets)
+    k_buf = max([0] + [-k for k, _ in keys])
+    loops = {key: family_member(loop_fam, n) for n, key in enumerate(keys, start=1)}
     allocated = set(loops.values())
+    paths = {}
+    for k, i in keys:
+        f = next((e for e in free_edges(g, w, allocated)
+                  if g.range(e) == targets[(k, i)]), None)
+        if f is None:
+            raise HypothesesFailed(f"no connector edge from {w} to {targets[(k, i)]}")
+        for j in range(min(k, 0), max(k, 0) + 1):
+            prefix = mu if j == 0 else mu_p
+            paths[(k, i, j)] = Path(prefix.base, prefix.edges
+                                    + (loops[(k, i)],) * (k_buf + 1 + j) + (f,))
 
-    def connector(key):
-        v = targets[key]
-        cands = [e for e in g.out_concrete(w) if g.range(e) == v]
-        for fam in g.out_families(w):
-            if g.family_range(fam) == v:
-                k = 1
-                while family_member(fam, k) in allocated:
-                    k += 1
-                cands.append(family_member(fam, k))
-        cands = [e for e in cands if e not in allocated]
-        if not cands:
-            raise HypothesesFailed(f"no connector edge from {w} to {v}")
-        return sorted(cands, key=edge_key)[0]
-
-    gamma0 = []
-    gamma_pos = []
-    gamma_neg = []
-    for key in sorted(all_keys):
-        k, i = key
-        e = loops[key]
-        f = connector(key)
-        gamma0.append((key, Path(mu.base, mu.edges + (e,) * (k_buf + 1) + (f,))))
-        if k > 0:
-            for j in range(1, k + 1):
-                gamma_pos.append(((k, i, j),
-                                  Path(mu_p.base,
-                                       mu_p.edges + (e,) * (k_buf + 1 + j) + (f,))))
-        if k < 0:
-            for l in range(1, -k + 1):
-                gamma_neg.append(((k, i, l),
-                                  Path(mu_p.base,
-                                       mu_p.edges + (e,) * (k_buf + 1 - l) + (f,))))
-
-    fam = PathFamilies(n_length, tuple(gamma0), tuple(gamma_pos), tuple(gamma_neg))
+    fam = PathFamilies(len(mu) + k_buf + 2, paths)
     _check_path_families(g, fam, ambient, region, targets)
     return fam
 
 
 def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
-    """VerificationFailed naming the first path that breaks the families'
-    disjointness, length, end vertex or containment, also under -O."""
+    """VerificationFailed naming the first path that breaks the table's
+    disjointness, length, end vertex or containment, also under -O.
+
+    All paths are pairwise disjoint: the prefixes mu and mu_p have one
+    length and disjoint cylinders, two keys (k, i) differ in the loop edge
+    that follows, and within one key the shorter loop run ends in the
+    connector, which is no loop edge."""
     outside = ambient.subtract(region)
-    for clause, expected_len, container in (
-            (fam.gamma0, lambda k, extra: fam.n_length, outside),
-            (fam.gamma_pos, lambda k, extra: fam.n_length + extra, region),
-            (fam.gamma_neg, lambda k, extra: fam.n_length - extra, region)):
-        paths = [p for _, p in clause]
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                if not paths_disjoint(paths[i], paths[j]):
-                    raise VerificationFailed(
-                        f"paths not disjoint: {paths[i]} and {paths[j]}")
-        for key, p in clause:
-            extra = key[2] if len(key) == 3 else 0
-            if len(p) != expected_len(key[0], extra):
-                raise VerificationFailed(f"wrong path length: {key} -> {p}")
-            if path_range(g, p) != targets[key[:2]]:
-                raise VerificationFailed(f"wrong end vertex: {key} -> {p}")
-            if not Clopen.cylinder(g, p).subtract(container).is_empty():
-                raise VerificationFailed(
-                    f"cylinder escapes its container: {key} -> {p}")
+    routed = sorted(fam.paths.items())
+    for n, ((k, i, j), p) in enumerate(routed):
+        q = next((q for _, q in routed[:n] if not paths_disjoint(q, p)), None)
+        if q is not None:
+            raise VerificationFailed(f"paths not disjoint: {q} and {p}")
+        if len(p) != fam.n_length + j:
+            raise VerificationFailed(f"wrong path length: {(k, i, j)} -> {p}")
+        if path_range(g, p) != targets[(k, i)]:
+            raise VerificationFailed(f"wrong end vertex: {(k, i, j)} -> {p}")
+        container = outside if j == 0 else region
+        if not Clopen.cylinder(g, p).subtract(container).is_empty():
+            raise VerificationFailed(
+                f"cylinder escapes its container: {(k, i, j)} -> {p}")
 
 
 # -- AF factorization --------------------------------------------------------
@@ -510,11 +456,7 @@ def factor(e: Element) -> Factorization:
     X-sets under one bisection. The two sides overlap, since the c-sets
     lie inside the positive members, so they stay two products.
     """
-    g = e.graph
-    report = validate(g)
-    if not report.factor_hypotheses:
-        raise HypothesesFailed(report.witness("factor_hypotheses")
-                               or "factorization hypotheses fail")
+    require_factor_hypotheses(e.graph)
     value = index(e)
     if not value.zero:
         raise IndexNonzero(f"index class {value.vector} is nonzero")
@@ -566,7 +508,7 @@ def _factor_proper(e: Element):
     for k, pieces in region_pieces.items():
         for i, p in enumerate(pieces, start=1):
             targets[(k, i)] = p.mu.base
-    fam = construct_disjoint_paths(g, Clopen.full(g), carrier, pos, neg, targets)
+    routed = construct_disjoint_paths(g, Clopen.full(g), carrier, targets).paths
 
     def prepend(gamma: Path, piece: Piece) -> Piece:
         return Piece(Path(gamma.base, gamma.edges + piece.mu.edges),
@@ -576,7 +518,7 @@ def _factor_proper(e: Element):
     v_blocks = []
     for k, pieces in region_pieces.items():
         for i, p in enumerate(pieces, start=1):
-            moved = prepend(fam.g0(k, i), p)
+            moved = prepend(routed[(k, i, 0)], p)
             v_blocks.append(Block(moved.mu, moved.punctures, p.mu))
     tau_v = transposition(g, v_blocks)
     # one fold, normalized once: graded_partition reads beta's lags
@@ -586,27 +528,27 @@ def _factor_proper(e: Element):
     s_beta = {}
     for k in neg + pos:
         s_beta[k] = Clopen(g, canonicalize(
-            g, [prepend(fam.g0(k, i), p)
+            g, [prepend(routed[(k, i, 0)], p)
                 for i, p in enumerate(region_pieces[k], start=1)]))
         if not beta_part.part(k).equal(s_beta[k]):
             raise VerificationFailed(
                 f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 
-    # positive side: a routed piece cycles from its g0 copy through its
-    # gp(., p), ..., gp(., 1) copies, all joined by canonical arrows
-    plus_cycles = [[prepend(fam.g0(p_key, i), pc)]
-                   + [prepend(fam.gp(p_key, i, j), pc) for j in range(p_key, 0, -1)]
+    # positive side: a routed piece cycles from its j = 0 copy through its
+    # j = p, ..., 1 copies, all joined by canonical arrows
+    plus_cycles = [[prepend(routed[(p_key, i, j)], pc)
+                    for j in [0] + list(range(p_key, 0, -1))]
                    for p_key in pos
                    for i, pc in enumerate(region_pieces[p_key], start=1)]
     tau_plus = _cycle_swaps(g, plus_cycles, _canonical_arrow)
 
     # negative side: S(q) = c_0 cycles through c_|q|, ..., c_1, where c_l
-    # is the image of the gq(., l) copies under a matching onto the
-    # positive members other than the gp(., p) copies; arrows[(q, l)]
+    # is the image of the j = -l copies under a matching onto the
+    # positive members other than the j = p copies; arrows[(q, l)]
     # carries c_l onto c_0, composed of lag-1 cancellations c_l -> c_{l-1}
     d_all = Clopen(g, canonicalize(g, [c for cycle in plus_cycles
                                        for k, c in enumerate(cycle) if k != 1]))
-    x_pieces = {(q_key, l): [prepend(fam.gq(q_key, i, l), pc)
+    x_pieces = {(q_key, l): [prepend(routed[(q_key, i, -l)], pc)
                              for i, pc in enumerate(region_pieces[q_key], start=1)]
                 for q_key in neg for l in range(1, -q_key + 1)}
     x_all = Clopen(g, canonicalize(g, [x for xs in x_pieces.values() for x in xs]))

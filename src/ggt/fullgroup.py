@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                      ParseError, RangesOverlap, SourcesOverlap,
                      VerificationFailed)
-from .graphs import Graph, edge_key, require_ah_criteria, two_disjoint_cycles
+from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
+                     two_disjoint_cycles)
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, complement_pieces,
                         intersect_pieces, make_piece, parse_path, path_range,
@@ -555,18 +556,10 @@ def shrink_support(e: Element):
     v = path_range(g, b.nu)
     for i in range(len(g.vertices) + len(lam) + 2):
         ray_edge = lam[i % len(lam)]
-        options = [x for x in g.out_concrete(v) if x not in banned and x != ray_edge]
-        for fam in g.out_families(v):
-            k = 1
-            while True:
-                cand = f"{fam}#{k}"
-                if cand not in banned and cand != ray_edge:
-                    options.append(cand)
-                    break
-                k += 1
+        options = free_edges(g, v, banned | {ray_edge})
         banned = set()
         if options:
-            d = sorted(options, key=edge_key)[0]
+            d = options[0]
             sub = Path(b.nu.base, b.nu.edges + tuple(walked) + (d,))
             img = Path(b.mu.base, b.mu.edges + tuple(walked) + (d,))
             tau = transposition(g, [Block(img, (), sub)])

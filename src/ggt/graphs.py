@@ -17,8 +17,8 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import (CriteriaFailed, MalformedGraph, NoDisjointCycles,
-                     NotARegularSource, NotInfiniteEmitter,
+from .errors import (CriteriaFailed, HypothesesFailed, MalformedGraph,
+                     NoDisjointCycles, NotARegularSource, NotInfiniteEmitter,
                      NotStronglyConnected, ParseError)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -173,18 +173,6 @@ class Graph:
         out = set(self._edge_map[e][1] for e in self._out_concrete[v])
         out.update(self._family_map[f][1] for f in self._out_families[v])
         return sorted(out)
-
-    def reachable_from(self, v):
-        """All vertices reachable from v, including v."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.successors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     def strongly_connected_components(self):
         """SCCs in deterministic order (Tarjan over sorted successors)."""
@@ -396,6 +384,16 @@ def require_ah_criteria(g: Graph) -> CriteriaReport:
     return report
 
 
+def require_factor_hypotheses(g: Graph) -> CriteriaReport:
+    """The report of a graph meeting the factorization hypotheses, else
+    HypothesesFailed naming the witness."""
+    report = validate(g)
+    if not report.factor_hypotheses:
+        raise HypothesesFailed(report.witness("factor_hypotheses")
+                               or "factorization hypotheses fail")
+    return report
+
+
 # -- geometric moves -------------------------------------------------------
 
 def move_t(g: Graph, w: str) -> Graph:
@@ -440,12 +438,20 @@ def move_s(g: Graph, v: str) -> Graph:
 
 # -- deterministic path search ---------------------------------------------
 
-def _candidate_edges(g, v, extra_members=1):
-    """Out-edge references at v: concrete edges plus low family members."""
-    refs = list(g.out_concrete(v))
+def free_edges(g: Graph, v: str, banned=()):
+    """The out-edges of v not in ``banned``: every concrete one and the
+    least member of each family, sorted by ``edge_key``.
+
+    Members of one family share their range, so the least free member
+    stands for all of them in any search by range.
+    """
+    free = [e for e in g.out_concrete(v) if e not in banned]
     for f in g.out_families(v):
-        refs.extend(family_member(f, k) for k in range(1, extra_members + 1))
-    return sorted(refs, key=edge_key)
+        k = 1
+        while family_member(f, k) in banned:
+            k += 1
+        free.append(family_member(f, k))
+    return sorted(free, key=edge_key)
 
 
 def find_path(g: Graph, src: str, dst: str, length=None):
@@ -461,10 +467,10 @@ def find_path(g: Graph, src: str, dst: str, length=None):
     ``into[j]`` holds the vertices with a successor in ``into[j - 1]``,
     i.e. those with a length-j path to dst. The path of length l from
     src exists iff src is in ``into[l]``, and taking at each step the
-    least candidate edge whose range is in the next lower layer gives the
-    least one. The shortest length is the least j with src in
-    ``into[j]``; it is below |V|, and the search stops at 2|V|. No
-    recursion, so the length is limited only by memory.
+    least free edge (``free_edges``) whose range is in the next lower
+    layer gives the least one. The shortest length is the least j with
+    src in ``into[j]``; it is below |V|, and the search stops at 2|V|.
+    No recursion, so the length is limited only by memory.
     """
     if src not in g.vertices or dst not in g.vertices:
         raise MalformedGraph("unknown vertex in path query")
@@ -479,7 +485,7 @@ def find_path(g: Graph, src: str, dst: str, length=None):
         return None
     path, u = [], src
     for layer in reversed(into[:-1]):
-        e = next(e for e in _candidate_edges(g, u) if g.range(e) in layer)
+        e = next(e for e in free_edges(g, u) if g.range(e) in layer)
         path.append(e)
         u = g.range(e)
     return tuple(path)
@@ -497,9 +503,7 @@ def two_disjoint_cycles(g: Graph, v: str, avoid_first=()):
     avoid = frozenset(avoid_first)
     first = None
     for l in range(1, 2 * len(g.vertices) + 2):
-        for e in _candidate_edges(g, v, extra_members=len(avoid) + 2):
-            if e in avoid:
-                continue
+        for e in free_edges(g, v, avoid):
             tail = find_path(g, g.range(e), v, length=l - 1)
             if tail is not None:
                 first = (e,) + tail
@@ -509,12 +513,7 @@ def two_disjoint_cycles(g: Graph, v: str, avoid_first=()):
     if first is None:
         raise NoDisjointCycles(f"no cycle based at {v}")
     for i, ci in enumerate(first):
-        u = g.source(ci)
-        for d in _candidate_edges(g, u, extra_members=len(avoid) + 2):
-            if d == ci:
-                continue
-            if i == 0 and d in avoid:
-                continue
+        for d in free_edges(g, g.source(ci), (avoid | {ci}) if i == 0 else {ci}):
             back = find_path(g, g.range(d), v)
             if back is None:
                 continue

@@ -177,12 +177,6 @@ def smith_invariants(m: IntMatrix):
     return [x for x in diag if x > 1], m.rows - rank, ker
 
 
-def cokernel_invariants(m: IntMatrix):
-    """Invariants of Z^rows / im(m): (torsion entries > 1, free rank)."""
-    torsion, free_rank, _ = smith_invariants(m)
-    return torsion, free_rank
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Subgroup of Z^n in canonical row echelon (Hermite) form.
@@ -199,12 +193,6 @@ class Lattice:
     @classmethod
     def zero(cls, ambient_dim):
         return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls.from_vectors(ambient_dim,
-                                [[1 if i == j else 0 for j in range(ambient_dim)]
-                                 for i in range(ambient_dim)])
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):

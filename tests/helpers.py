@@ -12,7 +12,7 @@ import random
 from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
-from ggt.intlin import IntMatrix
+from ggt.intlin import IntMatrix, Lattice
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
 
@@ -85,6 +85,12 @@ def mat_vec(m, v):
     if len(v) != m.cols:
         raise ValueError("shape mismatch")
     return [sum(m.get(i, j) * v[j] for j in range(m.cols)) for i in range(m.rows)]
+
+
+def full_lattice(n):
+    """All of Z^n, spanned by the unit vectors."""
+    return Lattice.from_vectors(n, [[1 if i == j else 0 for j in range(n)]
+                                    for i in range(n)])
 
 
 def determinant(m):
@@ -194,6 +200,21 @@ def acts_pointwise(e, factors, points):
         if y != apply(e, x):
             return False
     return True
+
+
+# -- reachability (oracle) -----------------------------------------------------
+
+def reachable_from(g, v):
+    """All vertices reachable from v, including v, by depth-first search."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in g.successors(u):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 # -- graphs with twin vertices -------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import os
@@ -130,35 +131,35 @@ def test_construct_disjoint_paths_basic():
     g = EINF
     ambient = Clopen.full(g)
     region = parse_clopen(g, "Z(L#1)")
-    fam = construct_disjoint_paths(g, ambient, region, [1], [],
+    fam = construct_disjoint_paths(g, ambient, region,
                                    {(1, 1): "v", (0, 1): "v"})
-    assert fam.n_length == len(fam.g0(1, 1))
-    assert len(fam.gp(1, 1, 1)) == fam.n_length + 1
-    assert Clopen.cylinder(g, fam.g0(0, 1)).subtract(
+    assert sorted(fam.paths) == [(0, 1, 0), (1, 1, 0), (1, 1, 1)]
+    assert fam.n_length == len(fam.paths[(1, 1, 0)])
+    assert len(fam.paths[(1, 1, 1)]) == fam.n_length + 1
+    assert Clopen.cylinder(g, fam.paths[(0, 1, 0)]).subtract(
         ambient.subtract(region)).is_empty()
-    assert Clopen.cylinder(g, fam.gp(1, 1, 1)).subtract(region).is_empty()
+    assert Clopen.cylinder(g, fam.paths[(1, 1, 1)]).subtract(region).is_empty()
 
 
 def test_construct_disjoint_paths_negative_buffer():
     g = EINF
     ambient = Clopen.full(g)
     region = parse_clopen(g, "Z(L#1)")
-    fam = construct_disjoint_paths(g, ambient, region, [], [-2],
+    fam = construct_disjoint_paths(g, ambient, region,
                                    {(-2, 1): "v", (0, 1): "v"})
     # the buffer makes room for the shorter paths
-    assert len(fam.gq(-2, 1, 1)) == fam.n_length - 1
-    assert len(fam.gq(-2, 1, 2)) == fam.n_length - 2
+    assert len(fam.paths[(-2, 1, -1)]) == fam.n_length - 1
+    assert len(fam.paths[(-2, 1, -2)]) == fam.n_length - 2
 
 
 def test_construct_disjoint_paths_rejects_improper_region():
     g = EINF
     full = Clopen.full(g)
     with pytest.raises(HypothesesFailed):
-        construct_disjoint_paths(g, full, full, [1], [-1], {(0, 1): "v"})
+        construct_disjoint_paths(g, full, full, {(0, 1): "v"})
     with pytest.raises(HypothesesFailed):
         construct_disjoint_paths(E2, Clopen.full(E2),
-                                 parse_clopen(E2, "Z(a)"), [], [],
-                                 {(0, 1): "v"})
+                                 parse_clopen(E2, "Z(a)"), {(0, 1): "v"})
 
 
 def test_af_factor_examples():
@@ -301,6 +302,38 @@ def test_factor_on_petal_graph():
         e = random_element(pet, rng, 3, max_len=2)
         fact = factor(e)
         assert fact.certified
+
+
+# sha256 of print_factorization("g", factor(e), emitter_two_loops()) for
+# the first ten products of test_petal_factorizations_keep_their_bytes
+PETAL_FACTOR_SHA256 = (
+    "d7b8ea1f2d460efec83ec1f6d03d20a82d6563c7cd23a9d0250ae8f48e4e5c91",
+    "703b8fd71a70bdb680c5007cc20eb19b72bef4a2c6a976b10e2d525be90f6530",
+    "d73d68018954e15a918d0850121d5d1f3406f9d338fd595f2434a36c24e46ca3",
+    "7e5effd4f14e024aedad880dfdebd3a13578d41d3455638d3e07db64214b5d95",
+    "d876725359580296c6b2c8523a1e8a57a3fea16c43b024ab11f6bcd465087bfa",
+    "349a19c1d9615a65ac4ea89ba0d7ecbd1b94177273a3f8ac15618a6f1049d72f",
+    "2cc697b5fe46af1443bc3b3a67c4219ba0cfbcc888339329fbf7428517fd9b35",
+    "56cb191b066448e146787074cad90e1bebffe75869abf964eac237e358810411",
+    "04c56a89098eff0cdcbd66faecbb78e7783b336fd02e83cf8218015be7b162a5",
+    "c19395a7f56090f17521b30b62144c63291119af0ba4601d9f5f0d9f994a3955",
+)
+
+
+def test_petal_factorizations_keep_their_bytes():
+    # a punctured piece ends at w, which emits the concrete edges a and
+    # b and the family W; the routing prefix extends it by a concrete
+    # edge first, and four of these products print differently if W#1
+    # is taken instead
+    pet = emitter_two_loops()
+    rng = random.Random(2027)
+    got = []
+    for _ in range(len(PETAL_FACTOR_SHA256)):
+        e = compose_all([random_transposition(pet, rng, max_len=2)
+                         for _ in range(rng.randrange(1, 4))])
+        text = print_factorization("g", factor(e), pet)
+        got.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert got == list(PETAL_FACTOR_SHA256)
 
 
 def test_factor_randomized_soundness():
@@ -798,12 +831,12 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
 
     ambient, region = Clopen.full(EINF), parse_clopen(EINF, "Z(L#1)")
     targets = {(1, 1): "v", (0, 1): "v", (0, 2): "v"}
-    fam = construct_disjoint_paths(EINF, ambient, region, [1], [], targets)
-    twice = dict(fam.gamma0)[(0, 1)]
+    fam = construct_disjoint_paths(EINF, ambient, region, targets)
+    twice = fam.paths[(0, 1, 0)]
     for broken, region_, targets_, message in (
             (replace(fam, n_length=fam.n_length + 1), region, targets,
              "wrong path length"),
-            (replace(fam, gamma0=(((0, 1), twice), ((0, 2), twice))),
+            (replace(fam, paths={**fam.paths, (0, 2, 0): twice}),
              region, targets, "paths not disjoint"),
             (fam, region, {**targets, (1, 1): "w"}, "wrong end vertex"),
             (fam, ambient.subtract(region), targets,

@@ -7,9 +7,11 @@ from ggt.errors import (MalformedGraph, NoDisjointCycles, NotARegularSource,
                         NotInfiniteEmitter)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.graphs import (CriteriaReport, Graph, _candidate_edges, find_path,
-                        move_s, move_t, parse_graph, print_graph,
+from ggt.graphs import (CriteriaReport, Graph, edge_key, family_member,
+                        find_path, move_s, move_t, parse_graph, print_graph,
                         two_disjoint_cycles, validate)
+
+from helpers import reachable_from
 
 
 def test_malformed_graphs():
@@ -105,7 +107,7 @@ def test_move_s():
 
 def brute_force_sccs(g):
     """Independent SCC oracle: mutual reachability, no Tarjan."""
-    reach = {v: g.reachable_from(v) for v in g.vertices}
+    reach = {v: reachable_from(g, v) for v in g.vertices}
     comps = set()
     for v in g.vertices:
         comps.add(frozenset(u for u in g.vertices
@@ -253,7 +255,7 @@ def reference_validate(g):
 
     cofinal = True
     for v in sorted(g.vertices):
-        cyc = _find_cycle_within(g, set(g.vertices) - g.reachable_from(v))
+        cyc = _find_cycle_within(g, set(g.vertices) - reachable_from(g, v))
         if cyc is not None:
             cofinal = False
             witnesses.append(("cofinal", f"{v} cannot reach the cycle at {cyc}"))
@@ -262,7 +264,7 @@ def reference_validate(g):
     reaches = True
     emitters = [v for v in sorted(g.vertices) if g.is_infinite_emitter(v)]
     for v in sorted(g.vertices):
-        reach = g.reachable_from(v)
+        reach = reachable_from(g, v)
         missing = [w for w in emitters if w not in reach]
         if missing:
             reaches = False
@@ -329,7 +331,7 @@ def test_validate_matches_the_per_vertex_reference():
 
 
 def test_validate_walks_the_components_once(monkeypatch):
-    counts = {"reachable_from": 0, "strongly_connected_components": 0}
+    counts = {"strongly_connected_components": 0}
     for name in counts:
         real = getattr(Graph, name)
 
@@ -339,7 +341,17 @@ def test_validate_walks_the_components_once(monkeypatch):
 
         monkeypatch.setattr(Graph, name, counted)
     validate.__wrapped__(mixed_graph())
-    assert counts == {"reachable_from": 0, "strongly_connected_components": 1}
+    assert counts == {"strongly_connected_components": 1}
+
+
+def reference_candidate_edges(g, v, extra_members=1):
+    """Out-edge references at v: concrete edges plus the first
+    ``extra_members`` members of each family, the enumeration that
+    ``graphs.free_edges`` replaced."""
+    refs = list(g.out_concrete(v))
+    for f in g.out_families(v):
+        refs.extend(family_member(f, k) for k in range(1, extra_members + 1))
+    return sorted(refs, key=edge_key)
 
 
 def reference_find_path(g, src, dst, length=None):
@@ -352,7 +364,7 @@ def reference_find_path(g, src, dst, length=None):
                 return () if u == dst else None
             if (u, l) not in memo:
                 memo[(u, l)] = None
-                for e in _candidate_edges(g, u, extra_members=1):
+                for e in reference_candidate_edges(g, u):
                     tail = best(g.range(e), l - 1)
                     if tail is not None:
                         memo[(u, l)] = (e,) + tail
@@ -377,6 +389,62 @@ def test_find_path_matches_the_recursion():
                 for length in range(7):
                     assert (find_path(g, src, dst, length=length)
                             == reference_find_path(g, src, dst, length=length))
+
+
+def reference_two_disjoint_cycles(g, v, avoid_first=()):
+    """``two_disjoint_cycles`` over the candidate-edge enumeration, with
+    ``len(avoid) + 2`` members per family and the banned edges skipped
+    one by one."""
+    avoid = frozenset(avoid_first)
+    first = None
+    for l in range(1, 2 * len(g.vertices) + 2):
+        for e in reference_candidate_edges(g, v, extra_members=len(avoid) + 2):
+            if e in avoid:
+                continue
+            tail = reference_find_path(g, g.range(e), v, length=l - 1)
+            if tail is not None:
+                first = (e,) + tail
+                break
+        if first is not None:
+            break
+    if first is None:
+        raise NoDisjointCycles(f"no cycle based at {v}")
+    for i, ci in enumerate(first):
+        u = g.source(ci)
+        for d in reference_candidate_edges(g, u, extra_members=len(avoid) + 2):
+            if d == ci:
+                continue
+            if i == 0 and d in avoid:
+                continue
+            back = reference_find_path(g, g.range(d), v)
+            if back is None:
+                continue
+            return first, first[:i] + (d,) + back
+    raise NoDisjointCycles(f"only one cycle class based at {v}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoDisjointCycles as exc:
+        return ("NoDisjointCycles", str(exc))
+
+
+def test_two_disjoint_cycles_matches_the_candidate_enumeration():
+    rng = random.Random(78)
+    refused = {True: 0, False: 0}
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(1, 7))
+        for v in g.vertices:
+            outs = list(g.out_concrete(v)) + [
+                family_member(f, k) for f in g.out_families(v) for k in (1, 2, 3)]
+            for _ in range(3):
+                avoid = rng.sample(outs, rng.randrange(0, len(outs) + 1))
+                got = outcome(two_disjoint_cycles, g, v, avoid)
+                assert got == outcome(reference_two_disjoint_cycles, g, v, avoid)
+                refused[got[0] == "NoDisjointCycles"] += 1
+    # both outcomes occur, so cycles and refusals are both compared
+    assert min(refused.values()) > 0
 
 
 def test_find_path_takes_no_stack_frame_per_edge():

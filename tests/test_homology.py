@@ -80,8 +80,7 @@ def test_cycle_matrix_against_naive_reduction():
     for n in range(1, 6):
         m = relation_matrix(cycle_graph(n))
         diag = naive_invariant_factors(m.to_rows())
-        from ggt.intlin import cokernel_invariants
-        torsion, free = cokernel_invariants(m)
+        torsion, free = intlin.smith_invariants(m)[:2]
         assert [x for x in diag if x > 1] == list(torsion)
         assert free == n - len([x for x in diag if x != 0])
 
