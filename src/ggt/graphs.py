@@ -68,9 +68,12 @@ class Graph:
                 raise MalformedGraph(f"duplicate name {v!r}")
             seen.add(v)
         vset = set(self.vertices)
+        # name -> its declared (name, source, range) triple, shared with
+        # self.edges / self.families rather than copied
         self._edge_map = {}
         self._family_map = {}
-        for e, s, r in self.edges:
+        for edge in self.edges:
+            e, s, r = edge
             if not _NAME_RE.match(e):
                 raise MalformedGraph(f"bad edge name {e!r}")
             if e in seen:
@@ -78,8 +81,9 @@ class Graph:
             seen.add(e)
             if s not in vset or r not in vset:
                 raise MalformedGraph(f"edge {e!r} has dangling endpoint")
-            self._edge_map[e] = (s, r)
-        for f, s, r in self.families:
+            self._edge_map[e] = edge
+        for family in self.families:
+            f, s, r = family
             if not _NAME_RE.match(f):
                 raise MalformedGraph(f"bad family name {f!r}")
             if f in seen:
@@ -87,20 +91,19 @@ class Graph:
             seen.add(f)
             if s not in vset or r not in vset:
                 raise MalformedGraph(f"family {f!r} has dangling endpoint")
-            self._family_map[f] = (s, r)
+            self._family_map[f] = family
 
-        self._out_concrete = {v: [] for v in self.vertices}
-        self._out_families = {v: [] for v in self.vertices}
+        out_concrete = {v: [] for v in self.vertices}
+        out_families = {v: [] for v in self.vertices}
         self._incoming = {v: 0 for v in self.vertices}
         for e, s, r in self.edges:
-            self._out_concrete[s].append(e)
+            out_concrete[s].append(e)
             self._incoming[r] += 1
         for f, s, r in self.families:
-            self._out_families[s].append(f)
+            out_families[s].append(f)
             self._incoming[r] += 1
-        for v in self.vertices:
-            self._out_concrete[v].sort()
-            self._out_families[v].sort()
+        self._out_concrete = {v: tuple(sorted(es)) for v, es in out_concrete.items()}
+        self._out_families = {v: tuple(sorted(fs)) for v, fs in out_families.items()}
         self._singular = frozenset(v for v in self.vertices
                                    if self.is_sink(v) or self.is_infinite_emitter(v))
         self._hash = hash((self.vertices, self.edges, self.families))
@@ -129,28 +132,28 @@ class Graph:
 
     def source(self, edge: str) -> str:
         if edge in self._edge_map:
-            return self._edge_map[edge][0]
-        m = split_member(edge)
-        if m and m[0] in self._family_map:
-            return self._family_map[m[0]][0]
-        raise MalformedGraph(f"unknown edge {edge!r}")
-
-    def range(self, edge: str) -> str:
-        if edge in self._edge_map:
             return self._edge_map[edge][1]
         m = split_member(edge)
         if m and m[0] in self._family_map:
             return self._family_map[m[0]][1]
         raise MalformedGraph(f"unknown edge {edge!r}")
 
+    def range(self, edge: str) -> str:
+        if edge in self._edge_map:
+            return self._edge_map[edge][2]
+        m = split_member(edge)
+        if m and m[0] in self._family_map:
+            return self._family_map[m[0]][2]
+        raise MalformedGraph(f"unknown edge {edge!r}")
+
     def family_range(self, family: str) -> str:
-        return self._family_map[family][1]
+        return self._family_map[family][2]
 
     def out_concrete(self, v):
-        return tuple(self._out_concrete[v])
+        return self._out_concrete[v]
 
     def out_families(self, v):
-        return tuple(self._out_families[v])
+        return self._out_families[v]
 
     def is_sink(self, v) -> bool:
         return not self._out_concrete[v] and not self._out_families[v]
@@ -170,8 +173,8 @@ class Graph:
     # -- reachability ------------------------------------------------------
 
     def successors(self, v):
-        out = set(self._edge_map[e][1] for e in self._out_concrete[v])
-        out.update(self._family_map[f][1] for f in self._out_families[v])
+        out = set(self._edge_map[e][2] for e in self._out_concrete[v])
+        out.update(self._family_map[f][2] for f in self._out_families[v])
         return sorted(out)
 
     def strongly_connected_components(self):

@@ -31,6 +31,7 @@ phi-sum over its graded partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
@@ -206,14 +207,13 @@ def relation_matrix(g: Graph) -> IntMatrix:
             for e in g.out_concrete(v):
                 col[idx[g.range(e)]] -= 1
             cols.append(col)
-    if not cols:
-        return IntMatrix.zeros(len(verts), 0)
-    return IntMatrix.from_rows(cols).transpose()
+    return IntMatrix(len(cols), len(verts), tuple(chain.from_iterable(cols))).transpose()
 
 
 def homology(g: Graph) -> HomologyReport:
     """H0 as cokernel invariants, H1 as the kernel lattice, both from
-    one Smith normal form of the relation matrix.
+    ``smith_invariants`` of the relation matrix: sparse elimination on
+    its unit entries, then one Smith normal form of the residual.
 
     Sinks are allowed; they are singular and contribute no relation.
     Higher homology vanishes for every graph groupoid and is reported as

@@ -7,11 +7,21 @@ chain whose saturation bounds the homology zero-test (the tests use it
 as the zero-test's reference). No floating point anywhere;
 intermediate entries can blow up during reduction, which is why Python
 integers are mandatory.
+
+``smith_invariants`` first eliminates sparsely on the +-1 entries
+(``_unit_eliminate``) and runs the dense Smith loop only on what is
+left. A unit pivot divides every entry, so it splits off an I_1 block
+with no remainder and no divisibility fix. The row operations are not
+recorded: the cokernel is unchanged by any invertible U, so only the
+column operations V are kept, and they carry the kernel of the residual
+R back to that of the matrix, as V applied to 0 + ker R. The relation
+matrices of graphs are mostly 0 and +-1, so R is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ChainLimitExceeded
 
@@ -54,8 +64,9 @@ class IntMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)))
+        cols = self.cols
+        return IntMatrix(cols, self.rows,
+                         tuple(chain.from_iterable(self.entries[j::cols] for j in range(cols))))
 
     def diagonal(self):
         return [self.get(i, i) for i in range(min(self.rows, self.cols))]
@@ -159,22 +170,108 @@ def smith_normal_form(m: IntMatrix):
     return um, d, vm
 
 
-def smith_invariants(m: IntMatrix):
-    """(torsion, free rank, kernel) of m, all from one Smith normal form.
+def _unit_eliminate(m: IntMatrix):
+    """Sparse elimination of m on its unit entries: (R, basis).
 
-    With U*m*V = D of rank k, Z^rows / im(m) is the sum of Z/d_i over the
-    nonzero diagonal entries plus Z^(rows - k): the torsion is the
-    entries above 1. And m*x = 0 iff D*(V^-1 x) = 0, so the last cols - k
-    columns of V span the kernel, in canonical basis. With no columns
-    that is the zero lattice, and with no rows V is the identity and it
-    is the full lattice.
+    The rows are kept as sparse dicts {col: value}, with the set of rows
+    holding each column. While a +-1 entry is left, the one of least
+    Markowitz cost (row nnz - 1) * (col nnz - 1) becomes the pivot: row
+    operations, not recorded, clear its column, and then column
+    operations, recorded in a sparse V kept by column, clear its row,
+    which touches no other row because the column is already clear. The
+    pivot row and column are dropped. A unit divides everything, so no
+    remainder is left and no divisibility fix is needed: after k pivots
+    U*m*V is I_k (up to signs and the order of rows and columns) beside
+    the residual R of the rows and columns left, in increasing order.
+    ``basis[t]`` is the column of V, as {row: value}, of R's column t.
     """
-    _, d, v = smith_normal_form(m)
+    rows = {}
+    at = [set() for _ in range(m.cols)]
+    for i in range(m.rows):
+        row = {j: x for j, x in enumerate(m.entries[i * m.cols:(i + 1) * m.cols]) if x}
+        for j in row:
+            at[j].add(i)
+        rows[i] = row
+    v = {j: {j: 1} for j in range(m.cols)}
+    while True:
+        best = None
+        for i, row in rows.items():
+            rn = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = rn * (len(at[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        pivot = rows.pop(i)
+        s = pivot[j]
+        for i2 in [i2 for i2 in at[j] if i2 != i]:
+            row = rows[i2]
+            q = row[j] * s
+            for j2, x in pivot.items():
+                y = row.get(j2, 0) - q * x
+                if y:
+                    if j2 not in row:
+                        at[j2].add(i2)
+                    row[j2] = y
+                else:
+                    del row[j2]
+                    at[j2].discard(i2)
+        vj = v.pop(j)
+        for j2, x in pivot.items():
+            if j2 == j:
+                continue
+            at[j2].discard(i)
+            q = x * s
+            col = v[j2]
+            for r, y in vj.items():
+                z = col.get(r, 0) - q * y
+                if z:
+                    col[r] = z
+                else:
+                    del col[r]
+        at[j] = set()
+    left = sorted(v)
+    res = IntMatrix(len(rows), len(left),
+                    tuple(row.get(j, 0) for row in rows.values() for j in left))
+    return res, [v[j] for j in left]
+
+
+def smith_invariants(m: IntMatrix):
+    """(torsion, free rank, kernel) of m, with one Smith normal form of
+    the residual left by unit elimination.
+
+    ``_unit_eliminate`` gives U*m*V = I_k + R (a block sum, up to signs
+    and order). U is never needed: Z^rows / im(m) is isomorphic to
+    Z^rows / im(U*m*V), which is 0 on the I_k block and the cokernel of
+    R on the rest. So with U_R*R*V_R = D of rank r, the torsion is the
+    diagonal entries of D above 1 and the free rank is rows - k - r,
+    the rows of R less r.
+    And m*x = 0 iff (I_k + R)*(V^-1 x) = 0, that is iff y = V^-1 x is 0
+    on the pivot columns and R*y = 0 on the rest; so the kernel is V
+    applied to 0 + ker R, and ker R is spanned by the last columns of
+    V_R past r. ``Lattice.from_vectors`` puts that basis in canonical
+    form, which depends on the lattice only. With no columns the kernel
+    is the zero lattice, and with no rows it is the full lattice.
+    """
+    res, basis = _unit_eliminate(m)
+    _, d, v = smith_normal_form(res)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
-    ker = Lattice.from_vectors(m.cols, [[v.get(i, j) for i in range(m.cols)]
-                                        for j in range(rank, m.cols)])
-    return [x for x in diag if x > 1], m.rows - rank, ker
+    vectors = []
+    for t in range(rank, res.cols):
+        vec = [0] * m.cols
+        for s, col in enumerate(basis):
+            w = v.get(s, t)
+            if w:
+                for r, y in col.items():
+                    vec[r] += w * y
+        vectors.append(vec)
+    return [x for x in diag if x > 1], res.rows - rank, Lattice.from_vectors(m.cols, vectors)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and random generators.
 
 The oracles here are deliberately separate implementations: a naive
-Smith reducer without transform tracking, integer matrix products and
+Smith reducer without transform tracking, the dense Smith invariants
+that unit elimination replaced, integer matrix products and
 determinants for checking Smith transforms, and a boundary-point
 enumerator that checks set algebra pointwise. They stay independent of
 the code paths they check.
@@ -12,7 +13,7 @@ import random
 from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
-from ggt.intlin import IntMatrix, Lattice
+from ggt.intlin import IntMatrix, Lattice, smith_normal_form
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
                            path_range, piece_is_empty)
 
@@ -67,6 +68,23 @@ def naive_invariant_factors(rows):
         diag.append(p)
         t += 1
     return diag
+
+
+def dense_smith_invariants(m):
+    """(torsion, free rank, kernel) of m from one dense Smith normal form
+    of all of m, with no unit elimination: the reference of the sparse
+    ``intlin.smith_invariants``.
+
+    With U*m*V = D of rank k the torsion is the diagonal entries above 1,
+    the free rank is rows - k, and the last cols - k columns of V span
+    the kernel.
+    """
+    _, d, v = smith_normal_form(m)
+    diag = d.diagonal()
+    rank = sum(1 for x in diag if x != 0)
+    ker = Lattice.from_vectors(m.cols, [[v.get(i, j) for i in range(m.cols)]
+                                        for j in range(rank, m.cols)])
+    return [x for x in diag if x > 1], m.rows - rank, ker
 
 
 # -- integer matrix arithmetic (Smith transform checks) ------------------------

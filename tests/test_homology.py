@@ -16,8 +16,8 @@ from ggt import intlin
 from ggt.intlin import IntMatrix, eventual_kernel
 from ggt.pathspace import Clopen, Path, Piece, parse_clopen, parse_path
 
-from helpers import (mat_vec, naive_invariant_factors, random_element,
-                     random_transposition, random_twin_graph)
+from helpers import (dense_smith_invariants, mat_vec, naive_invariant_factors,
+                     random_element, random_transposition, random_twin_graph)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -83,6 +83,31 @@ def test_cycle_matrix_against_naive_reduction():
         torsion, free = intlin.smith_invariants(m)[:2]
         assert [x for x in diag if x > 1] == list(torsion)
         assert free == n - len([x for x in diag if x != 0])
+
+
+def test_relation_matrices_match_dense_smith():
+    # random graphs of each size, once with sinks (probability 0.1) and
+    # edge families (0.2) and once with every vertex regular, where the
+    # matrix is square and torsion and a kernel occur
+    rng = random.Random(227)
+    seen = {"torsion": 0, "kernel": 0}
+    for n in (10, 10, 20, 20, 50, 50, 100, 200):
+        for p_sink, p_family in ((0.1, 0.2), (0.0, 0.0)):
+            verts = [f"v{j}" for j in range(n)]
+            edges, families = [], []
+            for v in verts:
+                if rng.random() < p_sink:
+                    continue
+                for _ in range(rng.randrange(1, 4)):
+                    edges.append((f"e{len(edges)}", v, rng.choice(verts)))
+                if rng.random() < p_family:
+                    families.append((f"F{len(families)}", v, rng.choice(verts)))
+            m = relation_matrix(Graph(f"g{n}", verts, edges, families))
+            torsion, free, ker = intlin.smith_invariants(m)
+            assert (torsion, free, ker) == dense_smith_invariants(m)
+            seen["torsion"] += bool(torsion)
+            seen["kernel"] += bool(ker.rank)
+    assert seen["torsion"] >= 3 and seen["kernel"] >= 3, seen
 
 
 def test_class_of_examples():

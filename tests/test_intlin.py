@@ -8,8 +8,8 @@ from ggt.intlin import (IntMatrix, Lattice, eventual_kernel, kernel,
                         preimage, restrict_to_zero_coords, smith_invariants,
                         smith_normal_form)
 
-from helpers import (determinant, full_lattice, mat_mul, mat_vec,
-                     naive_invariant_factors)
+from helpers import (dense_smith_invariants, determinant, full_lattice,
+                     mat_mul, mat_vec, naive_invariant_factors)
 
 
 def snf_check(rows):
@@ -108,6 +108,50 @@ def test_cokernel_unimodular_invariance():
                 for row in a:
                     row[i] += q * row[j]
         assert smith_invariants(IntMatrix.from_rows(a))[:2] == base
+
+
+def test_transpose_matches_entrywise_reference():
+    rng = random.Random(19)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (2, 5), (5, 3)]
+    for rows, cols in shapes:
+        m = IntMatrix(rows, cols, tuple(rng.randrange(-9, 10)
+                                        for _ in range(rows * cols)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.entries == tuple(m.get(i, j) for j in range(cols)
+                                  for i in range(rows))
+        assert t.transpose() == m
+
+
+def assert_matches_dense(m):
+    torsion, free, ker = smith_invariants(m)
+    assert (torsion, free, ker) == dense_smith_invariants(m)
+    assert ker.ambient_dim == m.cols
+
+
+def test_unit_elimination_matches_dense_smith():
+    rng = random.Random(23)
+    for trial in range(400):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        # mostly zeros and units, with a few larger entries
+        pool = [0] * 6 + [1, -1] * 3 + [2, -3]
+        m = IntMatrix(rows, cols, tuple(rng.choice(pool)
+                                        for _ in range(rows * cols)))
+        assert_matches_dense(m)
+    for trial in range(150):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = IntMatrix(rows, cols, tuple(rng.choice([0, 0, 2, -2, 3, -4, 6])
+                                        for _ in range(rows * cols)))
+        # no unit entry: nothing is eliminated and the residual is m
+        res, basis = intlin._unit_eliminate(m)
+        assert res == m
+        assert basis == [{j: 1} for j in range(cols)]
+        assert_matches_dense(m)
+    for n in range(4):
+        assert_matches_dense(IntMatrix.zeros(0, n))
+        assert_matches_dense(IntMatrix.zeros(n, 0))
+        assert smith_invariants(IntMatrix.zeros(0, n))[2] == full_lattice(n)
+        assert smith_invariants(IntMatrix.zeros(n, 0))[:2] == ([], n)
 
 
 def test_lattice_canonical_and_membership():
