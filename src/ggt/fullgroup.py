@@ -109,26 +109,75 @@ def _block_is_identity(g: Graph, b: Block) -> bool:
     return image == pt
 
 
+class _PathNode:
+    """A node of ``_path_trie``: the indices of the unpunctured and of the
+    punctured entries whose path ends here, and the children by edge."""
+
+    __slots__ = ("children", "plain", "punct")
+
+    def __init__(self):
+        self.children = {}
+        self.plain = []
+        self.punct = []
+
+
+def _path_trie(entries):
+    """The trie over the paths of (path, punctures) entries, one root per
+    base vertex, and the node where each entry's path ends.
+
+    Building it touches each edge of each path once, so it takes time
+    linear in the total path length; no prefix is copied or hashed.
+    """
+    roots = {}
+    ends = []
+    for i, (path, punctures) in enumerate(entries):
+        node = roots.get(path.base)
+        if node is None:
+            node = roots[path.base] = _PathNode()
+        for e in path.edges:
+            child = node.children.get(e)
+            if child is None:
+                child = node.children[e] = _PathNode()
+            node = child
+        (node.punct if punctures else node.plain).append(i)
+        ends.append(node)
+    return roots, ends
+
+
 def _find_overlap(g: Graph, pieces):
     """Indices of two overlapping pieces, or None.
 
-    Two pieces meet only when one path is a prefix of the other, so a
-    dictionary over paths plus a walk along each piece's proper prefixes
-    decides disjointness in time linear in total path length.
+    Two pieces meet only when one path is a prefix of the other. The
+    search builds the trie over all the paths (``_path_trie``) and then
+    makes two passes in list order. The first pairs each piece with the
+    earlier pieces on its own path, which meet unless their punctures
+    together empty the cylinder. The second walks each path down the
+    trie and pairs it with the pieces ending at each strict prefix whose
+    punctures miss the path's next edge. The trie is whole before either
+    pass, so a shorter piece later in the list is found too. The pair
+    reported is (j, i) for the first i that either pass meets, with the
+    least j on i's own path in the first pass, and in the second the
+    least j on the shortest prefix of i's path that holds one. No prefix
+    is copied or hashed: the search takes time linear in the total path
+    length plus the pairs on shared paths.
     """
-    by_path = {}
-    for i, p in enumerate(pieces):
-        key = (p.mu.base, p.mu.edges)
-        for j in by_path.get(key, ()):
-            if intersect_pieces(g, pieces[j], p) is not None:
-                return j, i
-        by_path.setdefault(key, []).append(i)
-    for i, p in enumerate(pieces):
-        for cut in range(len(p.mu.edges)):
-            key = (p.mu.base, p.mu.edges[:cut])
-            for j in by_path.get(key, ()):
-                if p.mu.edges[cut] not in pieces[j].punctures:
+    roots, ends = _path_trie((p.mu, p.punctures) for p in pieces)
+    for i, node in enumerate(ends):
+        if len(node.plain) + len(node.punct) > 1:
+            for j in sorted(node.plain + node.punct):
+                if j >= i:
+                    break
+                if intersect_pieces(g, pieces[j], pieces[i]) is not None:
                     return j, i
+    for i, p in enumerate(pieces):
+        node = roots[p.mu.base]
+        for e in p.mu.edges:
+            if node.plain or node.punct:
+                met = node.plain[:1] + [j for j in node.punct
+                                        if e not in pieces[j].punctures]
+                if met:
+                    return min(met), i
+            node = node.children[e]
     return None
 
 
@@ -265,52 +314,78 @@ def compose_bisections(g: Graph, outer, inner):
     piece meet in at most one piece; restricting the inner block to it
     and fusing with the outer prefix exchange yields one block of the
     product. Two pieces meet only when one path is a prefix of the other
-    and no puncture of the shorter one is the longer path's next edge, so
-    each inner range piece is paired only with the outer blocks whose
-    source path lies on its own path or below it, found through a
-    dictionary over paths, minus those a puncture separates from it. The
-    puncture test runs only for punctured pieces. Blocks come out in
-    inner order and, within one inner block, in outer order; they are
-    not sorted.
+    and no puncture of the shorter one is the longer path's next edge.
+    So the outer source paths go into one trie (``_path_trie``), and each
+    inner range path walks down it. At each strict prefix the walk takes
+    the unpunctured outer sources ending there, and the punctured ones
+    whose punctures miss the path's next edge. At the end node it takes
+    every outer source ending there, and below it every outer source in
+    the child subtrees whose edge is not an inner puncture, walked on an
+    explicit stack.
+
+    The walk already knows how the two paths relate, so each pair fuses
+    without a further intersection: over a shorter outer path the piece
+    is the inner range piece, over the same path it carries both
+    puncture sets, and over a longer one it is the outer source piece.
+    A piece that its punctures empty yields no block; an unpunctured
+    piece is never empty, since a regular vertex emits an edge. Blocks
+    come out in inner order and, within one inner block, in outer order;
+    they are not sorted. No prefix is copied or hashed: the cost is the
+    total length of the paths of both lists plus the subtrees walked and
+    the blocks made. The subtrees below two disjoint inner range pieces
+    are disjoint, so for a bisection the subtree walks together visit
+    each trie node at most once.
     """
-    at_path = {}   # source path -> outer indices with unpunctured sources on it
-    at_punct = {}  # source path -> outer indices with punctured sources on it
-    below = {}     # path -> outer indices whose source path extends it strictly
-    for i, bo in enumerate(outer):
-        base, edges = bo.nu.base, bo.nu.edges
-        (at_punct if bo.punctures else at_path).setdefault(
-            (base, edges), []).append(i)
-        for cut in range(len(edges)):
-            below.setdefault((base, edges[:cut]), []).append(i)
+    roots, _ = _path_trie((bo.nu, bo.punctures) for bo in outer)
     out = []
     for bi in inner:
-        base, edges = bi.mu.base, bi.mu.edges
-        hits = below.get((base, edges), ())
-        if bi.punctures:
-            # an outer source below meets this piece only off its punctures
-            n = len(edges)
-            hits = [i for i in hits if outer[i].nu.edges[n] not in bi.punctures]
+        node = roots.get(bi.mu.base)
+        if node is None:
+            continue
+        edges = bi.mu.edges
+        punctures = bi.punctures
+        hits = []
+        for e in edges:
+            hits += node.plain
+            for i in node.punct:
+                if e not in outer[i].punctures:
+                    hits.append(i)
+            node = node.children.get(e)
+            if node is None:
+                break
         else:
-            hits = list(hits)
-        for cut in range(len(edges) + 1):
-            hits.extend(at_path.get((base, edges[:cut]), ()))
-        if at_punct:
-            hits.extend(at_punct.get((base, edges), ()))
-            # a punctured outer source above meets it only off its punctures
-            for cut in range(len(edges)):
-                hits.extend(i for i in at_punct.get((base, edges[:cut]), ())
-                            if edges[cut] not in outer[i].punctures)
-        rng = bi.range_piece()
-        for i in sorted(hits):
+            hits += node.plain
+            hits += node.punct
+            below = [sub for e, sub in node.children.items()
+                     if e not in punctures]
+            while below:
+                node = below.pop()
+                hits += node.plain
+                hits += node.punct
+                below.extend(node.children.values())
+        if not hits:
+            continue
+        hits.sort()
+        n = len(edges)
+        inner_empty = bool(punctures) and piece_is_empty(g, bi.range_piece())
+        for i in hits:
             bo = outer[i]
-            piece = intersect_pieces(g, rng, bo.source_piece())
-            if piece is None:
-                continue
-            lam = piece.mu.edges[len(bi.mu):]
-            rho = piece.mu.edges[len(bo.nu):]
-            out.append(Block(Path(bo.mu.base, bo.mu.edges + rho),
-                             piece.punctures,
-                             Path(bi.nu.base, bi.nu.edges + lam)))
+            m = len(bo.nu.edges)
+            if m < n:
+                # the outer source lies above: the piece is the inner range
+                if not inner_empty:
+                    out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
+                                     punctures, bi.nu))
+            elif m == n:
+                merged = (tuple(sorted(set(punctures) | set(bo.punctures),
+                                       key=edge_key))
+                          if punctures or bo.punctures else ())
+                if not (merged and piece_is_empty(g, Piece(bi.mu, merged))):
+                    out.append(Block(bo.mu, merged, bi.nu))
+            elif not (bo.punctures and piece_is_empty(g, bo.source_piece())):
+                # the outer source lies below: the piece is that source
+                out.append(Block(bo.mu, bo.punctures,
+                                 Path(bi.nu.base, bi.nu.edges + bo.nu.edges[n:])))
     return out
 
 

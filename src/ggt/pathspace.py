@@ -155,11 +155,12 @@ def subtract_piece(g: Graph, a: Piece, b: Piece):
 
 
 class _Node:
-    __slots__ = ("punctures", "children")
+    __slots__ = ("punctures", "children", "result")
 
     def __init__(self):
         self.punctures = None  # list of puncture sets of at-node pieces
         self.children = {}
+        self.result = None     # what _emit settled for the subtree here
 
     def child(self, e):
         if e not in self.children:
@@ -186,19 +187,48 @@ def _trie(g: Graph, pieces):
 
 
 def _emit(g: Graph, mu: Path, node: _Node):
-    """_FULL if the subtree at mu covers Z(mu), else its canonical pieces."""
+    """_FULL if the subtree at mu covers Z(mu), else its canonical pieces.
+
+    A post-order walk on an explicit stack, so a deep trie takes no stack
+    frames. A node is settled (``_settle``) into its ``result`` slot once
+    the children it reads are settled; a childless one is settled as
+    soon as it is reached instead of going on the stack.
+    """
+    stack = [(mu, node, None)]
+    while stack:
+        mu, node, edges = stack.pop()
+        if edges is not None:
+            node.result = _settle(g, mu, node, edges)
+            continue
+        if node.punctures is not None:
+            # coverage is Z(mu \ at_node) plus whatever fills the
+            # punctures, so only the punctured children count
+            at_node = frozenset.intersection(*node.punctures)
+            edges = [e for e in sorted(at_node, key=edge_key)
+                     if e in node.children]
+        else:
+            edges = sorted(node.children, key=edge_key)
+        stack.append((mu, node, edges))
+        for e in edges:
+            sub = node.children[e]
+            if sub.children:
+                stack.append((mu.extend(e), sub, None))
+            else:
+                sub.result = _settle(g, mu.extend(e), sub, ())
+    return node.result
+
+
+def _settle(g: Graph, mu: Path, node: _Node, edges):
+    """The result of ``_emit`` at a node whose children on the given
+    edges are settled."""
     v = path_range(g, mu)
     regular = g.is_regular(v)
+    children = node.children
     if node.punctures is not None:
-        # coverage is Z(mu \ at_node) plus whatever fills the punctures
-        at_node = frozenset.intersection(*node.punctures)
         residue = []
-        eff = set(at_node)
-        for e in sorted(at_node, key=edge_key):
-            sub = node.children.get(e)
-            if sub is None:
-                continue
-            r = _emit(g, mu.extend(e), sub)
+        eff = set(frozenset.intersection(*node.punctures))
+        for e in edges:
+            r = children[e].result
             if r is _FULL:
                 eff.discard(e)
             else:
@@ -214,13 +244,12 @@ def _emit(g: Graph, mu: Path, node: _Node):
                            if e not in eff)
         return residue
     # no at-node piece: coverage is the union of the child subtrees
-    results = {e: _emit(g, mu.extend(e), node.children[e])
-               for e in sorted(node.children, key=edge_key)}
-    if (regular and all(r is _FULL for r in results.values())
-            and set(results) == set(g.out_concrete(v))):
+    if (regular and all(children[e].result is _FULL for e in edges)
+            and set(edges) == set(g.out_concrete(v))):
         return _FULL
     collected = []
-    for e, r in results.items():
+    for e in edges:
+        r = children[e].result
         if r is _FULL:
             collected.append(Piece(mu.extend(e)))
         else:

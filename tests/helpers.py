@@ -3,9 +3,11 @@
 The oracles here are deliberately separate implementations: a naive
 Smith reducer without transform tracking, the dense Smith invariants
 that unit elimination replaced, integer matrix products and
-determinants for checking Smith transforms, and a boundary-point
-enumerator that checks set algebra pointwise. They stay independent of
-the code paths they check.
+determinants for checking Smith transforms, a boundary-point
+enumerator that checks set algebra pointwise, and the dictionary forms
+of block pairing and overlap search with the recursive canonical walk
+that the path-trie walks replaced. They stay independent of the code
+paths they check.
 """
 
 import random
@@ -14,8 +16,9 @@ from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, make_piece,
-                           path_range, piece_is_empty)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, _trie,
+                           intersect_pieces, make_piece, path_range,
+                           piece_is_empty)
 
 
 # -- naive Smith normal form (oracle) -----------------------------------------
@@ -136,6 +139,124 @@ def determinant(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# -- prefix dictionaries and the recursive canonical walk (references) --------
+
+def dict_find_overlap(g, pieces):
+    """Indices of two overlapping pieces, or None: the search that slices
+    and hashes every proper prefix of every path. Same-path pairs come
+    first, then each piece against the pieces on its prefixes, cut by cut."""
+    by_path = {}
+    for i, p in enumerate(pieces):
+        key = (p.mu.base, p.mu.edges)
+        for j in by_path.get(key, ()):
+            if intersect_pieces(g, pieces[j], p) is not None:
+                return j, i
+        by_path.setdefault(key, []).append(i)
+    for i, p in enumerate(pieces):
+        for cut in range(len(p.mu.edges)):
+            key = (p.mu.base, p.mu.edges[:cut])
+            for j in by_path.get(key, ()):
+                if p.mu.edges[cut] not in pieces[j].punctures:
+                    return j, i
+    return None
+
+
+def dict_compose_bisections(g, outer, inner):
+    """Blocks of outer after inner, in inner order then outer order: each
+    inner range path looks up the outer source paths on its prefixes and
+    below it in dictionaries keyed by path, and each candidate pair goes
+    through ``intersect_pieces``."""
+    at_path = {}   # source path -> outer indices with unpunctured sources on it
+    at_punct = {}  # source path -> outer indices with punctured sources on it
+    below = {}     # path -> outer indices whose source path extends it strictly
+    for i, bo in enumerate(outer):
+        base, edges = bo.nu.base, bo.nu.edges
+        (at_punct if bo.punctures else at_path).setdefault(
+            (base, edges), []).append(i)
+        for cut in range(len(edges)):
+            below.setdefault((base, edges[:cut]), []).append(i)
+    out = []
+    for bi in inner:
+        base, edges = bi.mu.base, bi.mu.edges
+        hits = below.get((base, edges), ())
+        if bi.punctures:
+            n = len(edges)
+            hits = [i for i in hits if outer[i].nu.edges[n] not in bi.punctures]
+        else:
+            hits = list(hits)
+        for cut in range(len(edges) + 1):
+            hits.extend(at_path.get((base, edges[:cut]), ()))
+        if at_punct:
+            hits.extend(at_punct.get((base, edges), ()))
+            for cut in range(len(edges)):
+                hits.extend(i for i in at_punct.get((base, edges[:cut]), ())
+                            if edges[cut] not in outer[i].punctures)
+        rng = bi.range_piece()
+        for i in sorted(hits):
+            bo = outer[i]
+            piece = intersect_pieces(g, rng, bo.source_piece())
+            if piece is None:
+                continue
+            lam = piece.mu.edges[len(bi.mu):]
+            rho = piece.mu.edges[len(bo.nu):]
+            out.append(Block(Path(bo.mu.base, bo.mu.edges + rho),
+                             piece.punctures,
+                             Path(bi.nu.base, bi.nu.edges + lam)))
+    return out
+
+
+_COVERED = object()
+
+
+def _recursive_emit(g, mu, node):
+    """_COVERED if the subtree at mu covers Z(mu), else its canonical
+    pieces, one call per trie level."""
+    v = path_range(g, mu)
+    regular = g.is_regular(v)
+    if node.punctures is not None:
+        at_node = frozenset.intersection(*node.punctures)
+        residue = []
+        eff = set(at_node)
+        for e in sorted(at_node, key=edge_key):
+            sub = node.children.get(e)
+            if sub is None:
+                continue
+            r = _recursive_emit(g, mu.extend(e), sub)
+            if r is _COVERED:
+                eff.discard(e)
+            else:
+                residue.extend(r)
+        if not eff:
+            return _COVERED
+        if not regular:
+            residue.insert(0, Piece(mu, tuple(sorted(eff, key=edge_key))))
+        else:
+            residue.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                           if e not in eff)
+        return residue
+    results = {e: _recursive_emit(g, mu.extend(e), node.children[e])
+               for e in sorted(node.children, key=edge_key)}
+    if (regular and all(r is _COVERED for r in results.values())
+            and set(results) == set(g.out_concrete(v))):
+        return _COVERED
+    collected = []
+    for e, r in results.items():
+        if r is _COVERED:
+            collected.append(Piece(mu.extend(e)))
+        else:
+            collected.extend(r)
+    return collected
+
+
+def recursive_canonical_pieces(g, pieces):
+    """``pathspace.canonical_pieces`` by a recursive walk of the trie."""
+    out = []
+    for v, node in sorted(_trie(g, pieces).items()):
+        r = _recursive_emit(g, Path(v), node)
+        out.extend([Piece(Path(v))] if r is _COVERED else r)
+    return out
 
 
 # -- boundary point enumeration (oracle) ---------------------------------------
@@ -337,7 +458,6 @@ def random_transposition(g, rng, max_len=3, balanced=False, allow_punctures=True
         if piece_is_empty(g, block.source_piece()):
             continue
         src, rng_p = block.source_piece(), block.range_piece()
-        from ggt.pathspace import intersect_pieces
         if intersect_pieces(g, src, rng_p) is not None:
             continue
         return transposition(g, [block])
@@ -460,7 +580,6 @@ def mutate_clopen(g, rng, clopen, moves=3):
                                                 rng.randrange(1, 8)))
                     punct = tuple(sorted(fresh))
                 cand = Piece(q, punct)
-                from ggt.pathspace import intersect_pieces
                 others = pieces[:idx] + pieces[idx + 1:]
                 if any(intersect_pieces(g, cand, o) is not None for o in others):
                     continue

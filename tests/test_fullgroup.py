@@ -8,20 +8,22 @@ from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
-from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
-                           _totalize, acts_as, apply, bisection_range,
-                           bisection_source, compose, compose_all,
-                           compose_bisections, doubling_bisections,
-                           graded_partition, image_of, inverse, is_involution,
+from ggt.fullgroup import (Block, Element, _check_table, _find_overlap,
+                           _normalize_table, _totalize, acts_as, apply,
+                           bisection_range, bisection_source, compose,
+                           compose_all, compose_bisections,
+                           doubling_bisections, graded_partition,
+                           identity_blocks, image_of, inverse, is_involution,
                            make_block, parse_element_text, print_element,
                            shrink_support, support, transposition,
                            validate_element)
-from ggt.graphs import Graph
+from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            complement_pieces, intersect_pieces, parse_clopen,
-                           parse_path, subtract_piece)
+                           parse_path, path_range, subtract_piece)
 
-from helpers import (mutate_clopen, point_family, punctured_transposition,
+from helpers import (dict_compose_bisections, dict_find_overlap,
+                     mutate_clopen, point_family, punctured_transposition,
                      random_clopen, random_element, random_transposition,
                      refine_blocks)
 from test_pathspace import TAIL
@@ -706,3 +708,96 @@ def test_acts_as_refuses_partial_tables(monkeypatch):
     monkeypatch.setattr(sys.modules["ggt.fullgroup"], "_totalize",
                         lambda e: list(e.blocks))
     assert not acts_as([t12, t34], t12)
+
+
+def pairing_tables(g, rng):
+    """Block lists of mixed depths with punctured blocks among them: an
+    element's table, total tables, a split total table, the identity
+    blocks of a clopen, and a split table with blocks at regular vertices
+    that their punctures empty."""
+    e = random_element(g, rng, rng.randrange(1, 4), max_len=rng.randrange(1, 5))
+    t = punctured_transposition(g, rng, max_len=3)
+    split = refine_blocks(g, _totalize(e), rng, splits=rng.randrange(1, 6))
+    emptied = [Block(b.mu, g.out_concrete(path_range(g, b.nu)), b.nu)
+               for b in split if g.is_regular(path_range(g, b.nu))]
+    return [list(e.blocks), _totalize(e), _totalize(t), split,
+            identity_blocks(random_clopen(g, rng, max_len=4).pieces),
+            split + emptied[:3]]
+
+
+def test_trie_pairing_matches_the_dictionary_reference():
+    # the same blocks in the same order as the prefix-dictionary pairing
+    rng = random.Random(131)
+    punctured = 0
+    for g in (E2, EINF, emitter_two_loops()):
+        for _ in range(10):
+            tables = pairing_tables(g, rng)
+            punctured += sum(bool(b.punctures) for t in tables for b in t)
+            for outer in tables:
+                for inner in tables:
+                    assert (compose_bisections(g, outer, inner)
+                            == dict_compose_bisections(g, outer, inner))
+    assert punctured > 50
+
+
+def free_out_edges(g, p):
+    """Out-edges at the range of p off its punctures, with at least two
+    members of each family."""
+    v = path_range(g, p.mu)
+    refs = list(g.out_concrete(v))
+    refs += [family_member(f, k) for f in g.out_families(v)
+             for k in range(1, len(p.punctures) + 3)]
+    return [e for e in refs if e not in p.punctures]
+
+
+def plant_overlap(g, rng, pieces):
+    """Insert at a random place a piece meeting a listed piece p: below
+    it, above it on one of its strict prefixes, or on its own path with
+    other punctures. Returns the kind and whether the planted piece is
+    the shorter one and comes later than p."""
+    p = rng.choice(pieces)
+    kind = rng.choice(("below", "above", "same") if p.mu.edges
+                      else ("below", "same"))
+    if kind == "below":
+        q = Piece(p.mu.extend(rng.choice(free_out_edges(g, p))))
+    elif kind == "above":
+        cut = rng.randrange(len(p.mu.edges))
+        mu = Path(p.mu.base, p.mu.edges[:cut])
+        others = [e for e in free_out_edges(g, Piece(mu))
+                  if e != p.mu.edges[cut]]
+        punct = rng.sample(others, rng.randrange(0, min(2, len(others)) + 1))
+        q = Piece(mu, tuple(sorted(set(punct), key=edge_key)))
+    else:
+        out = free_out_edges(g, Piece(p.mu))
+        punct = rng.sample(out, rng.randrange(0, min(2, len(out)) + 1))
+        q = Piece(p.mu, tuple(sorted(set(punct), key=edge_key)))
+    at = rng.randrange(len(pieces) + 1)
+    later = kind == "above" and at > pieces.index(p)
+    pieces.insert(at, q)
+    return kind, later
+
+
+def test_trie_overlap_search_matches_the_dictionary_reference():
+    # disjoint source lists give None; a planted overlap gives the pair
+    # the prefix-dictionary search reports, also when the shorter piece
+    # comes later in the list
+    rng = random.Random(137)
+    found = dict.fromkeys(("below", "above", "same", "later"), 0)
+    for g in (E2, EINF, emitter_two_loops()):
+        for _ in range(50):
+            e = random_element(g, rng, rng.randrange(1, 4))
+            table = rng.choice((list(e.blocks), _totalize(e)))
+            pieces = [b.source_piece() for b in table]
+            rng.shuffle(pieces)
+            assert _find_overlap(g, pieces) is None
+            assert dict_find_overlap(g, pieces) is None
+            if not pieces:
+                continue
+            for _ in range(rng.randrange(1, 3)):
+                kind, later = plant_overlap(g, rng, pieces)
+                got = _find_overlap(g, pieces)
+                assert got == dict_find_overlap(g, pieces)
+                if got is not None:
+                    found[kind] += 1
+                    found["later"] += later
+    assert min(found.values()) >= 10, found

@@ -12,9 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ggt"
 
-# pathspace._emit still recurses once per trie level; turning it into an
-# explicit-stack walk with the same output order is ROADMAP item 3
-ALLOWED = {"pathspace.py:_emit"}
+ALLOWED = set()
 
 
 def self_calls():
@@ -34,5 +32,4 @@ def self_calls():
 
 
 def test_package_has_no_recursion():
-    # equality, so that the allowance goes once _emit stops recursing
     assert set(self_calls()) == ALLOWED

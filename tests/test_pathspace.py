@@ -6,13 +6,13 @@ from ggt.errors import MalformedGraph, ParseError
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.graphs import Graph, edge_key, family_member
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                           make_piece, parse_clopen, parse_path, parse_piece,
-                           path_range, prepend_prefix, singleton_point,
-                           strip_prefix)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
+                           canonical_pieces, canonicalize, make_piece,
+                           parse_clopen, parse_path, parse_piece, path_range,
+                           prepend_prefix, singleton_point, strip_prefix)
 
 from helpers import (member_set, point_family, random_clopen, random_walk,
-                     symmetric_difference_empty)
+                     recursive_canonical_pieces, symmetric_difference_empty)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -245,3 +245,20 @@ def test_is_empty_agrees_with_canonical_form():
             assert c.is_empty() == (not canonicalize(g, c.pieces))
     # some nonempty tuples are empty sets, and both answers occur
     assert seen == {(True, False), (True, True), (False, True)}
+
+
+def test_canonical_walk_matches_the_recursive_reference():
+    # the explicit-stack walk emits the pieces of the recursive walk in
+    # the same order: overlapping, nested, punctured and empty pieces
+    rng = random.Random(113)
+    for g in (E2, EINF, C2, MIXED, emitter_two_loops()):
+        for _ in range(60):
+            pieces = [raw_piece(g, rng) for _ in range(rng.randrange(1, 6))]
+            for p in list(pieces):
+                ext = random_walk(g, rng, path_range(g, p.mu), rng.randrange(1, 4))
+                if ext is not None and rng.random() < 0.5:
+                    pieces.append(Piece(p.mu.extend(*ext.edges)))
+            pieces += random_clopen(g, rng).refine_to(rng.randrange(0, 4)).pieces
+            rng.shuffle(pieces)
+            assert canonical_pieces(g, pieces) == \
+                recursive_canonical_pieces(g, pieces)
