@@ -15,7 +15,7 @@ import functools
 import sys
 from pathlib import Path as FsPath
 
-from .errors import GgtError, RefusalError
+from .errors import GgtError, ParseError, RefusalError
 from . import fullgroup as fg
 from . import graphs as gr
 from . import pathspace as ps
@@ -38,6 +38,9 @@ def _read(path_text: str) -> str:
         return FsPath(path_text).read_text(encoding="utf-8")
     except OSError as exc:
         raise GgtError(f"cannot read {path_text}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path_text} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from exc
 
 
 def _load_graph(path_text: str) -> gr.Graph:
@@ -50,7 +53,10 @@ def _load_element(g: gr.Graph, path_text: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        FsPath(out_path).write_text(text, encoding="utf-8")
+        try:
+            FsPath(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise GgtError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -198,14 +204,13 @@ def main(argv=None) -> int:
         return 1
     handler = _COMMANDS[args.command][0]
     try:
-        report = handler(args)
+        _emit(handler(args), args.out)
     except RefusalError as exc:
         sys.stdout.write(f"{type(exc).__name__}\n{exc}\n")
         return 3
     except GgtError as exc:
         sys.stdout.write(f"{type(exc).__name__}\n{exc}\n")
         return 2
-    _emit(report, args.out)
     return 0
 
 

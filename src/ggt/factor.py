@@ -33,8 +33,8 @@ from .fullgroup import (Block, Element, acts_as, bisection_range,
 from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
                      require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
-from .pathspace import (Clopen, Path, Piece, canonicalize, path_range,
-                        paths_disjoint)
+from .pathspace import (Clopen, Path, Piece, canonicalize, find_overlap,
+                        path_range)
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -273,19 +273,22 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
 
 
 def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
-    """VerificationFailed naming the first path that breaks the table's
-    disjointness, length, end vertex or containment, also under -O.
+    """VerificationFailed naming two paths that are not disjoint, or else
+    the first path that breaks the table's length, end vertex or
+    containment, also under -O.
 
     All paths are pairwise disjoint: the prefixes mu and mu_p have one
     length and disjoint cylinders, two keys (k, i) differ in the loop edge
     that follows, and within one key the shorter loop run ends in the
-    connector, which is no loop edge."""
+    connector, which is no loop edge. One overlap search over the paths
+    as plain pieces checks it."""
     outside = ambient.subtract(region)
     routed = sorted(fam.paths.items())
-    for n, ((k, i, j), p) in enumerate(routed):
-        q = next((q for _, q in routed[:n] if not paths_disjoint(q, p)), None)
-        if q is not None:
-            raise VerificationFailed(f"paths not disjoint: {q} and {p}")
+    hit = find_overlap(g, [Piece(p) for _, p in routed])
+    if hit is not None:
+        raise VerificationFailed(f"paths not disjoint: {routed[hit[0]][1]} "
+                                 f"and {routed[hit[1]][1]}")
+    for (k, i, j), p in routed:
         if len(p) != fam.n_length + j:
             raise VerificationFailed(f"wrong path length: {(k, i, j)} -> {p}")
         if path_range(g, p) != targets[(k, i)]:

@@ -25,9 +25,9 @@ from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
                      two_disjoint_cycles)
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, complement_pieces,
-                        intersect_pieces, make_piece, parse_path, path_range,
-                        piece_contains, piece_is_empty, prepend_prefix,
-                        singleton_point, strip_prefix)
+                        find_overlap, intersect_pieces, make_piece, parse_path,
+                        path_range, path_trie, piece_contains, piece_is_empty,
+                        prepend_prefix, singleton_point, strip_prefix)
 
 
 @dataclass(frozen=True)
@@ -109,86 +109,14 @@ def _block_is_identity(g: Graph, b: Block) -> bool:
     return image == pt
 
 
-class _PathNode:
-    """A node of ``_path_trie``: the indices of the unpunctured and of the
-    punctured entries whose path ends here, and the children by edge."""
-
-    __slots__ = ("children", "plain", "punct")
-
-    def __init__(self):
-        self.children = {}
-        self.plain = []
-        self.punct = []
-
-
-def _path_trie(entries):
-    """The trie over the paths of (path, punctures) entries, one root per
-    base vertex, and the node where each entry's path ends.
-
-    Building it touches each edge of each path once, so it takes time
-    linear in the total path length; no prefix is copied or hashed.
-    """
-    roots = {}
-    ends = []
-    for i, (path, punctures) in enumerate(entries):
-        node = roots.get(path.base)
-        if node is None:
-            node = roots[path.base] = _PathNode()
-        for e in path.edges:
-            child = node.children.get(e)
-            if child is None:
-                child = node.children[e] = _PathNode()
-            node = child
-        (node.punct if punctures else node.plain).append(i)
-        ends.append(node)
-    return roots, ends
-
-
-def _find_overlap(g: Graph, pieces):
-    """Indices of two overlapping pieces, or None.
-
-    Two pieces meet only when one path is a prefix of the other. The
-    search builds the trie over all the paths (``_path_trie``) and then
-    makes two passes in list order. The first pairs each piece with the
-    earlier pieces on its own path, which meet unless their punctures
-    together empty the cylinder. The second walks each path down the
-    trie and pairs it with the pieces ending at each strict prefix whose
-    punctures miss the path's next edge. The trie is whole before either
-    pass, so a shorter piece later in the list is found too. The pair
-    reported is (j, i) for the first i that either pass meets, with the
-    least j on i's own path in the first pass, and in the second the
-    least j on the shortest prefix of i's path that holds one. No prefix
-    is copied or hashed: the search takes time linear in the total path
-    length plus the pairs on shared paths.
-    """
-    roots, ends = _path_trie((p.mu, p.punctures) for p in pieces)
-    for i, node in enumerate(ends):
-        if len(node.plain) + len(node.punct) > 1:
-            for j in sorted(node.plain + node.punct):
-                if j >= i:
-                    break
-                if intersect_pieces(g, pieces[j], pieces[i]) is not None:
-                    return j, i
-    for i, p in enumerate(pieces):
-        node = roots[p.mu.base]
-        for e in p.mu.edges:
-            if node.plain or node.punct:
-                met = node.plain[:1] + [j for j in node.punct
-                                        if e not in pieces[j].punctures]
-                if met:
-                    return min(met), i
-            node = node.children[e]
-    return None
-
-
 def _check_disjoint(g: Graph, blocks):
     """Non-empty blocks of the list; raises if two sources or two ranges meet."""
     live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
-    hit = _find_overlap(g, [b.source_piece() for b in live])
+    hit = find_overlap(g, [b.source_piece() for b in live])
     if hit is not None:
         raise SourcesOverlap(
             f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping sources")
-    hit = _find_overlap(g, [b.range_piece() for b in live])
+    hit = find_overlap(g, [b.range_piece() for b in live])
     if hit is not None:
         raise RangesOverlap(
             f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping ranges")
@@ -315,13 +243,13 @@ def compose_bisections(g: Graph, outer, inner):
     and fusing with the outer prefix exchange yields one block of the
     product. Two pieces meet only when one path is a prefix of the other
     and no puncture of the shorter one is the longer path's next edge.
-    So the outer source paths go into one trie (``_path_trie``), and each
-    inner range path walks down it. At each strict prefix the walk takes
-    the unpunctured outer sources ending there, and the punctured ones
-    whose punctures miss the path's next edge. At the end node it takes
-    every outer source ending there, and below it every outer source in
-    the child subtrees whose edge is not an inner puncture, walked on an
-    explicit stack.
+    So the outer source paths go into one trie (``pathspace.path_trie``),
+    and each inner range path walks down it. At each strict prefix the
+    walk takes the outer sources ending there whose punctures miss the
+    path's next edge; an unpunctured one always does. At the end node it
+    takes every outer source ending there, and below it every outer
+    source in the child subtrees whose edge is not an inner puncture,
+    walked on an explicit stack.
 
     The walk already knows how the two paths relate, so each pair fuses
     without a further intersection: over a shorter outer path the piece
@@ -336,7 +264,7 @@ def compose_bisections(g: Graph, outer, inner):
     are disjoint, so for a bisection the subtree walks together visit
     each trie node at most once.
     """
-    roots, _ = _path_trie((bo.nu, bo.punctures) for bo in outer)
+    roots, _ = path_trie(bo.nu for bo in outer)
     out = []
     for bi in inner:
         node = roots.get(bi.mu.base)
@@ -346,22 +274,19 @@ def compose_bisections(g: Graph, outer, inner):
         punctures = bi.punctures
         hits = []
         for e in edges:
-            hits += node.plain
-            for i in node.punct:
+            for i in node.at:
                 if e not in outer[i].punctures:
                     hits.append(i)
             node = node.children.get(e)
             if node is None:
                 break
         else:
-            hits += node.plain
-            hits += node.punct
+            hits += node.at
             below = [sub for e, sub in node.children.items()
                      if e not in punctures]
             while below:
                 node = below.pop()
-                hits += node.plain
-                hits += node.punct
+                hits += node.at
                 below.extend(node.children.values())
         if not hits:
             continue
@@ -559,8 +484,8 @@ def transposition(g: Graph, blocks) -> Element:
     again.
     """
     blocks = check_bisection(g, blocks)
-    hit = _find_overlap(g, [b.source_piece() for b in blocks]
-                        + [b.range_piece() for b in blocks])
+    hit = find_overlap(g, [b.source_piece() for b in blocks]
+                       + [b.range_piece() for b in blocks])
     if hit is not None:
         # sources and ranges are each disjoint, so i is a source, j a range
         i, j = sorted(hit)

@@ -196,18 +196,17 @@ class HomologyReport:
 
 
 def relation_matrix(g: Graph) -> IntMatrix:
-    """One column per regular vertex v: delta_v minus its successor counts."""
-    verts = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    cols = []
-    for v in verts:
-        if g.is_regular(v):
-            col = [0] * len(verts)
-            col[idx[v]] += 1
-            for e in g.out_concrete(v):
-                col[idx[g.range(e)]] -= 1
-            cols.append(col)
-    return IntMatrix(len(cols), len(verts), tuple(chain.from_iterable(cols))).transpose()
+    """One row per vertex u and one column per regular vertex v: the entry
+    is [u = v] minus the number of edges from v to u."""
+    idx = {v: i for i, v in enumerate(sorted(g.vertices))}
+    regular = g.regular_vertices()
+    rows = [[0] * len(regular) for _ in idx]
+    for j, v in enumerate(regular):
+        rows[idx[v]][j] += 1
+        for e in g.out_concrete(v):
+            rows[idx[g.range(e)]][j] -= 1
+    return IntMatrix(len(rows), len(regular),
+                     tuple(chain.from_iterable(rows)))
 
 
 def homology(g: Graph) -> HomologyReport:

@@ -21,7 +21,6 @@ matrices of graphs are mostly 0 and +-1, so R is small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import ChainLimitExceeded
 
@@ -62,11 +61,6 @@ class IntMatrix:
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        cols = self.cols
-        return IntMatrix(cols, self.rows,
-                         tuple(chain.from_iterable(self.entries[j::cols] for j in range(cols))))
 
     def diagonal(self):
         return [self.get(i, i) for i in range(min(self.rows, self.cols))]

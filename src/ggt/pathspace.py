@@ -8,6 +8,13 @@ split into the finitely many plain sub-cylinders, and complete sibling
 families are merged back into their parent. The resulting piece list is
 unique for a given set, so structural comparison decides set equality.
 
+Two cylinders meet only when one path is a prefix of the other, so every
+search over pieces is a prefix search, and it has one index: the path
+trie (``path_trie``), one node per path prefix, each holding the entries
+whose path ends there. The canonical form and the complement are walks
+over it, ``find_overlap`` finds two meeting pieces with it, and
+``fullgroup.compose_bisections`` pairs blocks through it.
+
 Boundary points are represented exactly: a finite prefix followed either
 by a repeating cycle or by a stop at a singular vertex.
 """
@@ -59,11 +66,6 @@ def check_path(g: Graph, p: Path):
             raise MalformedGraph(f"path {p} is not composable at {e!r}")
         at = g.range(e)
     return p
-
-
-def paths_disjoint(a: Path, b: Path) -> bool:
-    """Neither path is a subpath of the other (disjoint cylinders)."""
-    return not a.is_prefix_of(b) and not b.is_prefix_of(a)
 
 
 @dataclass(frozen=True)
@@ -154,39 +156,91 @@ def subtract_piece(g: Graph, a: Piece, b: Piece):
     return out
 
 
-class _Node:
-    __slots__ = ("punctures", "children", "result")
+class TrieNode:
+    """A node of ``path_trie``: the indices of the entries whose path ends
+    here, in increasing order, the children by edge, and the slot where
+    ``_emit`` settles the subtree below."""
+
+    __slots__ = ("at", "children", "result")
 
     def __init__(self):
-        self.punctures = None  # list of puncture sets of at-node pieces
+        self.at = []
         self.children = {}
-        self.result = None     # what _emit settled for the subtree here
+        self.result = None
 
-    def child(self, e):
-        if e not in self.children:
-            self.children[e] = _Node()
-        return self.children[e]
+
+def path_trie(paths):
+    """The trie over the given paths, one root per base vertex, and the
+    node where each path ends.
+
+    Building it touches each edge of each path once, so it takes time
+    linear in the total path length; no prefix is copied or hashed.
+    """
+    roots = {}
+    ends = []
+    for i, path in enumerate(paths):
+        node = roots.get(path.base)
+        if node is None:
+            node = roots[path.base] = TrieNode()
+        for e in path.edges:
+            children = node.children
+            node = children.get(e)
+            if node is None:
+                node = children[e] = TrieNode()
+        node.at.append(i)
+        ends.append(node)
+    return roots, ends
+
+
+def _open_edges(pieces, node):
+    """The edges punctured by every piece ending at the node: the pieces
+    there cover the rest of its cylinder."""
+    at = node.at
+    edges = set(pieces[at[0]].punctures)
+    for i in at[1:]:
+        edges.intersection_update(pieces[i].punctures)
+    return edges
+
+
+def find_overlap(g: Graph, pieces):
+    """Indices of two overlapping pieces, or None.
+
+    Two pieces meet only when one path is a prefix of the other. The
+    search builds the trie over all the paths (``path_trie``) and then
+    makes two passes in list order. The first pairs each piece with the
+    earlier pieces on its own path, which meet unless their punctures
+    together empty the cylinder. The second walks each path down the
+    trie and pairs it with the pieces ending at each strict prefix whose
+    punctures miss the path's next edge. The trie is whole before either
+    pass, so a shorter piece later in the list is found too. The pair
+    reported is (j, i) for the first i that either pass meets, with the
+    least j on i's own path in the first pass, and in the second the
+    least j on the shortest prefix of i's path that holds one. No prefix
+    is copied or hashed: the search takes time linear in the total path
+    length plus the pairs on shared paths.
+    """
+    roots, ends = path_trie(p.mu for p in pieces)
+    for i, node in enumerate(ends):
+        if len(node.at) > 1:
+            for j in node.at:
+                if j >= i:
+                    break
+                if intersect_pieces(g, pieces[j], pieces[i]) is not None:
+                    return j, i
+    for i, p in enumerate(pieces):
+        node = roots[p.mu.base]
+        for e in p.mu.edges:
+            for j in node.at:
+                if e not in pieces[j].punctures:
+                    return j, i
+            node = node.children[e]
+    return None
 
 
 _FULL = object()
 
 
-def _trie(g: Graph, pieces):
-    """Path trie of the nonempty pieces, one root per base vertex."""
-    roots = {}
-    for p in pieces:
-        if piece_is_empty(g, p):
-            continue
-        node = roots.setdefault(p.mu.base, _Node())
-        for e in p.mu.edges:
-            node = node.child(e)
-        if node.punctures is None:
-            node.punctures = []
-        node.punctures.append(frozenset(p.punctures))
-    return roots
-
-
-def _emit(g: Graph, mu: Path, node: _Node):
+def _emit(g: Graph, mu: Path, node: TrieNode, pieces):
     """_FULL if the subtree at mu covers Z(mu), else its canonical pieces.
 
     A post-order walk on an explicit stack, so a deep trie takes no stack
@@ -198,13 +252,12 @@ def _emit(g: Graph, mu: Path, node: _Node):
     while stack:
         mu, node, edges = stack.pop()
         if edges is not None:
-            node.result = _settle(g, mu, node, edges)
+            node.result = _settle(g, mu, node, edges, pieces)
             continue
-        if node.punctures is not None:
-            # coverage is Z(mu \ at_node) plus whatever fills the
-            # punctures, so only the punctured children count
-            at_node = frozenset.intersection(*node.punctures)
-            edges = [e for e in sorted(at_node, key=edge_key)
+        if node.at:
+            # coverage is Z(mu) minus the open edges plus whatever fills
+            # them, so only the children on open edges count
+            edges = [e for e in sorted(_open_edges(pieces, node), key=edge_key)
                      if e in node.children]
         else:
             edges = sorted(node.children, key=edge_key)
@@ -214,19 +267,19 @@ def _emit(g: Graph, mu: Path, node: _Node):
             if sub.children:
                 stack.append((mu.extend(e), sub, None))
             else:
-                sub.result = _settle(g, mu.extend(e), sub, ())
+                sub.result = _settle(g, mu.extend(e), sub, (), pieces)
     return node.result
 
 
-def _settle(g: Graph, mu: Path, node: _Node, edges):
+def _settle(g: Graph, mu: Path, node: TrieNode, edges, pieces):
     """The result of ``_emit`` at a node whose children on the given
     edges are settled."""
     v = path_range(g, mu)
     regular = g.is_regular(v)
     children = node.children
-    if node.punctures is not None:
+    if node.at:
         residue = []
-        eff = set(frozenset.intersection(*node.punctures))
+        eff = _open_edges(pieces, node)
         for e in edges:
             r = children[e].result
             if r is _FULL:
@@ -259,9 +312,11 @@ def _settle(g: Graph, mu: Path, node: _Node, edges):
 
 def canonical_pieces(g: Graph, pieces):
     """The pieces of ``canonicalize``, in walk order rather than sorted."""
+    pieces = [p for p in pieces if not piece_is_empty(g, p)]
+    roots, _ = path_trie(p.mu for p in pieces)
     out = []
-    for v, node in sorted(_trie(g, pieces).items()):
-        r = _emit(g, Path(v), node)
+    for v, node in sorted(roots.items()):
+        r = _emit(g, Path(v), node, pieces)
         if r is _FULL:
             out.append(Piece(Path(v)))
         else:
@@ -291,7 +346,8 @@ def complement_pieces(g: Graph, pieces):
     otherwise stays on or above some input path: no emitted piece is
     deeper than the deepest input piece.
     """
-    roots = _trie(g, pieces)
+    pieces = [p for p in pieces if not piece_is_empty(g, p)]
+    roots, _ = path_trie(p.mu for p in pieces)
     out = []
     stack = []
     for v in sorted(g.vertices):
@@ -301,11 +357,10 @@ def complement_pieces(g: Graph, pieces):
             out.append(Piece(Path(v)))
     while stack:
         mu, node = stack.pop()
-        if node.punctures is not None:
+        if node.at:
             # the pieces here leave only their common punctures open;
             # sorted, so the output order does not follow string hashing
-            edges = sorted(frozenset.intersection(*node.punctures),
-                           key=edge_key)
+            edges = sorted(_open_edges(pieces, node), key=edge_key)
         else:
             # nothing sits here: keep the untaken edges, descend the rest
             edges = node.children

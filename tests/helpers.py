@@ -16,7 +16,7 @@ from ggt.fullgroup import (Block, Element, apply, compose, transposition,
                            validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, _trie,
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            intersect_pieces, make_piece, path_range,
                            piece_is_empty)
 
@@ -210,17 +210,32 @@ def dict_compose_bisections(g, outer, inner):
 _COVERED = object()
 
 
+def _setdefault_trie(g, pieces):
+    """Path trie of the nonempty pieces as nested (puncture sets, children
+    by edge) pairs, one root per base vertex."""
+    roots = {}
+    for p in pieces:
+        if piece_is_empty(g, p):
+            continue
+        node = roots.setdefault(p.mu.base, ([], {}))
+        for e in p.mu.edges:
+            node = node[1].setdefault(e, ([], {}))
+        node[0].append(frozenset(p.punctures))
+    return roots
+
+
 def _recursive_emit(g, mu, node):
     """_COVERED if the subtree at mu covers Z(mu), else its canonical
     pieces, one call per trie level."""
     v = path_range(g, mu)
     regular = g.is_regular(v)
-    if node.punctures is not None:
-        at_node = frozenset.intersection(*node.punctures)
+    punctures, children = node
+    if punctures:
+        at_node = frozenset.intersection(*punctures)
         residue = []
         eff = set(at_node)
         for e in sorted(at_node, key=edge_key):
-            sub = node.children.get(e)
+            sub = children.get(e)
             if sub is None:
                 continue
             r = _recursive_emit(g, mu.extend(e), sub)
@@ -236,8 +251,8 @@ def _recursive_emit(g, mu, node):
             residue.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
                            if e not in eff)
         return residue
-    results = {e: _recursive_emit(g, mu.extend(e), node.children[e])
-               for e in sorted(node.children, key=edge_key)}
+    results = {e: _recursive_emit(g, mu.extend(e), children[e])
+               for e in sorted(children, key=edge_key)}
     if (regular and all(r is _COVERED for r in results.values())
             and set(results) == set(g.out_concrete(v))):
         return _COVERED
@@ -251,9 +266,10 @@ def _recursive_emit(g, mu, node):
 
 
 def recursive_canonical_pieces(g, pieces):
-    """``pathspace.canonical_pieces`` by a recursive walk of the trie."""
+    """``pathspace.canonical_pieces`` by a recursive walk of a trie built
+    with ``dict.setdefault``, independent of ``pathspace.path_trie``."""
     out = []
-    for v, node in sorted(_trie(g, pieces).items()):
+    for v, node in sorted(_setdefault_trie(g, pieces).items()):
         r = _recursive_emit(g, Path(v), node)
         out.extend([Piece(Path(v))] if r is _COVERED else r)
     return out

@@ -178,6 +178,18 @@ def test_exit_codes(workdir):
     code, out = run("index", str(workdir / "e2.graph"),
                     str(workdir / "wrong.elem"))
     assert code == 2 and out.splitlines()[0] == "ParseError"
+    # an input that is not UTF-8 and an unwritable -o path are reported
+    # errors, not tracebacks
+    (workdir / "bad.graph").write_bytes(b"vertex v\xff\n")
+    for argv, first in ((["check", "bad.graph"], "ParseError"),
+                        (["check", "e2.graph", "-o",
+                          str(workdir / "nonexistent" / "dir" / "out")],
+                         "GgtError")):
+        proc = run_python(workdir, [], "import sys\nfrom ggt.cli import main\n"
+                          f"sys.exit(main({argv!r}))\n")
+        assert proc.returncode == 2, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert proc.stdout.decode().splitlines()[0] == first
 
 
 def test_caps_only_where_they_act(workdir):

@@ -833,11 +833,17 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
     targets = {(1, 1): "v", (0, 1): "v", (0, 2): "v"}
     fam = construct_disjoint_paths(EINF, ambient, region, targets)
     twice = fam.paths[(0, 1, 0)]
+    # a strict prefix sorted after the longer path is met by the second
+    # pass of the overlap search, which walks each path past its prefixes
+    prefix = Path(twice.base, twice.edges[:-1])
     for broken, region_, targets_, message in (
             (replace(fam, n_length=fam.n_length + 1), region, targets,
              "wrong path length"),
             (replace(fam, paths={**fam.paths, (0, 2, 0): twice}),
              region, targets, "paths not disjoint"),
+            (replace(fam, paths={**fam.paths, (0, 2, 0): prefix}),
+             region, targets,
+             re.escape(f"paths not disjoint: {prefix} and {twice}") + "$"),
             (fam, region, {**targets, (1, 1): "w"}, "wrong end vertex"),
             (fam, ambient.subtract(region), targets,
              "cylinder escapes its container")):

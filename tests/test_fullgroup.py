@@ -8,19 +8,19 @@ from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
-from ggt.fullgroup import (Block, Element, _check_table, _find_overlap,
-                           _normalize_table, _totalize, acts_as, apply,
-                           bisection_range, bisection_source, compose,
-                           compose_all, compose_bisections,
-                           doubling_bisections, graded_partition,
-                           identity_blocks, image_of, inverse, is_involution,
-                           make_block, parse_element_text, print_element,
-                           shrink_support, support, transposition,
-                           validate_element)
+from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
+                           _totalize, acts_as, apply, bisection_range,
+                           bisection_source, compose, compose_all,
+                           compose_bisections, doubling_bisections,
+                           graded_partition, identity_blocks, image_of,
+                           inverse, is_involution, make_block,
+                           parse_element_text, print_element, shrink_support,
+                           support, transposition, validate_element)
 from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                           complement_pieces, intersect_pieces, parse_clopen,
-                           parse_path, path_range, subtract_piece)
+                           complement_pieces, find_overlap, intersect_pieces,
+                           parse_clopen, parse_path, path_range,
+                           subtract_piece)
 
 from helpers import (dict_compose_bisections, dict_find_overlap,
                      mutate_clopen, point_family, punctured_transposition,
@@ -789,13 +789,13 @@ def test_trie_overlap_search_matches_the_dictionary_reference():
             table = rng.choice((list(e.blocks), _totalize(e)))
             pieces = [b.source_piece() for b in table]
             rng.shuffle(pieces)
-            assert _find_overlap(g, pieces) is None
+            assert find_overlap(g, pieces) is None
             assert dict_find_overlap(g, pieces) is None
             if not pieces:
                 continue
             for _ in range(rng.randrange(1, 3)):
                 kind, later = plant_overlap(g, rng, pieces)
-                got = _find_overlap(g, pieces)
+                got = find_overlap(g, pieces)
                 assert got == dict_find_overlap(g, pieces)
                 if got is not None:
                     found[kind] += 1

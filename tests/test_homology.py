@@ -102,7 +102,13 @@ def test_relation_matrices_match_dense_smith():
                     edges.append((f"e{len(edges)}", v, rng.choice(verts)))
                 if rng.random() < p_family:
                     families.append((f"F{len(families)}", v, rng.choice(verts)))
-            m = relation_matrix(Graph(f"g{n}", verts, edges, families))
+            g = Graph(f"g{n}", verts, edges, families)
+            m = relation_matrix(g)
+            # entry (u, v): [u = v] minus the number of edges from v to u
+            regular = [v for v in verts if g.is_regular(v)]
+            assert m.to_rows() == [
+                [(u == v) - sum(1 for (_, s, r) in edges if s == v and r == u)
+                 for v in sorted(regular)] for u in sorted(verts)]
             torsion, free, ker = intlin.smith_invariants(m)
             assert (torsion, free, ker) == dense_smith_invariants(m)
             seen["torsion"] += bool(torsion)

@@ -110,19 +110,6 @@ def test_cokernel_unimodular_invariance():
         assert smith_invariants(IntMatrix.from_rows(a))[:2] == base
 
 
-def test_transpose_matches_entrywise_reference():
-    rng = random.Random(19)
-    shapes = [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (2, 5), (5, 3)]
-    for rows, cols in shapes:
-        m = IntMatrix(rows, cols, tuple(rng.randrange(-9, 10)
-                                        for _ in range(rows * cols)))
-        t = m.transpose()
-        assert (t.rows, t.cols) == (cols, rows)
-        assert t.entries == tuple(m.get(i, j) for j in range(cols)
-                                  for i in range(rows))
-        assert t.transpose() == m
-
-
 def assert_matches_dense(m):
     torsion, free, ker = smith_invariants(m)
     assert (torsion, free, ker) == dense_smith_invariants(m)
