@@ -26,8 +26,8 @@ from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
                      NotEquivalent, ParseError, VerificationFailed)
 from .fullgroup import (Block, Element, acts_as, bisection_range,
                         bisection_source, check_bisection, compose_all,
-                        compose_bisections, graded_partition,
-                        identity_blocks, is_involution, parse_element_text,
+                        compose_bisections, identity_blocks, is_involution,
+                        lag_parts, parse_element_text,
                         print_element, shrink_support, support,
                         transposition)
 from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
@@ -63,16 +63,13 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
         _pool_insert(pools_b, g, p, depth)
     blocks = []
     residue = 0
-    while True:
-        keys = sorted(set(pools_a) | set(pools_b))
-        key = next((k for k in keys if pools_a.get(k) or pools_b.get(k)), None)
-        if key is None:
-            break
+    while pools_a or pools_b:
+        # releases go to longer keys (point (3) of find_bisection's
+        # proof), so the least key is complete when it is popped
+        key = min(pools_a.keys() | pools_b.keys())
         la = sorted(pools_a.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
         lb = sorted(pools_b.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
-        while la and lb:
-            p = la.pop(0)
-            q = lb.pop(0)
+        for p, q in zip(la, lb):
             punct = tuple(sorted(set(p.punctures) | set(q.punctures), key=edge_key))
             for f in punct:
                 if f not in p.punctures:
@@ -80,7 +77,7 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
                 if f not in q.punctures:
                     _pool_insert(pools_b, g, Piece(q.mu.extend(f)), depth)
             blocks.append(Block(q.mu, punct, p.mu))
-        residue += len(la) + len(lb)
+        residue += abs(len(la) - len(lb))
     return blocks, residue
 
 
@@ -476,7 +473,10 @@ def _factor_proper(e: Element):
     balanced remainder beta . tau^-1 goes to ``_af_swaps``. beta and the
     remainder are one ``compose_all`` fold each, so each is checked and
     normalized once; the S(k) checks, the lag check on the remainder and
-    ``certify`` in ``factor`` read only those two normal forms.
+    ``certify`` in ``factor`` read only those two normal forms. The
+    regions to route are e's ``lag_parts``, the level-0 region being the
+    lag-0 part (empty without one), and the S(k) checks read beta's; the
+    fixed region S(0) is never built.
     """
     g = e.graph
     # one shrink step suffices: the remainder fixes a clopen, so its
@@ -490,9 +490,9 @@ def _factor_proper(e: Element):
     if e.is_identity():
         return head
 
-    part = graded_partition(e)
-    pos = [k for k in part.keys() if k > 0]
-    neg = [k for k in part.keys() if k < 0]
+    parts = lag_parts(e)
+    pos = [k for k in parts if k > 0]
+    neg = [k for k in parts if k < 0]
     if not pos and not neg:
         return head + _af_swaps(e)
     # a nonempty region cannot have vanishing class, so the two sides
@@ -501,11 +501,8 @@ def _factor_proper(e: Element):
         raise VerificationFailed(
             f"index balance broken: levels {pos + neg} have one sign")
 
-    zero_part = part.part(0).intersect(carrier)
-    region_pieces = {}
-    for k in neg + [0] + pos:
-        chunk = zero_part if k == 0 else part.part(k)
-        region_pieces[k] = list(chunk.pieces)
+    region_pieces = {k: parts[k].pieces if k in parts else ()
+                     for k in neg + [0] + pos}
 
     targets = {}
     for k, pieces in region_pieces.items():
@@ -524,16 +521,16 @@ def _factor_proper(e: Element):
             moved = prepend(routed[(k, i, 0)], p)
             v_blocks.append(Block(moved.mu, moved.punctures, p.mu))
     tau_v = transposition(g, v_blocks)
-    # one fold, normalized once: graded_partition reads beta's lags
+    # one fold, normalized once: lag_parts reads beta's lags
     beta = compose_all([tau_v, e, tau_v])
 
-    beta_part = graded_partition(beta)
+    beta_parts = lag_parts(beta)
     s_beta = {}
     for k in neg + pos:
         s_beta[k] = Clopen(g, canonicalize(
             g, [prepend(routed[(k, i, 0)], p)
                 for i, p in enumerate(region_pieces[k], start=1)]))
-        if not beta_part.part(k).equal(s_beta[k]):
+        if not beta_parts.get(k, Clopen.empty(g)).equal(s_beta[k]):
             raise VerificationFailed(
                 f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 

@@ -442,17 +442,26 @@ class GradedPartition:
         return [k for k, _ in self.levels]
 
 
-def graded_partition(e: Element) -> GradedPartition:
-    """S(k) collects the source pieces moved with lag k; S(0) adds the
-    fixed region off the carrier, one walk over the raw source pieces
-    (``complement_pieces``) canonicalized together with the lag-0 ones."""
+def lag_parts(e: Element):
+    """The set moved with lag k, for each lag k of the normalized table:
+    {k: canonical union of the source pieces of the lag-k blocks}, in
+    ascending k. Every part is nonempty."""
     g = e.graph
-    buckets = {0: []}
+    buckets = {}
     for b in e.blocks:
         buckets.setdefault(b.lag(), []).append(b.source_piece())
-    buckets[0] += complement_pieces(g, [b.source_piece() for b in e.blocks])
-    parts = {k: Clopen(g, canonicalize(g, pieces))
-             for k, pieces in buckets.items()}
+    return {k: Clopen(g, canonicalize(g, buckets[k])) for k in sorted(buckets)}
+
+
+def graded_partition(e: Element) -> GradedPartition:
+    """S(k) is the set moved with lag k (``lag_parts``) for k != 0, and
+    S(0) is the rest: one complement walk over the source pieces of the
+    nonzero-lag blocks, which leaves the lag-0 sources and the fixed
+    region off the carrier. Empty parts are left out."""
+    g = e.graph
+    parts = {k: c for k, c in lag_parts(e).items() if k}
+    parts[0] = Clopen(g, canonicalize(g, complement_pieces(
+        g, [b.source_piece() for b in e.blocks if b.lag()])))
     levels = tuple((k, parts[k]) for k in sorted(parts) if not parts[k].is_empty())
     return GradedPartition(Clopen.full(g), levels)
 

@@ -25,7 +25,7 @@ iteration cap. The level where the rewrite first empties
 pairs two clopens of equal class (``factor.find_bisection``). The
 endomorphism phi shifts atom levels by one; the first homology embeds as
 the kernel of (id - phi), and the index of a table is the alternating
-phi-sum over its graded partition.
+phi-sum over its lag parts; S(0) adds 0.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from itertools import chain
 
 from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
-from .fullgroup import Element, graded_partition
+from .fullgroup import Element, lag_parts
 from .graphs import Graph, require_ah_criteria, validate
 from .intlin import IntMatrix, smith_invariants
 from .pathspace import Clopen, path_range
@@ -249,7 +249,9 @@ class IndexValue:
 
 
 def _phi_term(part: Clopen, k: int) -> ClassVector:
-    """phi^(k) applied to the class of a graded-partition part.
+    """phi^(k) applied to the class of the set moved with lag k != 0:
+    minus the sum of phi^i over 0 <= i < k for k > 0, the sum of phi^i
+    over k <= i < 0 for k < 0, built in one pass over the shifted atoms.
 
     For k < 0 the part is refined to depth |k| first; every refined piece
     then has depth at least |k| (a shallower stop at a singular vertex
@@ -257,28 +259,24 @@ def _phi_term(part: Clopen, k: int) -> ClassVector:
     structure rules out), so the negative shifts stay in the kernel
     grading.
     """
-    if k == 0:
-        return ClassVector.zero(part.graph)
     if k > 0:
-        cls = class_of(part)
-        total = ClassVector.zero(part.graph)
-        for i in range(k):
-            total = total.add(shift(cls, i))
-        return total.negate()
-    refined = part.refine_to(-k)
-    shallow = next((p for p in refined.pieces if len(p.mu) < -k), None)
-    if shallow is not None:
-        raise VerificationFailed(
-            f"refined part has piece {shallow} shallower than depth {-k}")
-    cls = class_of(refined)
-    total = ClassVector.zero(part.graph)
-    for i in range(k, 0):
-        total = total.add(shift(cls, i))
-    return total
+        sign, shifts = -1, range(k)
+    else:
+        sign, shifts = 1, range(k, 0)
+        part = part.refine_to(-k)
+        shallow = next((p for p in part.pieces if len(p.mu) < -k), None)
+        if shallow is not None:
+            raise VerificationFailed(
+                f"refined part has piece {shallow} shallower than depth {-k}")
+    atoms = class_of(part).items()
+    return ClassVector.of(part.graph, [((v, n + i), sign * x)
+                                       for (v, n), x in atoms for i in shifts])
 
 
 def index(e: Element) -> IndexValue:
-    """Index class of a full-group element in the kernel grading.
+    """Index class of a full-group element in the kernel grading: the sum
+    of ``_phi_term`` over the nonzero-lag parts of ``lag_parts``; the
+    lag-0 part adds phi^(0) = 0, so S(0) is never built.
 
     Requires an essential graph (no sinks, no sources). The result lies
     in the kernel of (id - phi), which is checked (VerificationFailed
@@ -288,10 +286,10 @@ def index(e: Element) -> IndexValue:
     report = validate(g)
     if not report.no_sinks or not report.no_sources:
         raise NotEssential("index needs a graph with no sinks and no sources")
-    part = graded_partition(e)
     total = ClassVector.zero(g)
-    for k, chunk in part.levels:
-        total = total.add(_phi_term(chunk, k))
+    for k, part in lag_parts(e).items():
+        if k:
+            total = total.add(_phi_term(part, k))
     if not is_zero(total.sub(shift(total, 1))):
         raise VerificationFailed(f"index class {total} is not in ker(id - phi)")
     return IndexValue(total, is_zero(total))

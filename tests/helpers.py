@@ -4,21 +4,25 @@ The oracles here are deliberately separate implementations: a naive
 Smith reducer without transform tracking, the dense Smith invariants
 that unit elimination replaced, integer matrix products and
 determinants for checking Smith transforms, a boundary-point
-enumerator that checks set algebra pointwise, and the dictionary forms
-of block pairing and overlap search with the recursive canonical walk
-that the path-trie walks replaced. They stay independent of the code
-paths they check.
+enumerator that checks set algebra pointwise, the dictionary forms of
+block pairing and overlap search with the recursive canonical walk that
+the path-trie walks replaced, the pairwise intersection and subtraction
+that the complement walks replaced, and the graded partition and index
+that built S(0) everywhere. They stay independent of the code paths
+they check.
 """
 
 import random
 
-from ggt.fullgroup import (Block, Element, apply, compose, transposition,
-                           validate_element)
+from ggt.errors import NotEssential, VerificationFailed
+from ggt.fullgroup import (Block, Element, GradedPartition, apply, compose,
+                           transposition, validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
+from ggt.homology import ClassVector, IndexValue, class_of, is_zero, shift
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
-                           intersect_pieces, make_piece, path_range,
-                           piece_is_empty)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
+                           complement_pieces, intersect_pieces, make_piece,
+                           path_range, piece_is_empty, subtract_piece)
 
 
 # -- naive Smith normal form (oracle) -----------------------------------------
@@ -273,6 +277,88 @@ def recursive_canonical_pieces(g, pieces):
         r = _recursive_emit(g, Path(v), node)
         out.extend([Piece(Path(v))] if r is _COVERED else r)
     return out
+
+
+# -- pairwise set algebra and the S(0)-building index (references) ------------
+
+def pairwise_intersect(a, b):
+    """``Clopen.intersect`` by ``intersect_pieces`` over every pair of
+    pieces, canonicalized."""
+    g = a.graph
+    out = []
+    for p in a.pieces:
+        for q in b.pieces:
+            r = intersect_pieces(g, p, q)
+            if r is not None:
+                out.append(r)
+    return Clopen(g, canonicalize(g, out))
+
+
+def pairwise_subtract(a, b):
+    """``Clopen.subtract`` by cutting each piece of a with
+    ``subtract_piece`` against every piece of b, canonicalized."""
+    g = a.graph
+    out = []
+    for p in a.pieces:
+        parts = [p]
+        for q in b.pieces:
+            parts = [x for part in parts for x in subtract_piece(g, part, q)]
+            if not parts:
+                break
+        out.extend(parts)
+    return Clopen(g, canonicalize(g, out))
+
+
+def reference_graded_partition(e):
+    """``fullgroup.graded_partition`` with S(0) built as the lag-0
+    sources canonicalized together with the complement of all sources."""
+    g = e.graph
+    buckets = {0: []}
+    for b in e.blocks:
+        buckets.setdefault(b.lag(), []).append(b.source_piece())
+    buckets[0] += complement_pieces(g, [b.source_piece() for b in e.blocks])
+    parts = {k: Clopen(g, canonicalize(g, pieces))
+             for k, pieces in buckets.items()}
+    levels = tuple((k, parts[k]) for k in sorted(parts)
+                   if not parts[k].is_empty())
+    return GradedPartition(Clopen.full(g), levels)
+
+
+def _reference_phi_term(part, k):
+    """phi^(k) of the class of a part, one ``shift`` and ``add`` per power."""
+    if k == 0:
+        return ClassVector.zero(part.graph)
+    if k > 0:
+        cls = class_of(part)
+        total = ClassVector.zero(part.graph)
+        for i in range(k):
+            total = total.add(shift(cls, i))
+        return total.negate()
+    refined = part.refine_to(-k)
+    shallow = next((p for p in refined.pieces if len(p.mu) < -k), None)
+    if shallow is not None:
+        raise VerificationFailed(
+            f"refined part has piece {shallow} shallower than depth {-k}")
+    cls = class_of(refined)
+    total = ClassVector.zero(part.graph)
+    for i in range(k, 0):
+        total = total.add(shift(cls, i))
+    return total
+
+
+def reference_index(e):
+    """``homology.index`` summed over every part of
+    ``reference_graded_partition``, S(0) included."""
+    g = e.graph
+    report = validate(g)
+    if not report.no_sinks or not report.no_sources:
+        raise NotEssential("index needs a graph with no sinks and no sources")
+    total = ClassVector.zero(g)
+    for k, chunk in reference_graded_partition(e).levels:
+        total = total.add(_reference_phi_term(chunk, k))
+    if not is_zero(total.sub(shift(total, 1))):
+        raise VerificationFailed(f"index class {total} is not in ker(id - phi)")
+    return IndexValue(total, is_zero(total))
 
 
 # -- boundary point enumeration (oracle) ---------------------------------------

@@ -24,6 +24,7 @@ SRC = FsPath(__file__).resolve().parent.parent / "src"
 E2 = rose(2)
 DEEP = 1200
 CLI_DEEP = 700
+INDEX_DEEP = 5000
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +66,13 @@ def test_deep_transposition_inverse_partition_and_index():
     rest = ({Piece(Path("v", ("a",) * k + ("b",))) for k in range(1, DEEP)}
             | {Piece(Path("v", ("b",) * k + ("a",))) for k in range(1, DEEP + 1)})
     assert set(part.part(0).pieces) == rest
+    assert index(t).zero
+
+
+def test_index_at_5000_edges():
+    # index never builds S(0), whose 2n complement pieces made it the
+    # slowest deep operation
+    t, _, _ = deep_swap(INDEX_DEEP)
     assert index(t).zero
 
 

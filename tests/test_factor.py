@@ -28,7 +28,8 @@ from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
                            print_element, support, transposition,
                            validate_element)
 from ggt.graphs import Graph, print_graph, validate
-from ggt.homology import class_of, classes_equal, shift, vanishing_level
+from ggt.homology import (class_of, classes_equal, index, shift,
+                          vanishing_level)
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
 
 from helpers import (acts_pointwise, mutate_clopen, point_family,
@@ -799,6 +800,39 @@ def test_af_certification_does_not_compose(monkeypatch):
     assert fact.certified and len(fact.transpositions) > 1
 
 
+def test_index_and_factor_never_build_s0(monkeypatch):
+    # S(0) carries no index and the factorization routes only the moved
+    # set: index makes no complement walk, and factor calls no
+    # graded_partition and intersects no clopens
+    fullgroup = sys.modules["ggt.fullgroup"]
+    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
+    k3 = "L#2.L#2.L#2.L#3"
+    elements = [compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")])),
+                elem(EINF, (k3, [], "L#1"), ("L#1", [], k3))]
+    assert all({b.lag() for b in e.blocks} - {0} for e in elements)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("S(0) was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(fullgroup, "complement_pieces", refuse)
+        assert all(index(e).zero for e in elements)
+
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return graded_partition(e)
+
+    with monkeypatch.context() as m:
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("ggt.") and hasattr(mod, "graded_partition"):
+                m.setattr(mod, "graded_partition", counting)
+        m.setattr(Clopen, "intersect", refuse)
+        assert all(factor(e).certified for e in elements)
+    assert calls == []
+
+
 def test_invariant_checks_raise_typed_errors(monkeypatch):
     # each internal invariant of the pipeline is broken on purpose and
     # must raise VerificationFailed naming it; no check is an ``assert``
@@ -809,10 +843,6 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
     e = compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")]))
     assert factor(e).certified
 
-    class OneSided:
-        def keys(self):
-            return [0, 1]
-
     real_compose_all = mod.compose_all
 
     def drop_ladders(fs):
@@ -821,7 +851,7 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
         return real_compose_all(fs) if fs[0] is fs[-1] else fs[0]
 
     for name, fake, message in (
-            ("graded_partition", lambda x: OneSided(), "index balance broken"),
+            ("lag_parts", lambda x: {1: Clopen.full(EINF)}, "index balance broken"),
             ("canonicalize", lambda g, pieces: (), "conjugated part S"),
             ("compose_all", drop_ladders, "ladders left block")):
         with monkeypatch.context() as m:

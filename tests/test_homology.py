@@ -6,8 +6,9 @@ from ggt.errors import (CriteriaFailed, NegativeLevel, NotEssential,
                         SourcePresent)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.fullgroup import (Block, Element, compose, inverse, make_block,
-                           transposition, validate_element)
+from ggt.fullgroup import (Block, Element, compose, graded_partition, inverse,
+                           lag_parts, make_block, support, transposition,
+                           validate_element)
 from ggt.graphs import Graph, move_s, move_t
 from ggt.homology import (ClassVector, abelianization_report, class_of,
                           classes_equal, homology, index, is_zero,
@@ -17,7 +18,9 @@ from ggt.intlin import IntMatrix, eventual_kernel
 from ggt.pathspace import Clopen, Path, Piece, parse_clopen, parse_path
 
 from helpers import (dense_smith_invariants, mat_vec, naive_invariant_factors,
-                     random_element, random_transposition, random_twin_graph)
+                     pairwise_intersect, random_element, random_transposition,
+                     random_twin_graph, reference_graded_partition,
+                     reference_index)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -445,3 +448,39 @@ def test_moves_leave_homology_unchanged():
                 cases["S"] += 1
             fed = move_s(fed, regular_sources(fed)[0])
     assert cases["T"] >= 60 and cases["S"] >= 100, cases
+
+
+def test_lag_parts_match_the_s0_references():
+    # graded_partition builds S(0) as the complement of the nonzero-lag
+    # sources and index skips S(0); both land on the reference forms,
+    # which build S(0) from every source, so `ggt partition` and
+    # `ggt index` print the same bytes
+    rng = random.Random(1801)
+    pet = emitter_two_loops()
+    # the nonzero-index witness of test_index_nonzero_witness
+    shift_xy = elem(pet, ("@x", [], "p"), ("r", [], "@y"), ("t", [], "q"))
+    long_lags = nonzero = 0
+    for g, essential in ((E2, True), (EINF, True), (pet, True),
+                         (mixed_graph(), False)):
+        for i in range(25):
+            e = random_element(g, rng, rng.randrange(1, 4), max_len=3)
+            if g is pet and i % 2:
+                e = compose(e, shift_xy)
+            ref = reference_graded_partition(e)
+            assert graded_partition(e).levels == ref.levels
+            parts = lag_parts(e)
+            assert list(parts) == sorted(parts)
+            assert {k: c for k, c in parts.items() if k} == \
+                {k: c for k, c in ref.levels if k}
+            # the lag-0 part is the level-0 region the factorization routes
+            assert parts.get(0, Clopen.empty(g)).pieces == \
+                pairwise_intersect(ref.part(0), support(e)).pieces
+            long_lags += any(abs(k) >= 2 for k in ref.keys())
+            if not essential:
+                with pytest.raises(NotEssential):
+                    index(e)
+                continue
+            got, want = index(e), reference_index(e)
+            assert (str(got.vector), got.zero) == (str(want.vector), want.zero)
+            nonzero += not got.zero
+    assert long_lags >= 10 and nonzero >= 5

@@ -11,7 +11,8 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            parse_clopen, parse_path, parse_piece, path_range,
                            prepend_prefix, singleton_point, strip_prefix)
 
-from helpers import (member_set, point_family, random_clopen, random_walk,
+from helpers import (member_set, pairwise_intersect, pairwise_subtract,
+                     point_family, random_clopen, random_walk,
                      recursive_canonical_pieces, symmetric_difference_empty)
 
 E2 = rose(2)
@@ -113,6 +114,9 @@ def test_boolean_algebra_against_point_oracle():
             sa, sb, sc = (member_set(x, pts) for x in (a, b, c))
             assert member_set(a.intersect(b), pts) == sa & sb
             assert member_set(a.subtract(b), pts) == sa - sb
+            # the complement walks land on the pairwise pieces
+            assert a.intersect(b).pieces == pairwise_intersect(a, b).pieces
+            assert a.subtract(b).pieces == pairwise_subtract(a, b).pieces
             assert member_set(a.union(b), pts) == sa | sb
             assert member_set(full.subtract(a), pts) == member_set(full, pts) - sa
             # distributivity and De Morgan inside the full space
@@ -201,7 +205,7 @@ def test_complement_matches_subtraction_and_points():
                       Clopen(g, a.pieces + a.pieces),
                       Clopen(g, a.pieces + b.pieces)):
                 got = c.complement()
-                assert got.pieces == full.subtract(c).pieces
+                assert got.pieces == pairwise_subtract(full, c).pieces
                 assert member_set(got, pts) == everything - member_set(c, pts)
     assert Clopen.empty(EINF).complement() == Clopen.full(EINF)
     assert Clopen.full(MIXED).complement().is_empty()
