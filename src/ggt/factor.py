@@ -33,8 +33,8 @@ from .fullgroup import (Block, Element, acts_as, bisection_range,
 from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
                      require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
-from .pathspace import (Clopen, Path, Piece, canonicalize, find_overlap,
-                        path_range)
+from .pathspace import (Clopen, Path, Piece, canonicalize, complement_pieces,
+                        find_overlap, path_range)
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -217,13 +217,14 @@ def _plain_cylinder_inside(g: Graph, region: Clopen) -> Path:
     return piece.mu.extend(min(free, key=lambda e: split_member(e) is not None))
 
 
-def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
-                             targets) -> PathFamilies:
+def construct_disjoint_paths(g: Graph, region: Clopen, targets) -> PathFamilies:
     """Build the routing table used by the factorization.
 
-    ``targets`` maps (k, i) to the required end vertex of the i-th piece
-    of level k; the levels and the buffer are read off its keys. Every
-    path runs through the distinguished emitter w, the one
+    ``region`` is a canonical clopen, nonempty and not the whole space;
+    the routing runs against the whole space, so the outside is its
+    complement. ``targets`` maps (k, i) to the required end vertex of
+    the i-th piece of level k; the levels and the buffer are read off its
+    keys. Every path runs through the distinguished emitter w, the one
     ``graphs.validate`` records as ``CriteriaReport.emitter``: a prefix
     (mu outside the region for j = 0, mu_p inside it otherwise, both of
     one length) fixes the side, k_buf + 1 + j copies of a loop edge of
@@ -233,11 +234,9 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
     one loop edge.
     """
     w, loop_fam = require_factor_hypotheses(g).emitter
-    if region.is_empty() or not region.subtract(ambient).is_empty():
-        raise HypothesesFailed("region must be a nonempty subset of the ambient")
-    outside = ambient.subtract(region)
-    if outside.is_empty():
-        raise HypothesesFailed("region must be a proper subset of the ambient")
+    outside = region.complement()
+    if region.is_empty() or outside.is_empty():
+        raise HypothesesFailed("region must be nonempty and not the whole space")
 
     mu = _plain_cylinder_inside(g, outside)
     mu = Path(mu.base, mu.edges + find_path(g, path_range(g, mu), w))
@@ -265,35 +264,50 @@ def construct_disjoint_paths(g: Graph, ambient: Clopen, region: Clopen,
                                     + (loops[(k, i)],) * (k_buf + 1 + j) + (f,))
 
     fam = PathFamilies(len(mu) + k_buf + 2, paths)
-    _check_path_families(g, fam, ambient, region, targets)
+    _check_path_families(g, fam, region, targets)
     return fam
 
 
-def _check_path_families(g, fam: PathFamilies, ambient, region, targets):
-    """VerificationFailed naming two paths that are not disjoint, or else
-    the first path that breaks the table's length, end vertex or
-    containment, also under -O.
+def _check_path_families(g, fam: PathFamilies, region, targets):
+    """VerificationFailed naming two paths that are not disjoint or a path
+    whose cylinder escapes its container, or else the first path that
+    breaks the table's length or end vertex, also under -O.
 
-    All paths are pairwise disjoint: the prefixes mu and mu_p have one
-    length and disjoint cylinders, two keys (k, i) differ in the loop edge
-    that follows, and within one key the shorter loop run ends in the
-    connector, which is no loop edge. One overlap search over the paths
-    as plain pieces checks it."""
-    outside = ambient.subtract(region)
+    Two overlap searches decide disjointness and containment together:
+    the j = 0 paths as plain pieces with the region's pieces, and the
+    j != 0 paths with the pieces of the region's complement
+    (``complement_pieces``). A hit between two paths is a shared point; a
+    hit between a path and a container piece is a point of the path off
+    its own container, the outside for j = 0 and the region otherwise.
+    ``find_overlap`` is exact here because every searched piece is
+    nonempty: routed cylinders are plain, the region's pieces are
+    canonical, and ``complement_pieces`` emits no empty piece. The pieces
+    of one container are disjoint, so no hit pairs two of them. A clean
+    search thus puts each side inside its own container with its paths
+    pairwise disjoint, and paths on different sides lie in the two
+    disjoint containers: all paths are pairwise disjoint.
+
+    By construction they are: the prefixes mu and mu_p have one length
+    and disjoint cylinders, two keys (k, i) differ in the loop edge that
+    follows, and within one key the shorter loop run ends in the
+    connector, which is no loop edge."""
     routed = sorted(fam.paths.items())
-    hit = find_overlap(g, [Piece(p) for _, p in routed])
-    if hit is not None:
-        raise VerificationFailed(f"paths not disjoint: {routed[hit[0]][1]} "
-                                 f"and {routed[hit[1]][1]}")
+    for side, container in (
+            ([r for r in routed if r[0][2] == 0], region.pieces),
+            ([r for r in routed if r[0][2] != 0],
+             complement_pieces(g, region.pieces))):
+        hit = find_overlap(g, [Piece(p) for _, p in side] + list(container))
+        if hit is not None and max(hit) < len(side):
+            raise VerificationFailed(f"paths not disjoint: {side[hit[0]][1]} "
+                                     f"and {side[hit[1]][1]}")
+        if hit is not None:
+            key, p = side[min(hit)]
+            raise VerificationFailed(f"cylinder escapes its container: {key} -> {p}")
     for (k, i, j), p in routed:
         if len(p) != fam.n_length + j:
             raise VerificationFailed(f"wrong path length: {(k, i, j)} -> {p}")
         if path_range(g, p) != targets[(k, i)]:
             raise VerificationFailed(f"wrong end vertex: {(k, i, j)} -> {p}")
-        container = outside if j == 0 else region
-        if not Clopen.cylinder(g, p).subtract(container).is_empty():
-            raise VerificationFailed(
-                f"cylinder escapes its container: {(k, i, j)} -> {p}")
 
 
 # -- AF factorization --------------------------------------------------------
@@ -508,7 +522,7 @@ def _factor_proper(e: Element):
     for k, pieces in region_pieces.items():
         for i, p in enumerate(pieces, start=1):
             targets[(k, i)] = p.mu.base
-    routed = construct_disjoint_paths(g, Clopen.full(g), carrier, targets).paths
+    routed = construct_disjoint_paths(g, carrier, targets).paths
 
     def prepend(gamma: Path, piece: Piece) -> Piece:
         return Piece(Path(gamma.base, gamma.edges + piece.mu.edges),

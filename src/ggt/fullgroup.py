@@ -24,10 +24,11 @@ from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
 from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
                      two_disjoint_cycles)
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
-                        canonicalize, check_path, complement_pieces,
-                        find_overlap, intersect_pieces, make_piece, parse_path,
-                        path_range, path_trie, piece_contains, piece_is_empty,
-                        prepend_prefix, singleton_point, strip_prefix)
+                        canonicalize, check_path, check_punctures,
+                        complement_pieces, find_overlap, intersect_pieces,
+                        parse_path, path_range, path_trie, piece_contains,
+                        piece_is_empty, prepend_prefix, singleton_point,
+                        strip_prefix)
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,15 @@ class Block:
 
 
 def make_block(g: Graph, mu: Path, punctures, nu: Path) -> Block:
+    """The block after checking both paths, their common range vertex and
+    the punctures there; each path is walked once."""
     check_path(g, mu)
     check_path(g, nu)
-    if path_range(g, mu) != path_range(g, nu):
+    v = path_range(g, nu)
+    if path_range(g, mu) != v:
         raise MalformedGraph(
             f"block paths {mu} and {nu} end at different vertices")
-    punctures = tuple(sorted(set(punctures), key=edge_key))
-    make_piece(g, nu, punctures)
-    return Block(mu, punctures, nu)
+    return Block(mu, check_punctures(g, v, punctures), nu)
 
 
 @dataclass(frozen=True)
@@ -192,11 +194,15 @@ def _normalize_table(g: Graph, live) -> Element:
 def validate_element(g: Graph, blocks) -> Element:
     """Check the table axioms and return the normalized element.
 
-    Raises SourcesOverlap / RangesOverlap / CarrierMismatch naming the
-    offending blocks. Normalization (``_normalize_table``) drops
-    empty-source and identity blocks, rewrites the blocks of each reduced
-    prefix exchange to the canonical pieces of their union and sorts
-    canonically; without one-point pieces the result is unique.
+    Each block goes through ``make_block`` first, which raises
+    MalformedGraph for a bad path, mismatched range vertices or a bad
+    puncture; an empty source, a fully punctured regular cylinder, is a
+    bad puncture set, so no empty block reaches the table checks. Those
+    raise SourcesOverlap / RangesOverlap / CarrierMismatch naming the
+    offending blocks. Normalization (``_normalize_table``) drops identity
+    blocks, rewrites the blocks of each reduced prefix exchange to the
+    canonical pieces of their union and sorts canonically; without
+    one-point pieces the result is unique.
     """
     checked = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     return _normalize_table(g, _check_table(g, checked))

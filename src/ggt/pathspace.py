@@ -88,16 +88,21 @@ class Piece:
         return f"Z({self.mu} \\ {','.join(self.punctures)})"
 
 
-def make_piece(g: Graph, mu: Path, punctures=()) -> Piece:
-    check_path(g, mu)
-    v = path_range(g, mu)
+def check_punctures(g: Graph, v: str, punctures) -> tuple:
+    """The punctures at vertex v, sorted and each once; MalformedGraph if
+    one is not emitted by v or they leave a regular v no edge."""
     punctures = tuple(sorted(set(punctures), key=edge_key))
     for e in punctures:
         if not g.is_edge(e) or g.source(e) != v:
             raise MalformedGraph(f"puncture {e!r} is not emitted by {v}")
     if g.is_regular(v) and set(punctures) >= set(g.out_concrete(v)):
         raise MalformedGraph("fully punctured regular cylinder is empty")
-    return Piece(mu, punctures)
+    return punctures
+
+
+def make_piece(g: Graph, mu: Path, punctures=()) -> Piece:
+    check_path(g, mu)
+    return Piece(mu, check_punctures(g, path_range(g, mu), punctures))
 
 
 def piece_is_empty(g: Graph, p: Piece) -> bool:

@@ -8,8 +8,9 @@ enumerator that checks set algebra pointwise, the dictionary forms of
 block pairing and overlap search with the recursive canonical walk that
 the path-trie walks replaced, the pairwise intersection and subtraction
 that the complement walks replaced, and the graded partition and index
-that built S(0) everywhere. They stay independent of the code paths
-they check.
+that built S(0) everywhere, and the routed-path check that decided
+containment by one subtraction per path. They stay independent of the
+code paths they check.
 """
 
 import random
@@ -21,8 +22,9 @@ from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.homology import ClassVector, IndexValue, class_of, is_zero, shift
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                           complement_pieces, intersect_pieces, make_piece,
-                           path_range, piece_is_empty, subtract_piece)
+                           complement_pieces, find_overlap, intersect_pieces,
+                           make_piece, path_range, piece_is_empty,
+                           subtract_piece)
 
 
 # -- naive Smith normal form (oracle) -----------------------------------------
@@ -359,6 +361,29 @@ def reference_index(e):
     if not is_zero(total.sub(shift(total, 1))):
         raise VerificationFailed(f"index class {total} is not in ker(id - phi)")
     return IndexValue(total, is_zero(total))
+
+
+# -- routed-path check by subtraction (reference) -----------------------------
+
+def reference_check_path_families(g, fam, region, targets):
+    """``factor._check_path_families`` as one overlap search over all the
+    paths and one ``Clopen.subtract`` per path for its container, the
+    outside being the whole space minus the region."""
+    outside = Clopen.full(g).subtract(region)
+    routed = sorted(fam.paths.items())
+    hit = find_overlap(g, [Piece(p) for _, p in routed])
+    if hit is not None:
+        raise VerificationFailed(f"paths not disjoint: {routed[hit[0]][1]} "
+                                 f"and {routed[hit[1]][1]}")
+    for (k, i, j), p in routed:
+        if len(p) != fam.n_length + j:
+            raise VerificationFailed(f"wrong path length: {(k, i, j)} -> {p}")
+        if path_range(g, p) != targets[(k, i)]:
+            raise VerificationFailed(f"wrong end vertex: {(k, i, j)} -> {p}")
+        container = outside if j == 0 else region
+        if not Clopen.cylinder(g, p).subtract(container).is_empty():
+            raise VerificationFailed(
+                f"cylinder escapes its container: {(k, i, j)} -> {p}")
 
 
 # -- boundary point enumeration (oracle) ---------------------------------------

@@ -27,7 +27,7 @@ from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
                            is_involution, make_block, parse_element_text,
                            print_element, support, transposition,
                            validate_element)
-from ggt.graphs import Graph, print_graph, validate
+from ggt.graphs import Graph, free_edges, print_graph, validate
 from ggt.homology import (class_of, classes_equal, index, shift,
                           vanishing_level)
 from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
@@ -130,24 +130,20 @@ def _shifted_copy(g, rng, a, n):
 
 def test_construct_disjoint_paths_basic():
     g = EINF
-    ambient = Clopen.full(g)
     region = parse_clopen(g, "Z(L#1)")
-    fam = construct_disjoint_paths(g, ambient, region,
-                                   {(1, 1): "v", (0, 1): "v"})
+    fam = construct_disjoint_paths(g, region, {(1, 1): "v", (0, 1): "v"})
     assert sorted(fam.paths) == [(0, 1, 0), (1, 1, 0), (1, 1, 1)]
     assert fam.n_length == len(fam.paths[(1, 1, 0)])
     assert len(fam.paths[(1, 1, 1)]) == fam.n_length + 1
     assert Clopen.cylinder(g, fam.paths[(0, 1, 0)]).subtract(
-        ambient.subtract(region)).is_empty()
+        Clopen.full(g).subtract(region)).is_empty()
     assert Clopen.cylinder(g, fam.paths[(1, 1, 1)]).subtract(region).is_empty()
 
 
 def test_construct_disjoint_paths_negative_buffer():
     g = EINF
-    ambient = Clopen.full(g)
     region = parse_clopen(g, "Z(L#1)")
-    fam = construct_disjoint_paths(g, ambient, region,
-                                   {(-2, 1): "v", (0, 1): "v"})
+    fam = construct_disjoint_paths(g, region, {(-2, 1): "v", (0, 1): "v"})
     # the buffer makes room for the shorter paths
     assert len(fam.paths[(-2, 1, -1)]) == fam.n_length - 1
     assert len(fam.paths[(-2, 1, -2)]) == fam.n_length - 2
@@ -155,12 +151,89 @@ def test_construct_disjoint_paths_negative_buffer():
 
 def test_construct_disjoint_paths_rejects_improper_region():
     g = EINF
-    full = Clopen.full(g)
+    for region in (Clopen.full(g), Clopen.empty(g)):
+        with pytest.raises(HypothesesFailed, match="nonempty and not the whole"):
+            construct_disjoint_paths(g, region, {(0, 1): "v"})
     with pytest.raises(HypothesesFailed):
-        construct_disjoint_paths(g, full, full, {(0, 1): "v"})
-    with pytest.raises(HypothesesFailed):
-        construct_disjoint_paths(E2, Clopen.full(E2),
-                                 parse_clopen(E2, "Z(a)"), {(0, 1): "v"})
+        construct_disjoint_paths(E2, parse_clopen(E2, "Z(a)"), {(0, 1): "v"})
+
+
+def _failure_kind(check, *args):
+    try:
+        check(*args)
+    except VerificationFailed as exc:
+        return str(exc).split(":")[0]
+    return None
+
+
+def _perturbed_tables(g, rng, fam, region, targets):
+    """(fam, region, targets) for the table itself and for tables with
+    one defect each; every defect but the swapped containers sits on one
+    path."""
+    from dataclasses import replace
+    yield fam, region, targets
+    paths = fam.paths
+    keys = sorted(paths)
+    key = rng.choice(keys)
+    p = paths[key]
+    # shorten or extend a path
+    yield replace(fam, paths={**paths, key: Path(p.base, p.edges[:-1])}), region, targets
+    e = rng.choice(free_edges(g, path_range(g, p), ()))
+    yield replace(fam, paths={**paths, key: p.extend(e)}), region, targets
+    # duplicate a path on either side under a new key
+    for side in ([x for x in keys if x[2] == 0], [x for x in keys if x[2] != 0]):
+        k, i, j = rng.choice(side)
+        fresh = 1 + max(i_ for k_, i_ in targets if k_ == k)
+        yield (replace(fam, paths={**paths, (k, fresh, j): paths[(k, i, j)]}),
+               region, {**targets, (k, fresh): targets[(k, i)]})
+    # a j = 0 path moved inside the region: its prefix mu becomes mu_p
+    k_buf = max([0] + [-k for k, _ in targets])
+    n_mu = fam.n_length - k_buf - 2
+    base = next(q for x, q in sorted(paths.items()) if x[2] != 0)
+    key0 = rng.choice([x for x in keys if x[2] == 0])
+    inside = Path(base.base, base.edges[:n_mu] + paths[key0].edges[n_mu:])
+    yield replace(fam, paths={**paths, key0: inside}), region, targets
+    # a j != 0 path over a cylinder only partly inside the region, with a
+    # region piece strictly below it
+    keyj = rng.choice([x for x in keys if x[2] != 0])
+    q = paths[keyj]
+    below = q.extend(rng.choice(free_edges(g, path_range(g, q), ())))
+    partial = region.subtract(Clopen.cylinder(g, q)).union(Clopen.cylinder(g, below))
+    yield fam, partial, targets
+    # region and outside swapped
+    yield fam, region.complement(), targets
+    # a path retargeted
+    others = sorted(set(g.vertices) - {targets[key[:2]]})
+    if others:
+        yield fam, region, {**targets, key[:2]: rng.choice(others)}
+
+
+def test_path_check_agrees_with_the_subtraction_reference():
+    # routed tables over random regions, each perturbed once: the two
+    # overlap searches and the reference's subtraction per path accept
+    # the same tables and name the same kind of failure
+    from ggt.factor import _check_path_families
+    from helpers import reference_check_path_families
+    rng = random.Random(1901)
+    kinds = set()
+    for g in (EINF, emitter_two_loops()):
+        tables = 0
+        while tables < 10:
+            region = random_clopen(g, rng)
+            if region.is_empty() or region.complement().is_empty():
+                continue
+            levels = {0, rng.randint(1, 3), -rng.randint(1, 3), rng.randint(-3, 3)}
+            targets = {(k, i): rng.choice(sorted(g.vertices))
+                       for k in levels for i in range(1, rng.randint(1, 2) + 1)}
+            fam = construct_disjoint_paths(g, region, targets)
+            tables += 1
+            for args in _perturbed_tables(g, rng, fam, region, targets):
+                got = _failure_kind(_check_path_families, g, *args)
+                want = _failure_kind(reference_check_path_families, g, *args)
+                assert got == want, (g.name, args)
+                kinds.add(got)
+    assert kinds == {None, "wrong path length", "paths not disjoint",
+                     "cylinder escapes its container", "wrong end vertex"}
 
 
 def test_af_factor_examples():
@@ -800,16 +873,22 @@ def test_af_certification_does_not_compose(monkeypatch):
     assert fact.certified and len(fact.transpositions) > 1
 
 
+def _lagged_elements():
+    """A lag-+-1 and a lag-+-3 element of the index kernel over EINF."""
+    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
+    k3 = "L#2.L#2.L#2.L#3"
+    elements = [compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")])),
+                elem(EINF, (k3, [], "L#1"), ("L#1", [], k3))]
+    assert [{b.lag() for b in e.blocks} - {0} for e in elements] == [{-1, 1}, {-3, 3}]
+    return elements
+
+
 def test_index_and_factor_never_build_s0(monkeypatch):
     # S(0) carries no index and the factorization routes only the moved
     # set: index makes no complement walk, and factor calls no
     # graded_partition and intersects no clopens
     fullgroup = sys.modules["ggt.fullgroup"]
-    tau_g = transposition(EINF, [blk(EINF, "L#2.L#1", [], "L#1")])
-    k3 = "L#2.L#2.L#2.L#3"
-    elements = [compose(tau_g, transposition(EINF, [blk(EINF, "L#1", [], "L#2")])),
-                elem(EINF, (k3, [], "L#1"), ("L#1", [], k3))]
-    assert all({b.lag() for b in e.blocks} - {0} for e in elements)
+    elements = _lagged_elements()
 
     def refuse(*args, **kwargs):
         raise AssertionError("S(0) was built")
@@ -831,6 +910,27 @@ def test_index_and_factor_never_build_s0(monkeypatch):
         m.setattr(Clopen, "intersect", refuse)
         assert all(factor(e).certified for e in elements)
     assert calls == []
+
+
+def test_factor_builds_no_cylinder_or_difference(monkeypatch):
+    # the routing runs against the whole space: its outside is one
+    # complement and its check two overlap searches and one complement
+    # walk, so factor builds no cylinder clopen and subtracts no clopens
+    elements = _lagged_elements()
+    mod = sys.modules["ggt.factor"]
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cylinder or a difference was built")
+
+    monkeypatch.setattr(Clopen, "subtract", refuse)
+    monkeypatch.setattr(Clopen, "cylinder", refuse)
+    for name in ("find_overlap", "complement_pieces"):
+        monkeypatch.setattr(mod, name, lambda *args, name=name, real=getattr(mod, name): (
+            calls.append(name) or real(*args)))
+    assert all(factor(e).certified for e in elements)
+    # one routing check per element
+    assert sorted(calls) == ["complement_pieces"] * 2 + ["find_overlap"] * 4
 
 
 def test_invariant_checks_raise_typed_errors(monkeypatch):
@@ -859,9 +959,9 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
             with pytest.raises(VerificationFailed, match=message):
                 factor(e)
 
-    ambient, region = Clopen.full(EINF), parse_clopen(EINF, "Z(L#1)")
+    region = parse_clopen(EINF, "Z(L#1)")
     targets = {(1, 1): "v", (0, 1): "v", (0, 2): "v"}
-    fam = construct_disjoint_paths(EINF, ambient, region, targets)
+    fam = construct_disjoint_paths(EINF, region, targets)
     twice = fam.paths[(0, 1, 0)]
     # a strict prefix sorted after the longer path is met by the second
     # pass of the overlap search, which walks each path past its prefixes
@@ -875,10 +975,10 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
              region, targets,
              re.escape(f"paths not disjoint: {prefix} and {twice}") + "$"),
             (fam, region, {**targets, (1, 1): "w"}, "wrong end vertex"),
-            (fam, ambient.subtract(region), targets,
+            (fam, region.complement(), targets,
              "cylinder escapes its container")):
         with pytest.raises(VerificationFailed, match=message):
-            _check_path_families(EINF, broken, ambient, region_, targets_)
+            _check_path_families(EINF, broken, region_, targets_)
 
     # the index lies in ker(id - phi), and a refined part has full depth
     homology = sys.modules["ggt.homology"]

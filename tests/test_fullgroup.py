@@ -1,10 +1,11 @@
 import random
+import re
 import sys
 
 import pytest
 
-from ggt.errors import (CarrierMismatch, OverlappingSourceRange, RangesOverlap,
-                        SourcesOverlap, VerificationFailed)
+from ggt.errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
+                        RangesOverlap, SourcesOverlap, VerificationFailed)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
@@ -60,7 +61,37 @@ def test_validate_examples():
         elem(E2, ("a", [], "a"), ("b", [], "a.b"))
     with pytest.raises(CarrierMismatch):
         elem(E2, ("a", [], "a.a"))
+    # an empty source never reaches normalization: make_block refuses it
+    a, b = parse_path(E2, "a"), parse_path(E2, "b")
+    with pytest.raises(MalformedGraph,
+                       match="^fully punctured regular cylinder is empty$"):
+        validate_element(E2, [Block(a, ("a", "b"), b)])
     assert len(alpha0().blocks) == 3
+
+
+def test_make_block_names_its_single_defect(monkeypatch):
+    # each block has one defect and raises the message naming it; every
+    # path is walked once
+    g = mixed_graph()
+    c1, d1, c2 = (parse_path(g, t) for t in ("c1", "d1", "c2"))
+    bad = Path("b", ("c1", "l"))
+    for graph, mu, punct, nu, message in (
+            (g, Path("z"), (), c1, "unknown vertex 'z'"),
+            (g, bad, (), c1, "path c1.l is not composable at 'l'"),
+            (g, c1, (), bad, "path c1.l is not composable at 'l'"),
+            (g, c1, (), d1, "block paths c1 and d1 end at different vertices"),
+            (g, c1, ("l",), c2, "puncture 'l' is not emitted by c"),
+            (E2, Path("v", ("a",)), ("a", "b"), Path("v", ("b",)),
+             "fully punctured regular cylinder is empty")):
+        with pytest.raises(MalformedGraph, match=f"^{re.escape(message)}$"):
+            make_block(graph, mu, punct, nu)
+    walked = []
+    for name in ("ggt.pathspace", "ggt.fullgroup"):
+        mod = sys.modules[name]
+        monkeypatch.setattr(mod, "check_path", lambda graph, p, real=mod.check_path: (
+            walked.append(p) or real(graph, p)))
+    assert make_block(g, c1, ("F#2", "F#1"), c2) == Block(c1, ("F#1", "F#2"), c2)
+    assert walked == [c1, c2]
 
 
 def test_normalization_drops_identities():
