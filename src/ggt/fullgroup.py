@@ -52,7 +52,9 @@ class Block:
         return Block(self.nu, self.punctures, self.mu)
 
     def key(self):
-        return self.source_piece().key() + self.range_piece().key()
+        """The source piece's key. Every list sorted by it has pairwise
+        disjoint, nonempty sources, so no two keys are equal."""
+        return self.source_piece().key()
 
     def __str__(self):
         punct = ",".join(self.punctures) if self.punctures else "-"
@@ -394,11 +396,12 @@ def acts_as(factors, e: Element) -> bool:
     axioms, totality (its sources cover the whole space), and every block
     fixing its source pointwise. A prefix exchange with mu != nu fixes at
     most one point, which ``_block_is_identity``'s singleton rule decides,
-    so no normal form is needed.
+    so no normal form is needed. The sources are total iff they leave no
+    complement piece (``complement_pieces`` emits no empty one).
     """
     g = e.graph
     live = _check_table(g, _fold(g, list(factors) + [inverse(e)]))
-    if not bisection_source(g, live).equal(Clopen.full(g)):
+    if complement_pieces(g, [b.source_piece() for b in live]):
         return False
     return all(_block_is_identity(g, b) for b in live)
 
@@ -466,8 +469,8 @@ def graded_partition(e: Element) -> GradedPartition:
     region off the carrier. Empty parts are left out."""
     g = e.graph
     parts = {k: c for k, c in lag_parts(e).items() if k}
-    parts[0] = Clopen(g, canonicalize(g, complement_pieces(
-        g, [b.source_piece() for b in e.blocks if b.lag()])))
+    parts[0] = Clopen.complement_of(
+        g, [b.source_piece() for b in e.blocks if b.lag()])
     levels = tuple((k, parts[k]) for k in sorted(parts) if not parts[k].is_empty())
     return GradedPartition(Clopen.full(g), levels)
 

@@ -7,6 +7,9 @@ algorithms touch only finitely many of them and compare members by
 (family, index). A vertex is singular iff it is a sink or emits a
 family (infinite emitter).
 
+A ``Graph`` checks its declaration and builds its edge and successor
+tables once, in ``__init__``; every query reads those tables.
+
 All orderings are deterministic: lexicographic on names, numeric on
 family indices, so every operation is reproducible byte for byte.
 """
@@ -27,7 +30,8 @@ _MEMBER_RE = re.compile(r"^([A-Za-z0-9_]+)#([1-9][0-9]*)$")
 
 @functools.lru_cache(maxsize=65536)
 def edge_key(edge: str):
-    """Total order on edge references: (base name, family index)."""
+    """Total order on edge references: (base name, family index). The
+    index is nonzero exactly for a family member ``F#k``."""
     m = _MEMBER_RE.match(edge)
     if m:
         return (m.group(1), int(m.group(2)))
@@ -38,13 +42,10 @@ def family_member(family: str, k: int) -> str:
     return f"{family}#{k}"
 
 
-@functools.lru_cache(maxsize=65536)
 def split_member(edge: str):
     """(family, index) for a family member, else None."""
-    m = _MEMBER_RE.match(edge)
-    if m:
-        return m.group(1), int(m.group(2))
-    return None
+    key = edge_key(edge)
+    return key if key[1] else None
 
 
 class Graph:
@@ -52,7 +53,7 @@ class Graph:
 
     __slots__ = ("name", "vertices", "edges", "families",
                  "_edge_map", "_family_map", "_out_concrete", "_out_families",
-                 "_incoming", "_singular", "_hash")
+                 "_successors", "_incoming", "_singular", "_hash")
 
     def __init__(self, name, vertices, edges=(), families=()):
         self.name = name
@@ -72,38 +73,30 @@ class Graph:
         # self.edges / self.families rather than copied
         self._edge_map = {}
         self._family_map = {}
-        for edge in self.edges:
-            e, s, r = edge
-            if not _NAME_RE.match(e):
-                raise MalformedGraph(f"bad edge name {e!r}")
-            if e in seen:
-                raise MalformedGraph(f"duplicate name {e!r}")
-            seen.add(e)
-            if s not in vset or r not in vset:
-                raise MalformedGraph(f"edge {e!r} has dangling endpoint")
-            self._edge_map[e] = edge
-        for family in self.families:
-            f, s, r = family
-            if not _NAME_RE.match(f):
-                raise MalformedGraph(f"bad family name {f!r}")
-            if f in seen:
-                raise MalformedGraph(f"duplicate name {f!r}")
-            seen.add(f)
-            if s not in vset or r not in vset:
-                raise MalformedGraph(f"family {f!r} has dangling endpoint")
-            self._family_map[f] = family
-
         out_concrete = {v: [] for v in self.vertices}
         out_families = {v: [] for v in self.vertices}
-        self._incoming = {v: 0 for v in self.vertices}
-        for e, s, r in self.edges:
-            out_concrete[s].append(e)
-            self._incoming[r] += 1
-        for f, s, r in self.families:
-            out_families[s].append(f)
-            self._incoming[r] += 1
+        successors = {v: set() for v in self.vertices}
+        self._incoming = dict.fromkeys(self.vertices, 0)
+        for kind, triples, table, out in (
+                ("edge", self.edges, self._edge_map, out_concrete),
+                ("family", self.families, self._family_map, out_families)):
+            for triple in triples:
+                e, s, r = triple
+                if not _NAME_RE.match(e):
+                    raise MalformedGraph(f"bad {kind} name {e!r}")
+                if e in seen:
+                    raise MalformedGraph(f"duplicate name {e!r}")
+                seen.add(e)
+                if s not in vset or r not in vset:
+                    raise MalformedGraph(f"{kind} {e!r} has dangling endpoint")
+                table[e] = triple
+                out[s].append(e)
+                successors[s].add(r)
+                self._incoming[r] += 1
         self._out_concrete = {v: tuple(sorted(es)) for v, es in out_concrete.items()}
         self._out_families = {v: tuple(sorted(fs)) for v, fs in out_families.items()}
+        # the ranges of each vertex's edges and families, sorted, each once
+        self._successors = {v: tuple(sorted(ws)) for v, ws in successors.items()}
         self._singular = frozenset(v for v in self.vertices
                                    if self.is_sink(v) or self.is_infinite_emitter(v))
         self._hash = hash((self.vertices, self.edges, self.families))
@@ -124,27 +117,30 @@ class Graph:
 
     # -- edge accessors ----------------------------------------------------
 
+    def _resolve(self, edge: str):
+        """The declared (name, source, range) triple of an edge reference,
+        a concrete edge or a member ``F#k`` of a declared family; None for
+        anything else. A concrete edge costs one dict lookup."""
+        triple = self._edge_map.get(edge)
+        if triple is None:
+            m = split_member(edge)
+            triple = m and self._family_map.get(m[0])
+        return triple
+
     def is_edge(self, edge: str) -> bool:
-        if edge in self._edge_map:
-            return True
-        m = split_member(edge)
-        return m is not None and m[0] in self._family_map
+        return self._resolve(edge) is not None
 
     def source(self, edge: str) -> str:
-        if edge in self._edge_map:
-            return self._edge_map[edge][1]
-        m = split_member(edge)
-        if m and m[0] in self._family_map:
-            return self._family_map[m[0]][1]
-        raise MalformedGraph(f"unknown edge {edge!r}")
+        triple = self._resolve(edge)
+        if triple is None:
+            raise MalformedGraph(f"unknown edge {edge!r}")
+        return triple[1]
 
     def range(self, edge: str) -> str:
-        if edge in self._edge_map:
-            return self._edge_map[edge][2]
-        m = split_member(edge)
-        if m and m[0] in self._family_map:
-            return self._family_map[m[0]][2]
-        raise MalformedGraph(f"unknown edge {edge!r}")
+        triple = self._resolve(edge)
+        if triple is None:
+            raise MalformedGraph(f"unknown edge {edge!r}")
+        return triple[2]
 
     def family_range(self, family: str) -> str:
         return self._family_map[family][2]
@@ -156,7 +152,7 @@ class Graph:
         return self._out_families[v]
 
     def is_sink(self, v) -> bool:
-        return not self._out_concrete[v] and not self._out_families[v]
+        return not self._successors[v]
 
     def is_infinite_emitter(self, v) -> bool:
         return bool(self._out_families[v])
@@ -173,12 +169,12 @@ class Graph:
     # -- reachability ------------------------------------------------------
 
     def successors(self, v):
-        out = set(self._edge_map[e][2] for e in self._out_concrete[v])
-        out.update(self._family_map[f][2] for f in self._out_families[v])
-        return sorted(out)
+        """The vertices v has an edge or family into, sorted."""
+        return self._successors[v]
 
     def strongly_connected_components(self):
         """SCCs in deterministic order (Tarjan over sorted successors)."""
+        succ = self._successors
         index = {}
         low = {}
         on_stack = set()
@@ -187,7 +183,7 @@ class Graph:
         counter = [0]
 
         def strongconnect(v):
-            work = [(v, iter(self.successors(v)))]
+            work = [(v, iter(succ[v]))]
             index[v] = low[v] = counter[0]
             counter[0] += 1
             stack.append(v)
@@ -201,7 +197,7 @@ class Graph:
                         counter[0] += 1
                         stack.append(w)
                         on_stack.add(w)
-                        work.append((w, iter(self.successors(w))))
+                        work.append((w, iter(succ[w])))
                         advanced = True
                         break
                     elif w in on_stack:
@@ -233,7 +229,7 @@ class Graph:
         if len(comp) > 1:
             return True
         (v,) = comp
-        return v in self.successors(v)
+        return v in self._successors[v]
 
     def nontrivial_scc(self):
         """The unique cycle-supporting SCC, or None."""
@@ -312,7 +308,7 @@ def validate(g: Graph) -> CriteriaReport:
     reach = {}  # vertex -> the reach set of its component
     for comp in comps:
         # successors outside comp lie in components emitted before it
-        r = set(comp).union(*(reach[w] for u in comp for w in g.successors(u)
+        r = set(comp).union(*(reach[w] for u in comp for w in g._successors[u]
                               if w in reach))
         reach.update(dict.fromkeys(comp, r))
     cyclic = [c for c in comps if g.is_cyclic(c)]
@@ -409,7 +405,7 @@ def move_t(g: Graph, w: str) -> Graph:
         raise MalformedGraph(f"unknown vertex {w!r}")
     if not g.is_infinite_emitter(w):
         raise NotInfiniteEmitter(f"{w} is not an infinite emitter")
-    if len(g.strongly_connected_components()) != 1:
+    if not validate(g).strongly_connected:
         raise NotStronglyConnected("move (T) requires a strongly connected graph")
     used = set(g.vertices)
     used.update(e for e, _, _ in g.edges)
@@ -479,11 +475,11 @@ def find_path(g: Graph, src: str, dst: str, length=None):
         raise MalformedGraph("unknown vertex in path query")
     if length is not None and length < 0:
         return None
-    succ = {u: g.successors(u) for u in g.vertices}
     into = [{dst}]
     bound = 2 * len(g.vertices) if length is None else length
     while len(into) <= bound and (length is not None or src not in into[-1]):
-        into.append({u for u, ws in succ.items() if not into[-1].isdisjoint(ws)})
+        into.append({u for u, ws in g._successors.items()
+                     if not into[-1].isdisjoint(ws)})
     if src not in into[-1]:
         return None
     path, u = [], src

@@ -37,9 +37,6 @@ class Path:
     def __len__(self):
         return len(self.edges)
 
-    def key(self):
-        return (len(self.edges), tuple(edge_key(e) for e in self.edges), self.base)
-
     def extend(self, *edges):
         return Path(self.base, self.edges + tuple(edges))
 
@@ -344,8 +341,8 @@ def canonicalize(g: Graph, pieces):
 
 
 def complement_pieces(g: Graph, pieces):
-    """Disjoint pieces covering what the given pieces leave uncovered,
-    by one walk over their path trie; not canonicalized.
+    """The canonical pieces of what the given pieces leave uncovered, by
+    one walk over their path trie, unsorted.
 
     Pieces may overlap and need not be merged. Below a node holding
     pieces, only the edges punctured by all of them stay uncovered; below
@@ -354,6 +351,20 @@ def complement_pieces(g: Graph, pieces):
     below an input path only through a puncture of a piece there, and
     otherwise stays on or above some input path: no emitted piece is
     deeper than the deepest input piece.
+
+    The output is already canonical, so sorting it by ``Piece.key`` gives
+    ``canonicalize`` of it. Empty input pieces are dropped first, so every
+    trie node has a nonempty input piece in its subtree, and:
+
+    * every emitted piece is nonempty: a plain cylinder, or a cylinder at
+      a singular vertex punctured by finitely many edges (a node with no
+      piece has children, so that vertex is an infinite emitter);
+    * the complement below a trie node is never its whole cylinder, so no
+      sibling family of emitted pieces is complete and no emitted
+      puncture is redundant: each punctured edge leads into a subtree
+      that holds an input piece;
+    * punctures appear only at singular vertices; at a regular vertex the
+      walk emits the untaken edges as plain cylinders.
     """
     pieces = [p for p in pieces if not piece_is_empty(g, p)]
     roots, _ = path_trie(p.mu for p in pieces)
@@ -406,6 +417,12 @@ class Clopen:
         return cls(g, canonicalize(g, [make_piece(g, mu, punctures)]))
 
     @classmethod
+    def complement_of(cls, g: Graph, pieces) -> "Clopen":
+        """What the pieces leave uncovered: ``complement_pieces``, which
+        is canonical, sorted."""
+        return cls(g, tuple(sorted(complement_pieces(g, pieces), key=Piece.key)))
+
+    @classmethod
     def empty(cls, g: Graph) -> "Clopen":
         return cls(g, ())
 
@@ -426,20 +443,19 @@ class Clopen:
 
     def intersect(self, other: "Clopen") -> "Clopen":
         """Points in both: the complement of the two complements, three
-        trie walks (``complement_pieces``) and one canonical form."""
+        trie walks (``complement_pieces``) and no canonical form."""
         self._check_same_graph(other)
         g = self.graph
-        return Clopen(g, canonicalize(g, complement_pieces(
-            g, complement_pieces(g, self.pieces)
-            + complement_pieces(g, other.pieces))))
+        return Clopen.complement_of(g, complement_pieces(g, self.pieces)
+                                    + complement_pieces(g, other.pieces))
 
     def subtract(self, other: "Clopen") -> "Clopen":
         """Points of self off other: the complement of self's complement
-        joined with other, two trie walks and one canonical form."""
+        joined with other, two trie walks and no canonical form."""
         self._check_same_graph(other)
         g = self.graph
-        return Clopen(g, canonicalize(g, complement_pieces(
-            g, complement_pieces(g, self.pieces) + list(other.pieces))))
+        return Clopen.complement_of(
+            g, complement_pieces(g, self.pieces) + list(other.pieces))
 
     def union(self, other: "Clopen") -> "Clopen":
         self._check_same_graph(other)
@@ -447,11 +463,9 @@ class Clopen:
                       canonicalize(self.graph, self.pieces + other.pieces))
 
     def complement(self) -> "Clopen":
-        """The rest of the space: the canonical form of
-        ``complement_pieces``, so the piece list of
+        """The rest of the space, one trie walk: the piece list of
         ``Clopen.full(g).subtract(self)``, canonical forms being unique."""
-        g = self.graph
-        return Clopen(g, canonicalize(g, complement_pieces(g, self.pieces)))
+        return Clopen.complement_of(self.graph, self.pieces)
 
     def equal(self, other: "Clopen") -> bool:
         """Same set of points. Equal piece tuples are the same set, which

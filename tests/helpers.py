@@ -311,6 +311,12 @@ def pairwise_subtract(a, b):
     return Clopen(g, canonicalize(g, out))
 
 
+def reference_block_key(b):
+    """The block order by source key, then range key: ``Block.key`` before
+    it read the source alone."""
+    return b.source_piece().key() + b.range_piece().key()
+
+
 def reference_graded_partition(e):
     """``fullgroup.graded_partition`` with S(0) built as the lag-0
     sources canonicalized together with the complement of all sources."""

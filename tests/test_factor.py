@@ -35,7 +35,7 @@ from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
 from helpers import (acts_pointwise, mutate_clopen, point_family,
                      random_balanced_table, random_clopen, random_element,
                      random_transposition, random_twin_graph, random_walk,
-                     twin_chain)
+                     reference_block_key, twin_chain)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -115,6 +115,30 @@ def test_graded_cancellation_random():
             # build b with the shifted class by prepending paths manually
             blocks = graded_cancellation(a, _shifted_copy(g, rng, a, n), n)
             assert all(x.lag() == n for x in blocks)
+
+
+def test_blocks_sort_by_source_alone():
+    # normalized tables, inverses and matchings have pairwise disjoint,
+    # nonempty sources, so the source key alone gives the order of the
+    # source-then-range key
+    rng = random.Random(139)
+    tables = []
+    for g in (E2, EINF, emitter_two_loops()):
+        for _ in range(12):
+            e = random_element(g, rng, 3, max_len=2)
+            tables += [e.blocks, inverse(e).blocks]
+    for g in (E2, EINF):
+        for _ in range(10):
+            seed = random_clopen(g, rng, pieces=2, max_len=2)
+            if seed.is_empty():
+                continue
+            a = mutate_clopen(g, rng, seed, moves=3)
+            tables.append(find_bisection(a, mutate_clopen(g, rng, seed, moves=3)))
+            n = rng.randrange(1, 3)
+            tables.append(graded_cancellation(a, _shifted_copy(g, rng, a, n), n))
+    assert sum(len(blocks) > 1 for blocks in tables) > 40
+    for blocks in tables:
+        assert list(blocks) == sorted(blocks, key=reference_block_key)
 
 
 def _shifted_copy(g, rng, a, n):

@@ -1,28 +1,93 @@
 import random
+import re
 import sys
 
 import pytest
 
 from ggt.errors import (MalformedGraph, NoDisjointCycles, NotARegularSource,
-                        NotInfiniteEmitter)
+                        NotInfiniteEmitter, NotStronglyConnected)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.graphs import (CriteriaReport, Graph, edge_key, family_member,
                         find_path, move_s, move_t, parse_graph, print_graph,
-                        two_disjoint_cycles, validate)
+                        split_member, two_disjoint_cycles, validate)
 
-from helpers import reachable_from
+from helpers import random_twin_graph, reachable_from
+
+
+def refusal(fn, *args):
+    """The class and message of the error fn raises."""
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return type(exc.value).__name__, str(exc.value)
 
 
 def test_malformed_graphs():
-    with pytest.raises(MalformedGraph):
-        Graph("g", ["v", "v"])
-    with pytest.raises(MalformedGraph):
-        Graph("g", ["v"], [("e", "v", "w")])
-    with pytest.raises(MalformedGraph):
-        Graph("g", ["v"], [("v", "v", "v")])
-    with pytest.raises(MalformedGraph):
-        Graph("g", ["v"], [("e", "v", "v")], [("e", "v", "v")])
+    # every refusal of Graph.__init__, by class and message
+    bad = MalformedGraph.__name__
+    cases = [
+        ((["v", "v-"],), "bad vertex name 'v-'"),
+        ((["v", "v"],), "duplicate name 'v'"),
+        ((["v"], [("e!", "v", "v")]), "bad edge name 'e!'"),
+        ((["v"], [("v", "v", "v")]), "duplicate name 'v'"),
+        ((["v"], [("e", "v", "v"), ("e", "v", "v")]), "duplicate name 'e'"),
+        ((["v"], [("e", "w", "v")]), "edge 'e' has dangling endpoint"),
+        ((["v"], [("e", "v", "w")]), "edge 'e' has dangling endpoint"),
+        ((["v"], [], [("L#1", "v", "v")]), "bad family name 'L#1'"),
+        ((["v"], [("e", "v", "v")], [("e", "v", "v")]), "duplicate name 'e'"),
+        ((["v"], [], [("L", "v", "v"), ("L", "v", "v")]), "duplicate name 'L'"),
+        ((["v"], [], [("L", "w", "v")]), "family 'L' has dangling endpoint"),
+        ((["v"], [], [("L", "v", "w")]), "family 'L' has dangling endpoint"),
+        # edges are checked before families, each check in turn
+        ((["v"], [("e", "v", "w")], [("L!", "v", "v")]),
+         "edge 'e' has dangling endpoint"),
+        ((["v"], [("e!", "v", "w")]), "bad edge name 'e!'"),
+        ((["v"], [("v", "v", "w")]), "duplicate name 'v'"),
+    ]
+    for args, message in cases:
+        assert refusal(Graph, "g", *args) == (bad, message)
+
+
+_MEMBER = re.compile(r"^([A-Za-z0-9_]+)#([1-9][0-9]*)$")
+
+
+def reference_split_member(edge):
+    """(family, index) by the member regex that ``split_member`` matched
+    itself before it read ``edge_key``."""
+    m = _MEMBER.match(edge)
+    return (m.group(1), int(m.group(2))) if m else None
+
+
+def test_edge_references_resolve_by_the_member_syntax():
+    g = Graph("g", ["v", "w"], [("e", "v", "w")], [("L", "w", "v")])
+    declared = {"e": ("v", "w"), "L#1": ("w", "v"), "L#12": ("w", "v")}
+    for ref in ("L#0", "L#01", "L#", "#1", "L#1#2", "M#1", "L", "e#1",
+                *declared):
+        assert split_member(ref) == reference_split_member(ref)
+        assert g.is_edge(ref) == (ref in declared)
+        if ref in declared:
+            assert (g.source(ref), g.range(ref)) == declared[ref]
+        else:
+            for query in (g.source, g.range):
+                assert refusal(query, ref) == (MalformedGraph.__name__,
+                                               f"unknown edge {ref!r}")
+
+
+def reference_successors(g, v):
+    """The ranges of v's edges and families, sorted, each once."""
+    return tuple(sorted({r for _, s, r in g.edges + g.families if s == v}))
+
+
+def test_successors_are_the_sorted_ranges_of_edges_and_families():
+    rng = random.Random(2041)
+    graphs = [infinite_rose(), rose(2), cycle_graph(3), mixed_graph(),
+              emitter_two_loops()]
+    graphs += [random_twin_graph(rng) for _ in range(20)]
+    graphs += [random_graph(rng, rng.randrange(1, 9)) for _ in range(200)]
+    for g in graphs:
+        for v in g.vertices:
+            assert g.successors(v) == reference_successors(g, v)
+            assert g.is_sink(v) == (not reference_successors(g, v))
 
 
 def test_validate_fixtures():
@@ -342,6 +407,26 @@ def test_validate_walks_the_components_once(monkeypatch):
         monkeypatch.setattr(Graph, name, counted)
     validate.__wrapped__(mixed_graph())
     assert counts == {"strongly_connected_components": 1}
+
+
+def test_move_t_reads_the_validated_components(monkeypatch):
+    pet = emitter_two_loops()
+    validate(pet)
+    calls = []
+    real = Graph.strongly_connected_components
+    monkeypatch.setattr(Graph, "strongly_connected_components",
+                        lambda self: calls.append(self) or real(self))
+    assert len(move_t(pet, "w").families) == 1 + len(pet.vertices)
+    assert calls == []
+    # the refusals keep their order: unknown vertex, no emitter, components
+    split = Graph("split", ["w", "u"], [("e", "u", "u")], [("F", "w", "u")])
+    assert refusal(move_t, split, "z") == (MalformedGraph.__name__,
+                                           "unknown vertex 'z'")
+    assert refusal(move_t, split, "u") == (NotInfiniteEmitter.__name__,
+                                           "u is not an infinite emitter")
+    assert refusal(move_t, split, "w") == (
+        NotStronglyConnected.__name__,
+        "move (T) requires a strongly connected graph")
 
 
 def reference_candidate_edges(g, v, extra_members=1):

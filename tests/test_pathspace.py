@@ -7,13 +7,15 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
-                           canonical_pieces, canonicalize, make_piece,
-                           parse_clopen, parse_path, parse_piece, path_range,
-                           prepend_prefix, singleton_point, strip_prefix)
+                           canonical_pieces, canonicalize, complement_pieces,
+                           make_piece, parse_clopen, parse_path, parse_piece,
+                           path_range, prepend_prefix, singleton_point,
+                           strip_prefix)
 
 from helpers import (member_set, pairwise_intersect, pairwise_subtract,
-                     point_family, random_clopen, random_walk,
-                     recursive_canonical_pieces, symmetric_difference_empty)
+                     point_family, random_clopen, random_twin_graph,
+                     random_walk, recursive_canonical_pieces,
+                     symmetric_difference_empty)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -217,7 +219,10 @@ def test_complement_matches_subtraction_and_points():
 def raw_piece(g, rng):
     """A piece built without make_piece: any punctures at its range
     vertex, now and then every out-edge of a regular one (an empty piece)."""
-    mu = random_walk(g, rng, rng.choice(sorted(g.vertices)), rng.randrange(0, 3))
+    mu = None
+    while mu is None:  # a walk into a sink stops there
+        mu = random_walk(g, rng, rng.choice(sorted(g.vertices)),
+                         rng.randrange(0, 3))
     v = path_range(g, mu)
     out = list(g.out_concrete(v))
     out += [family_member(f, k) for f in g.out_families(v) for k in (1, 2, 3)]
@@ -266,3 +271,29 @@ def test_canonical_walk_matches_the_recursive_reference():
             rng.shuffle(pieces)
             assert canonical_pieces(g, pieces) == \
                 recursive_canonical_pieces(g, pieces)
+
+
+def test_complement_walk_emits_canonical_pieces():
+    # Clopen.complement, intersect and subtract and graded_partition's
+    # S(0) only sort complement_pieces, so its output must be canonical:
+    # raw inputs with overlapping, nested, punctured and fully punctured
+    # pieces, also over a sink and over random twin graphs
+    rng = random.Random(137)
+    graphs = [E2, EINF, emitter_two_loops(), MIXED, TAIL]
+    graphs += [random_twin_graph(rng) for _ in range(6)]
+    punctured = 0
+    for g in graphs:
+        full = Clopen.full(g)
+        for _ in range(80):
+            pieces = [raw_piece(g, rng) for _ in range(rng.randrange(0, 5))]
+            for p in list(pieces):
+                ext = random_walk(g, rng, path_range(g, p.mu), rng.randrange(1, 4))
+                if ext is not None and rng.random() < 0.5:
+                    pieces.append(Piece(p.mu.extend(*ext.edges)))
+            rng.shuffle(pieces)
+            got = complement_pieces(g, pieces)
+            assert tuple(sorted(got, key=Piece.key)) == canonicalize(g, got)
+            rest = pairwise_subtract(full, Clopen(g, tuple(pieces)))
+            assert Clopen.complement_of(g, pieces) == rest
+            punctured += any(q.punctures for q in got)
+    assert punctured > 0
