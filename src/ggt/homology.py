@@ -4,7 +4,10 @@ The zeroth homology of the groupoid is presented on one generator per
 vertex with one relation per regular vertex v, namely g_v = sum of
 g_{r(e)} over the edges e leaving v; its invariant factors come from the
 Smith normal form of the relation matrix and the first homology is the
-integer kernel of that matrix.
+integer kernel of that matrix. The matrix is built as sparse rows
+straight from the out-edges (``relation_rows``) and stays sparse through
+unit elimination; only the nonzero rows of what is left are made dense
+(``intlin.sparse_smith_invariants``).
 
 The AF kernel of the canonical cocycle is handled through an atom
 calculus: an atom (v, n) is the class of any cylinder over a length-n
@@ -31,13 +34,12 @@ phi-sum over its lag parts; S(0) adds 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
 from .fullgroup import Element, lag_parts
 from .graphs import Graph, require_ah_criteria, validate
-from .intlin import IntMatrix, smith_invariants
+from .intlin import sparse_smith_invariants
 from .pathspace import Clopen, path_range
 
 
@@ -195,30 +197,40 @@ class HomologyReport:
         return f"Z^{self.h1_rank}" if self.h1_rank else "0"
 
 
-def relation_matrix(g: Graph) -> IntMatrix:
-    """One row per vertex u and one column per regular vertex v: the entry
-    is [u = v] minus the number of edges from v to u."""
+def relation_rows(g: Graph):
+    """The relation matrix by sparse rows, built from ``out_concrete``:
+    (rows, number of columns). There is one dict per vertex u, in sorted
+    order, mapping the column j of each regular vertex v (the j-th of
+    ``regular_vertices``) to [u = v] minus the number of edges from v to
+    u, nonzero entries only. Column j holds at most out-degree(v) + 1
+    entries; a loop at v cancels the 1.
+    """
     idx = {v: i for i, v in enumerate(sorted(g.vertices))}
+    rows = [{} for _ in idx]
     regular = g.regular_vertices()
-    rows = [[0] * len(regular) for _ in idx]
     for j, v in enumerate(regular):
-        rows[idx[v]][j] += 1
+        col = {idx[v]: 1}
         for e in g.out_concrete(v):
-            rows[idx[g.range(e)]][j] -= 1
-    return IntMatrix(len(rows), len(regular),
-                     tuple(chain.from_iterable(rows)))
+            i = idx[g.range(e)]
+            col[i] = col.get(i, 0) - 1
+        for i, x in col.items():
+            if x:
+                rows[i][j] = x
+    return rows, len(regular)
 
 
 def homology(g: Graph) -> HomologyReport:
     """H0 as cokernel invariants, H1 as the kernel lattice, both from
-    ``smith_invariants`` of the relation matrix: sparse elimination on
-    its unit entries, then one Smith normal form of the residual.
+    ``sparse_smith_invariants`` of the sparse ``relation_rows``: sparse
+    elimination on their unit entries, then one Smith normal form of the
+    nonzero rows of the residual. No dense matrix of the whole relation
+    is built.
 
     Sinks are allowed; they are singular and contribute no relation.
     Higher homology vanishes for every graph groupoid and is reported as
     a constant, never computed.
     """
-    torsion, free_rank, ker = smith_invariants(relation_matrix(g))
+    torsion, free_rank, ker = sparse_smith_invariants(*relation_rows(g))
     even = sum(1 for t in torsion if t % 2 == 0)
     return HomologyReport(tuple(torsion), free_rank, ker.rank, ker.basis,
                           free_rank + even)

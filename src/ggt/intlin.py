@@ -8,18 +8,27 @@ as the zero-test's reference). No floating point anywhere;
 intermediate entries can blow up during reduction, which is why Python
 integers are mandatory.
 
-``smith_invariants`` first eliminates sparsely on the +-1 entries
-(``_unit_eliminate``) and runs the dense Smith loop only on what is
-left. A unit pivot divides every entry, so it splits off an I_1 block
-with no remainder and no divisibility fix. The row operations are not
-recorded: the cokernel is unchanged by any invertible U, so only the
-column operations V are kept, and they carry the kernel of the residual
-R back to that of the matrix, as V applied to 0 + ker R. The relation
-matrices of graphs are mostly 0 and +-1, so R is small.
+``sparse_smith_invariants`` takes a matrix as sparse rows, the form the
+homology relation is built in; ``smith_invariants`` reads a dense
+``IntMatrix`` into that form, the one dense scan, and hands it over.
+Both go through one core. It first eliminates sparsely on the +-1
+entries (``_unit_eliminate``), taking each pivot off a heap keyed
+(Markowitz cost, row, col) that re-costs stale keys when they are
+popped, so no pivot rescans the live entries. A unit pivot divides
+every entry, so it splits off an I_1 block with no remainder and no
+divisibility fix. The row operations are not recorded: the cokernel is
+unchanged by any invertible U, so only the column operations V are
+kept, and they carry the kernel of the residual R back to that of the
+matrix, as V applied to 0 + ker R. The rows of R that are all zero are
+then set aside, each a free summand Z of the cokernel that puts no
+condition on the kernel, and the dense Smith loop runs once, on the
+nonzero rows of R only. The relation matrices of graphs are mostly 0
+and +-1, so that part of R is small.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import ChainLimitExceeded
@@ -164,47 +173,63 @@ def smith_normal_form(m: IntMatrix):
     return um, d, vm
 
 
-def _unit_eliminate(m: IntMatrix):
-    """Sparse elimination of m on its unit entries: (R, basis).
+def _unit_eliminate(rows, cols):
+    """Sparse elimination on the unit entries of the matrix with the
+    given rows: (residual rows, basis).
 
-    The rows are kept as sparse dicts {col: value}, with the set of rows
-    holding each column. While a +-1 entry is left, the one of least
-    Markowitz cost (row nnz - 1) * (col nnz - 1) becomes the pivot: row
-    operations, not recorded, clear its column, and then column
-    operations, recorded in a sparse V kept by column, clear its row,
-    which touches no other row because the column is already clear. The
-    pivot row and column are dropped. A unit divides everything, so no
-    remainder is left and no divisibility fix is needed: after k pivots
-    U*m*V is I_k (up to signs and the order of rows and columns) beside
-    the residual R of the rows and columns left, in increasing order.
-    ``basis[t]`` is the column of V, as {row: value}, of R's column t.
+    ``rows`` is a list of dicts {col: value}, nonzero values only, for a
+    matrix with ``cols`` columns; the dicts are updated in place. The
+    set of rows holding each column is kept beside them. While a +-1
+    entry is left, the one whose key (cost, row, col), with the Markowitz
+    cost (row nnz - 1) * (col nnz - 1), comes first off the heap below
+    becomes the pivot: row operations, not recorded, clear its column,
+    and then column operations, recorded in a sparse V kept by column,
+    clear its row, which touches no other row because the column is
+    already clear. The pivot row and column are dropped.
+
+    The keys live in a heap, with no rescan of the live entries per
+    pivot. Every unit entry is pushed at the start and again whenever a
+    row operation writes a +-1 into it (fill-in), with its cost at that
+    time. A popped key whose entry is gone or no longer a unit is
+    dropped; one whose cost has changed since is pushed again with its
+    current cost; one whose cost is current is the pivot. So the pivot's
+    cost is exact and no greater than any key left in the heap, and ties
+    go by (row, col), never by set order. A cost that has dropped since
+    its key was pushed is seen when that key comes up, so the rule is
+    Markowitz's up to such drops, which only the choice of pivots, never
+    the result, depends on.
+
+    A unit divides everything, so no remainder is left and no
+    divisibility fix is needed: after k pivots U*m*V is I_k (up to signs
+    and the order of rows and columns) beside the residual R: the rows
+    left, in increasing order and empty ones included, as dicts on the
+    columns left. ``basis`` maps each column left, in increasing order,
+    to its column of V as {row: value}.
     """
-    rows = {}
-    at = [set() for _ in range(m.cols)]
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.entries[i * m.cols:(i + 1) * m.cols]) if x}
+    live = dict(enumerate(rows))
+    at = [set() for _ in range(cols)]
+    for i, row in live.items():
         for j in row:
             at[j].add(i)
-        rows[i] = row
-    v = {j: {j: 1} for j in range(m.cols)}
-    while True:
-        best = None
-        for i, row in rows.items():
-            rn = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = rn * (len(at[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, i, j = best
-        pivot = rows.pop(i)
-        s = pivot[j]
-        for i2 in [i2 for i2 in at[j] if i2 != i]:
-            row = rows[i2]
+    heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
+            for i, row in live.items() for j, x in row.items()
+            if x == 1 or x == -1]
+    heapq.heapify(heap)
+    v = {j: {j: 1} for j in range(cols)}
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        pivot = live.get(i, {})
+        s = pivot.get(j)
+        if s != 1 and s != -1:
+            continue
+        now = (len(pivot) - 1) * (len(at[j]) - 1)
+        if now != cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del live[i]
+        fresh = []
+        for i2 in at[j] - {i}:
+            row = live[i2]
             q = row[j] * s
             for j2, x in pivot.items():
                 y = row.get(j2, 0) - q * x
@@ -212,6 +237,8 @@ def _unit_eliminate(m: IntMatrix):
                     if j2 not in row:
                         at[j2].add(i2)
                     row[j2] = y
+                    if y == 1 or y == -1:
+                        fresh.append((i2, j2))
                 else:
                     del row[j2]
                     at[j2].discard(i2)
@@ -229,43 +256,62 @@ def _unit_eliminate(m: IntMatrix):
                 else:
                     del col[r]
         at[j] = set()
-    left = sorted(v)
-    res = IntMatrix(len(rows), len(left),
-                    tuple(row.get(j, 0) for row in rows.values() for j in left))
-    return res, [v[j] for j in left]
+        for i2, j2 in fresh:
+            heapq.heappush(heap, ((len(live[i2]) - 1) * (len(at[j2]) - 1), i2, j2))
+    return list(live.values()), {j: v[j] for j in sorted(v)}
 
 
-def smith_invariants(m: IntMatrix):
-    """(torsion, free rank, kernel) of m, with one Smith normal form of
+def sparse_smith_invariants(rows, cols):
+    """(torsion, free rank, kernel) of the matrix with the given sparse
+    rows (dicts {col: value}, nonzero values only, updated in place) and
+    ``cols`` columns, with one Smith normal form of the nonzero rows of
     the residual left by unit elimination.
 
     ``_unit_eliminate`` gives U*m*V = I_k + R (a block sum, up to signs
     and order). U is never needed: Z^rows / im(m) is isomorphic to
     Z^rows / im(U*m*V), which is 0 on the I_k block and the cokernel of
-    R on the rest. So with U_R*R*V_R = D of rank r, the torsion is the
-    diagonal entries of D above 1 and the free rank is rows - k - r,
-    the rows of R less r.
+    R on the rest. A row of R that is all zero is a free summand Z of
+    that cokernel and puts no condition on the kernel, since
+    Z^rows(R) / im R = Z^(zero rows) + coker(R on its nonzero rows).
+    So those rows are set aside before the Smith normal form, which
+    then builds no transform for them. With U_R*R'*V_R = D of rank r on
+    the nonzero rows R', the torsion is the diagonal entries of D above
+    1 and the free rank is rows - k - r, all the rows of R less r.
     And m*x = 0 iff (I_k + R)*(V^-1 x) = 0, that is iff y = V^-1 x is 0
-    on the pivot columns and R*y = 0 on the rest; so the kernel is V
-    applied to 0 + ker R, and ker R is spanned by the last columns of
+    on the pivot columns and R'*y = 0 on the rest; so the kernel is V
+    applied to 0 + ker R', and ker R' is spanned by the last columns of
     V_R past r. ``Lattice.from_vectors`` puts that basis in canonical
     form, which depends on the lattice only. With no columns the kernel
     is the zero lattice, and with no rows it is the full lattice.
     """
-    res, basis = _unit_eliminate(m)
-    _, d, v = smith_normal_form(res)
+    res, basis = _unit_eliminate(rows, cols)
+    left = list(basis)
+    nonzero = [row for row in res if row]
+    dense = IntMatrix(len(nonzero), len(left),
+                      tuple(row.get(j, 0) for row in nonzero for j in left))
+    _, d, v = smith_normal_form(dense)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     vectors = []
-    for t in range(rank, res.cols):
-        vec = [0] * m.cols
-        for s, col in enumerate(basis):
+    for t in range(rank, dense.cols):
+        vec = [0] * cols
+        for s, j in enumerate(left):
             w = v.get(s, t)
             if w:
-                for r, y in col.items():
-                    vec[r] += w * y
+                for i, y in basis[j].items():
+                    vec[i] += w * y
         vectors.append(vec)
-    return [x for x in diag if x > 1], res.rows - rank, Lattice.from_vectors(m.cols, vectors)
+    return [x for x in diag if x > 1], len(res) - rank, Lattice.from_vectors(cols, vectors)
+
+
+def smith_invariants(m: IntMatrix):
+    """(torsion, free rank, kernel) of m: ``sparse_smith_invariants`` of
+    its rows. Reading m into sparse rows is the one dense scan, made
+    only for a caller that holds a dense matrix.
+    """
+    rows = [{j: x for j, x in enumerate(m.entries[i * m.cols:(i + 1) * m.cols]) if x}
+            for i in range(m.rows)]
+    return sparse_smith_invariants(rows, m.cols)
 
 
 @dataclass(frozen=True)

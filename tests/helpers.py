@@ -2,7 +2,9 @@
 
 The oracles here are deliberately separate implementations: a naive
 Smith reducer without transform tracking, the dense Smith invariants
-that unit elimination replaced, integer matrix products and
+that unit elimination replaced, the dense relation matrix and the
+dense-scan, rescanning unit elimination that sparse relation rows and
+the pivot heap replaced, integer matrix products and
 determinants for checking Smith transforms, a boundary-point
 enumerator that checks set algebra pointwise, the dictionary forms of
 block pairing and overlap search with the recursive canonical walk that
@@ -19,7 +21,8 @@ from ggt.errors import NotEssential, VerificationFailed
 from ggt.fullgroup import (Block, Element, GradedPartition, apply, compose,
                            transposition, validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
-from ggt.homology import ClassVector, IndexValue, class_of, is_zero, shift
+from ggt.homology import (ClassVector, HomologyReport, IndexValue, class_of,
+                          is_zero, shift)
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
                            complement_pieces, find_overlap, intersect_pieces,
@@ -94,6 +97,120 @@ def dense_smith_invariants(m):
     ker = Lattice.from_vectors(m.cols, [[v.get(i, j) for i in range(m.cols)]
                                         for j in range(rank, m.cols)])
     return [x for x in diag if x > 1], m.rows - rank, ker
+
+
+# -- dense relation matrix and unit elimination (references) ------------------
+
+def relation_matrix(g):
+    """The dense relation matrix, read off the graph's edge triples: one
+    row per vertex u and one column per regular vertex v, both in sorted
+    order, with entry [u = v] minus the number of edges from v to u. The
+    reference of the sparse ``homology.relation_rows``."""
+    verts = sorted(g.vertices)
+    regular = [v for v in verts if g.is_regular(v)]
+    col = {v: j for j, v in enumerate(regular)}
+    row = {u: i for i, u in enumerate(verts)}
+    a = [[int(u == v) for v in regular] for u in verts]
+    for _, s, r in g.edges:
+        if s in col:
+            a[row[r]][col[s]] -= 1
+    return IntMatrix(len(verts), len(regular), tuple(x for r in a for x in r))
+
+
+def reference_unit_eliminate(m):
+    """The dense-scan, rescanning unit elimination that the pivot heap
+    replaced: (R, basis) as a dense residual with its empty rows, and the
+    columns of V of R's columns.
+
+    The rows are read out of m into dicts; each pivot is found by
+    scanning every live entry for the +-1 of least Markowitz cost, the
+    first one met on ties.
+    """
+    rows = {}
+    at = [set() for _ in range(m.cols)]
+    for i in range(m.rows):
+        row = {j: x for j, x in enumerate(m.entries[i * m.cols:(i + 1) * m.cols]) if x}
+        for j in row:
+            at[j].add(i)
+        rows[i] = row
+    v = {j: {j: 1} for j in range(m.cols)}
+    while True:
+        best = None
+        for i, row in rows.items():
+            rn = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = rn * (len(at[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        pivot = rows.pop(i)
+        s = pivot[j]
+        for i2 in [i2 for i2 in at[j] if i2 != i]:
+            row = rows[i2]
+            q = row[j] * s
+            for j2, x in pivot.items():
+                y = row.get(j2, 0) - q * x
+                if y:
+                    if j2 not in row:
+                        at[j2].add(i2)
+                    row[j2] = y
+                else:
+                    del row[j2]
+                    at[j2].discard(i2)
+        vj = v.pop(j)
+        for j2, x in pivot.items():
+            if j2 == j:
+                continue
+            at[j2].discard(i)
+            q = x * s
+            col = v[j2]
+            for r, y in vj.items():
+                z = col.get(r, 0) - q * y
+                if z:
+                    col[r] = z
+                else:
+                    del col[r]
+        at[j] = set()
+    left = sorted(v)
+    res = IntMatrix(len(rows), len(left),
+                    tuple(row.get(j, 0) for row in rows.values() for j in left))
+    return res, [v[j] for j in left]
+
+
+def reference_smith_invariants(m):
+    """(torsion, free rank, kernel) of m by ``reference_unit_eliminate``
+    and one Smith normal form of the whole residual, empty rows and all:
+    the oracle of ``intlin.smith_invariants`` at sizes where
+    ``dense_smith_invariants`` is too slow."""
+    res, basis = reference_unit_eliminate(m)
+    _, d, v = smith_normal_form(res)
+    diag = d.diagonal()
+    rank = sum(1 for x in diag if x != 0)
+    vectors = []
+    for t in range(rank, res.cols):
+        vec = [0] * m.cols
+        for s, col in enumerate(basis):
+            w = v.get(s, t)
+            if w:
+                for r, y in col.items():
+                    vec[r] += w * y
+        vectors.append(vec)
+    return ([x for x in diag if x > 1], res.rows - rank,
+            Lattice.from_vectors(m.cols, vectors))
+
+
+def reference_homology(g):
+    """``homology.homology`` from the dense ``relation_matrix`` and
+    ``reference_smith_invariants``."""
+    torsion, free, ker = reference_smith_invariants(relation_matrix(g))
+    even = sum(1 for t in torsion if t % 2 == 0)
+    return HomologyReport(tuple(torsion), free, ker.rank, ker.basis,
+                          free + even)
 
 
 # -- integer matrix arithmetic (Smith transform checks) ------------------------
@@ -533,6 +650,40 @@ def random_twin_graph(rng):
 
 
 # -- random generators ---------------------------------------------------------
+
+def random_sparse_graph(rng, n, p_sink=0.0, p_family=0.0):
+    """n vertices; each is a sink with probability p_sink and otherwise
+    has 1-3 edges to random vertices (loops and parallel edges occur),
+    plus an edge family with probability p_family."""
+    verts = [f"v{j}" for j in range(n)]
+    edges, families = [], []
+    for v in verts:
+        if rng.random() < p_sink:
+            continue
+        for _ in range(rng.randrange(1, 4)):
+            edges.append((f"e{len(edges)}", v, rng.choice(verts)))
+        if rng.random() < p_family:
+            families.append((f"F{len(families)}", v, rng.choice(verts)))
+    return Graph(f"g{n}", verts, edges, families)
+
+
+def random_cycle_graph(rng, n):
+    """Strongly connected graph on n vertices in the style of the
+    benchmark's ``random_graph``: a random Hamiltonian cycle, 0-2 extra
+    edges per vertex, and an edge family on about 20% of the vertices."""
+    verts = [f"v{j}" for j in range(1, n + 1)]
+    order = verts[:]
+    rng.shuffle(order)
+    pairs = [(v, order[(j + 1) % n]) for j, v in enumerate(order)]
+    for v in verts:
+        pairs.extend((v, rng.choice(verts)) for _ in range(rng.randrange(0, 3)))
+    rng.shuffle(pairs)
+    edges = [(f"e{j}", s, r) for j, (s, r) in enumerate(pairs, start=1)]
+    emitters = sorted(rng.sample(verts, max(1, round(0.2 * n))))
+    families = [(f"F{j}", v, rng.choice(verts))
+                for j, v in enumerate(emitters, start=1)]
+    return Graph(f"r{n}", verts, edges, families)
+
 
 def random_walk(g, rng, start, length, members=4):
     edges = []

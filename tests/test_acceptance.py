@@ -49,8 +49,7 @@ def test_criterion_1_homology_fixtures():
     for n in range(2, 7):
         check(rose(n), [] if n == 2 else [n - 1], 0, 0)
     # independent naive reduction cross-check for the rose relation
-    from ggt.homology import relation_matrix
-    from helpers import naive_invariant_factors
+    from helpers import naive_invariant_factors, relation_matrix
     for n in range(2, 7):
         diag = naive_invariant_factors(relation_matrix(rose(n)).to_rows())
         assert [x for x in diag if x > 1] == ([] if n == 2 else [n - 1])

@@ -2,6 +2,7 @@ import io
 import contextlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,8 +15,10 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (inverse, make_block, print_element,
                            validate_element)
-from ggt.graphs import print_graph
+from ggt.graphs import Graph, print_graph, validate
 from ggt.pathspace import parse_path
+
+from helpers import reference_homology
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TESTS = Path(__file__).resolve().parent
@@ -73,6 +76,55 @@ def test_homology_without_criteria(workdir):
     assert code == 0
     assert "H0 = Z^1" in out and "H1 = Z^1" in out
     assert "abelianization" not in out
+
+
+def graph_with_closed_cycles(rng, n, cycles, length):
+    """n vertices: the first cycles * length lie on closed cycles (each
+    one's only edge leads to the next on its cycle), so each cycle is an
+    H1 basis vector; every other vertex is a sink with probability 0.05
+    and otherwise has 1-3 random edges and, with probability 0.2, an edge
+    family."""
+    verts = [f"v{j}" for j in range(n)]
+    edges, families = [], []
+    for c in range(cycles):
+        ring = verts[c * length:(c + 1) * length]
+        edges += [(f"c{c}n{k}", v, ring[(k + 1) % length])
+                  for k, v in enumerate(ring)]
+    for v in verts[cycles * length:]:
+        if rng.random() < 0.05:
+            continue
+        for _ in range(rng.randrange(1, 4)):
+            edges.append((f"e{len(edges)}", v, rng.choice(verts)))
+        if rng.random() < 0.2:
+            families.append((f"F{len(families)}", v, rng.choice(verts)))
+    return Graph(f"big{n}", verts, edges, families)
+
+
+def homology_text(g, h):
+    """The stdout of ``ggt homology`` for a graph outside the AH
+    criteria, rendered from the report h."""
+    lines = [f"H0 = {h.h0_text()}", f"H1 = {h.h1_text()}", "Hn = 0 (n >= 2)",
+             f"H0 tensor Z/2 rank = {h.h0_tensor_z2_rank}"]
+    if h.h1_kernel_basis:
+        lines.append(f"H1 basis over ({' '.join(g.regular_vertices())}):")
+        lines.extend("  (" + ", ".join(map(str, vec)) + ")"
+                     for vec in h.h1_kernel_basis)
+    return "\n".join(lines) + "\n"
+
+
+def test_homology_bytes_at_scale(tmp_path):
+    # a seeded 1000-vertex graph with families and four closed cycles:
+    # the CLI prints the text of the reference report, H1 basis included
+    g = graph_with_closed_cycles(random.Random(2104), 1000, 4, 7)
+    assert g.families and not validate(g).ah_criteria
+    path = tmp_path / "big.graph"
+    path.write_text(print_graph(g))
+    h = reference_homology(g)
+    assert h.h1_rank >= 4
+    code, out = run("homology", str(path))
+    assert code == 0
+    assert out == homology_text(g, h)
+    assert f"H1 basis over ({' '.join(g.regular_vertices())}):" in out
 
 
 def test_check_report(workdir):

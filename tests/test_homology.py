@@ -12,15 +12,16 @@ from ggt.fullgroup import (Block, Element, compose, graded_partition, inverse,
 from ggt.graphs import Graph, move_s, move_t
 from ggt.homology import (ClassVector, abelianization_report, class_of,
                           classes_equal, homology, index, is_zero,
-                          relation_matrix, shift, vanishing_level)
+                          relation_rows, shift, vanishing_level)
 from ggt import intlin
 from ggt.intlin import IntMatrix, eventual_kernel
 from ggt.pathspace import Clopen, Path, Piece, parse_clopen, parse_path
 
 from helpers import (dense_smith_invariants, mat_vec, naive_invariant_factors,
-                     pairwise_intersect, random_element, random_transposition,
+                     pairwise_intersect, random_cycle_graph, random_element,
+                     random_sparse_graph, random_transposition,
                      random_twin_graph, reference_graded_partition,
-                     reference_index)
+                     reference_homology, reference_index, relation_matrix)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -96,16 +97,8 @@ def test_relation_matrices_match_dense_smith():
     seen = {"torsion": 0, "kernel": 0}
     for n in (10, 10, 20, 20, 50, 50, 100, 200):
         for p_sink, p_family in ((0.1, 0.2), (0.0, 0.0)):
-            verts = [f"v{j}" for j in range(n)]
-            edges, families = [], []
-            for v in verts:
-                if rng.random() < p_sink:
-                    continue
-                for _ in range(rng.randrange(1, 4)):
-                    edges.append((f"e{len(edges)}", v, rng.choice(verts)))
-                if rng.random() < p_family:
-                    families.append((f"F{len(families)}", v, rng.choice(verts)))
-            g = Graph(f"g{n}", verts, edges, families)
+            g = random_sparse_graph(rng, n, p_sink, p_family)
+            verts, edges = g.vertices, g.edges
             m = relation_matrix(g)
             # entry (u, v): [u = v] minus the number of edges from v to u
             regular = [v for v in verts if g.is_regular(v)]
@@ -117,6 +110,110 @@ def test_relation_matrices_match_dense_smith():
             seen["torsion"] += bool(torsion)
             seen["kernel"] += bool(ker.rank)
     assert seen["torsion"] >= 3 and seen["kernel"] >= 3, seen
+
+
+def sparse_rows_of(m):
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
+
+
+def test_relation_rows_match_the_dense_definition():
+    # seeded graphs with loops (an entry that cancels to 0 and must not
+    # be stored), parallel edges, sinks and family-only vertices, plus a
+    # graph with no regular vertex and one-vertex graphs
+    rng = random.Random(2101)
+    graphs = [Graph("one", ["a"]), Graph("loop", ["a"], [("e", "a", "a")]),
+              Graph("loops", ["a"], [("e", "a", "a"), ("f", "a", "a")]),
+              Graph("fam", ["a", "b"], [], [("F", "a", "b"), ("G", "b", "a")]),
+              Graph("par", ["a", "b"], [("e", "a", "b"), ("f", "a", "b"),
+                                        ("g", "b", "b")],
+                    [("F", "b", "a")]),
+              E2, EINF, mixed_graph(), emitter_two_loops(), cycle_graph(3)]
+    for n in (3, 5, 8, 13, 21, 34):
+        for p_sink, p_family in ((0.2, 0.3), (0.0, 0.0), (0.0, 1.0)):
+            graphs.append(random_sparse_graph(rng, n, p_sink, p_family))
+    seen = {"loop": 0, "cancel": 0, "parallel": 0, "sink": 0,
+            "family only": 0, "no regular": 0, "one vertex": 0}
+    for g in graphs:
+        m = relation_matrix(g)
+        rows, cols = relation_rows(g)
+        assert (rows, cols) == (sparse_rows_of(m), m.cols)
+        assert all(x for row in rows for x in row.values())
+        assert homology(g) == reference_homology(g)
+        pairs = [(s, r) for _, s, r in g.edges]
+        loops = {s for s, r in pairs if s == r and g.is_regular(s)}
+        seen["loop"] += bool(loops)
+        seen["cancel"] += any(pairs.count((v, v)) == 1 for v in loops)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["sink"] += any(g.is_sink(v) for v in g.vertices)
+        seen["family only"] += any(g.out_families(v) and not g.out_concrete(v)
+                                   for v in g.vertices)
+        seen["no regular"] += not g.regular_vertices()
+        seen["one vertex"] += len(g.vertices) == 1
+    assert all(seen.values()), seen
+
+
+def test_homology_matches_the_rescanning_elimination_at_scale():
+    # past the reach of dense_smith_invariants, the reference is the
+    # dense-scan, rescanning elimination: two graphs of each 1000-vertex
+    # style (benchmark-style strongly connected, and with sinks and
+    # families), seeds 1000 + k; then all-regular graphs with 1-3 edges
+    # per vertex at 300, 350, ..., 500 vertices, seed n, where torsion
+    # and a nonzero H1 occur
+    graphs = []
+    for k in range(2):
+        graphs.append(random_cycle_graph(random.Random(1000 + k), 1000))
+        graphs.append(random_sparse_graph(random.Random(1000 + k), 1000,
+                                          0.1, 0.2))
+    for n in range(300, 501, 50):
+        graphs.append(random_sparse_graph(random.Random(n), n))
+    seen = {"torsion": 0, "h1": 0}
+    for g in graphs:
+        h = homology(g)
+        assert h == reference_homology(g)
+        seen["torsion"] += bool(h.h0_torsion)
+        seen["h1"] += bool(h.h1_rank)
+    assert seen["torsion"] >= 2 and seen["h1"] >= 2, seen
+
+
+def test_only_the_residual_is_dense(monkeypatch):
+    # every IntMatrix built while homology runs, outside
+    # smith_normal_form, is no larger than the residual it is handed, and
+    # inside it no larger than its transforms, square on the residual's
+    # sides; the residual has no zero row
+    built, residuals, depth = [], [], [0]
+    post_init = IntMatrix.__post_init__
+    real = intlin.smith_normal_form
+
+    def record(self):
+        built.append((depth[0], self.rows, self.cols))
+        post_init(self)
+
+    def snf(m):
+        residuals.append(m)
+        depth[0] += 1
+        try:
+            return real(m)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", record)
+    monkeypatch.setattr(intlin, "smith_normal_form", snf)
+    rng = random.Random(2103)
+    graphs = [random_cycle_graph(rng, 300), random_cycle_graph(rng, 400),
+              random_sparse_graph(rng, 300, 0.1, 0.2),
+              random_sparse_graph(rng, 300)]
+    for g in graphs:
+        built.clear()
+        residuals.clear()
+        homology(g)
+        (res,) = residuals
+        # the rows of the residual that are all zero are set aside
+        assert all(any(res.row(i)) for i in range(res.rows))
+        side = max(res.rows, res.cols)
+        for inside, rows, cols in built:
+            assert rows * cols <= (side * side if inside else res.rows * res.cols)
+        # the whole relation would be |V| x |regular|
+        assert res.rows * res.cols < len(g.vertices) * len(g.regular_vertices())
 
 
 def test_class_of_examples():

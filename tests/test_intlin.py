@@ -129,10 +129,13 @@ def test_unit_elimination_matches_dense_smith():
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         m = IntMatrix(rows, cols, tuple(rng.choice([0, 0, 2, -2, 3, -4, 6])
                                         for _ in range(rows * cols)))
-        # no unit entry: nothing is eliminated and the residual is m
-        res, basis = intlin._unit_eliminate(m)
-        assert res == m
-        assert basis == [{j: 1} for j in range(cols)]
+        # no unit entry: nothing is eliminated and the residual is m,
+        # row for row in sparse form, with the identity as its basis
+        rows = [{j: x for j, x in enumerate(m.row(i)) if x}
+                for i in range(rows)]
+        res, basis = intlin._unit_eliminate([dict(r) for r in rows], cols)
+        assert res == rows
+        assert basis == {j: {j: 1} for j in range(cols)}
         assert_matches_dense(m)
     for n in range(4):
         assert_matches_dense(IntMatrix.zeros(0, n))
