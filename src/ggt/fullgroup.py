@@ -17,6 +17,7 @@ graphs meeting the AH criteria) equal elements have equal tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                      ParseError, RangesOverlap, SourcesOverlap,
@@ -31,9 +32,12 @@ from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         strip_prefix)
 
 
-@dataclass(frozen=True)
-class Block:
-    """One table entry: maps Z(nu \\ F) onto Z(mu \\ F) by prefix exchange."""
+class Block(NamedTuple):
+    """One table entry: maps Z(nu \\ F) onto Z(mu \\ F) by prefix exchange.
+
+    An immutable tuple like ``Path`` and ``Piece``: equality and hashing go
+    by the fields, and tuple order is never used; tables sort by
+    ``Block.key``."""
 
     mu: Path
     punctures: tuple
@@ -46,7 +50,7 @@ class Block:
         return Piece(self.mu, self.punctures)
 
     def lag(self) -> int:
-        return len(self.mu) - len(self.nu)
+        return len(self.mu.edges) - len(self.nu.edges)
 
     def inverse(self) -> "Block":
         return Block(self.nu, self.punctures, self.mu)
@@ -88,8 +92,9 @@ class Element:
         return not self.blocks
 
     def max_depth(self) -> int:
-        return max((max(len(b.mu), len(b.nu)) + (1 if b.punctures else 0)
-                    for b in self.blocks), default=0)
+        return max((max(len(b.mu.edges), len(b.nu.edges))
+                     + (1 if b.punctures else 0)
+                     for b in self.blocks), default=0)
 
     def __str__(self):
         return "\n".join(str(b) for b in self.blocks)
@@ -104,7 +109,7 @@ def _block_is_identity(g: Graph, b: Block) -> bool:
     """
     if b.mu == b.nu:
         return True
-    if len(b.mu) == len(b.nu):
+    if len(b.mu.edges) == len(b.nu.edges):
         return False
     pt = singleton_point(g, b.source_piece())
     if pt is None:
@@ -173,14 +178,14 @@ def _normalize_table(g: Graph, live) -> Element:
     for b in live:
         if _block_is_identity(g, b):
             continue
+        mu_edges, nu_edges = b.mu.edges, b.nu.edges
+        m, k = len(mu_edges), len(nu_edges)
         n = 0
-        while (n < len(b.mu) and n < len(b.nu)
-               and b.mu.edges[-1 - n] == b.nu.edges[-1 - n]):
+        while n < m and n < k and mu_edges[-1 - n] == nu_edges[-1 - n]:
             n += 1
-        mu0 = Path(b.mu.base, b.mu.edges[:len(b.mu) - n])
-        nu0 = Path(b.nu.base, b.nu.edges[:len(b.nu) - n])
-        tail = Piece(Path(path_range(g, nu0), b.nu.edges[len(b.nu) - n:]),
-                     b.punctures)
+        mu0 = Path(b.mu.base, mu_edges[:m - n])
+        nu0 = Path(b.nu.base, nu_edges[:k - n])
+        tail = Piece(Path(path_range(g, nu0), nu_edges[k - n:]), b.punctures)
         groups.setdefault((mu0, nu0), {})[tail] = b
     kept = []
     for (mu0, nu0), tails in groups.items():
@@ -377,7 +382,8 @@ def compose_all(factors) -> Element:
     g = factors[-1].graph
     table = _fold(g, factors)
     bound = sum(f.max_depth() for f in factors) + len(factors) - 1
-    deep = next((b for b in table if max(len(b.mu), len(b.nu)) > bound), None)
+    deep = next((b for b in table
+                 if max(len(b.mu.edges), len(b.nu.edges)) > bound), None)
     if deep is not None:
         raise VerificationFailed(
             f"composed block [{deep}] is deeper than the bound {bound}")

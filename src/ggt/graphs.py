@@ -137,7 +137,10 @@ class Graph:
         return triple[1]
 
     def range(self, edge: str) -> str:
-        triple = self._resolve(edge)
+        """The range vertex of an edge reference: a concrete edge is one
+        dict lookup and no method call, a family member goes through
+        ``_resolve``."""
+        triple = self._edge_map.get(edge) or self._resolve(edge)
         if triple is None:
             raise MalformedGraph(f"unknown edge {edge!r}")
         return triple[2]

@@ -15,6 +15,14 @@ whose path ends there. The canonical form and the complement are walks
 over it, ``find_overlap`` finds two meeting pieces with it, and
 ``fullgroup.compose_bisections`` pairs blocks through it.
 
+``Path`` and ``Piece`` are immutable tuples (``typing.NamedTuple``) with
+no per-object attributes: field access, equality and hashing run in C,
+and construction makes one tuple. Equality and hashing go by the fields,
+so hashes, and the iteration order of sets and dicts keyed by these
+values, are those of frozen dataclasses of the same fields. Tuple order
+is never used: every sort passes ``key=Piece.key`` (or ``Block.key``),
+which orders family members by index, ``L#9`` before ``L#10``.
+
 Boundary points are represented exactly: a finite prefix followed either
 by a repeating cycle or by a stop at a singular vertex.
 """
@@ -22,14 +30,16 @@ by a repeating cycle or by a stop at a singular vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MalformedGraph, ParseError
 from .graphs import Graph, edge_key
 
 
-@dataclass(frozen=True)
-class Path:
-    """Finite path: a base vertex and a composable tuple of edge names."""
+class Path(NamedTuple):
+    """Finite path: a base vertex and a composable tuple of edge names.
+
+    ``len`` counts the edges, so the empty path at a vertex is falsy."""
 
     base: str
     edges: tuple = ()
@@ -55,29 +65,32 @@ def path_range(g: Graph, p: Path) -> str:
 
 
 def check_path(g: Graph, p: Path):
+    """p, after checking its base vertex and that each edge leaves the
+    vertex the path has reached; each edge is resolved once."""
     if p.base not in g.vertices:
         raise MalformedGraph(f"unknown vertex {p.base!r}")
     at = p.base
     for e in p.edges:
-        if not g.is_edge(e) or g.source(e) != at:
+        triple = g._resolve(e)
+        if triple is None or triple[1] != at:
             raise MalformedGraph(f"path {p} is not composable at {e!r}")
-        at = g.range(e)
+        at = triple[2]
     return p
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """Punctured cylinder Z(mu \\ F); punctures stored sorted."""
 
     mu: Path
     punctures: tuple = ()
 
     def key(self):
-        return (len(self.mu), tuple(edge_key(e) for e in self.mu.edges),
-                tuple(edge_key(e) for e in self.punctures), self.mu.base)
+        mu = self.mu
+        return (len(mu.edges), tuple(map(edge_key, mu.edges)),
+                tuple(map(edge_key, self.punctures)), mu.base)
 
     def depth(self):
-        return len(self.mu) + (1 if self.punctures else 0)
+        return len(self.mu.edges) + (1 if self.punctures else 0)
 
     def __str__(self):
         if not self.punctures:

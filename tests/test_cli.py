@@ -325,10 +325,12 @@ def test_main_calls_in_one_process_match_separate_processes(workdir):
     assert together[0] == together[-1]
 
 
-def run_python(workdir, flags, code):
+def run_python(workdir, flags, code, hashseed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run([sys.executable, *flags, "-c", code], cwd=workdir,
                           env=env, capture_output=True, timeout=120)
 
@@ -369,6 +371,59 @@ def test_factor_does_not_depend_on_asserts(workdir):
     refused = run_python(workdir, ["-O"], broken)
     assert refused.returncode == 3
     assert refused.stdout.splitlines()[0] == b"VerificationFailed"
+
+
+# products of three random transpositions (tests/helpers.random_element,
+# max_len=2, random.Random(12)), written out so the input is fixed text
+EINF_PRODUCT = """element x over einf
+block L#1.L#3 | - | L#2
+block L#2.L#4 | L#3,L#4 | L#3
+block L#2 | L#4 | L#1.L#3
+block L#4.L#4 | - | L#4.L#1
+block L#4.L#1 | - | L#4.L#4
+block L#3 | L#3,L#4 | L#1.L#3.L#4
+block L#2.L#4.L#3 | - | L#1.L#3.L#4.L#3
+block L#2.L#4.L#4 | - | L#1.L#3.L#4.L#4
+"""
+
+PETAL_PRODUCT = """element y over petal
+block r.t | - | @w
+block @w | b | q
+block b.t | W#3,W#4 | r.t
+block b.r | - | q.b.r
+block q | W#3,W#4 | q.b.t
+block q.W#3 | - | r.t.W#3
+block q.W#4 | - | r.t.W#4
+block b.t.W#3 | - | q.b.t.W#3
+block b.t.W#4 | - | q.b.t.W#4
+"""
+
+STDOUT_OF_CALLS = ("import contextlib, io, sys\n"
+                   "from ggt import cli\n"
+                   "for argv in CALLS:\n"
+                   "    out = io.StringIO()\n"
+                   "    with contextlib.redirect_stdout(out):\n"
+                   "        code = cli.main(argv)\n"
+                   "    sys.stdout.write(f'{code}\\n{out.getvalue()}')\n")
+
+
+def test_stdout_bytes_do_not_depend_on_hash_seed_or_asserts(workdir):
+    # string hashing changes set and dict order between processes and -O
+    # strips asserts; neither may change a byte of the reports
+    (workdir / "x.elem").write_text(EINF_PRODUCT)
+    (workdir / "y.elem").write_text(PETAL_PRODUCT)
+    calls = [["factor", "einf.graph", "x.elem"],
+             ["factor", "petal.graph", "y.elem"],
+             ["partition", "einf.graph", "x.elem"]]
+    code = f"CALLS = {calls!r}\n" + STDOUT_OF_CALLS
+    runs = [run_python(workdir, flags, code, hashseed=seed)
+            for flags, seed in (([], 0), ([], 4099), (["-O"], 77))]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout.count(b"certified=true") == 2
+    assert b"S(0) = " in runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[2].stdout == runs[0].stdout
 
 
 def readme_fence(text, lead):

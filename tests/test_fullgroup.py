@@ -79,6 +79,12 @@ def test_make_block_names_its_single_defect(monkeypatch):
             (g, Path("z"), (), c1, "unknown vertex 'z'"),
             (g, bad, (), c1, "path c1.l is not composable at 'l'"),
             (g, c1, (), bad, "path c1.l is not composable at 'l'"),
+            # an unknown edge, an unknown family and a member of a family
+            # that another vertex emits
+            (g, Path("b", ("zzz",)), (), c1, "path zzz is not composable at 'zzz'"),
+            (g, Path("c", ("G#1",)), (), c1, "path G#1 is not composable at 'G#1'"),
+            (g, Path("b", ("c1", "F#2", "F#1")), (), c1,
+             "path c1.F#2.F#1 is not composable at 'F#1'"),
             (g, c1, (), d1, "block paths c1 and d1 end at different vertices"),
             (g, c1, ("l",), c2, "puncture 'l' is not emitted by c"),
             (E2, Path("v", ("a",)), ("a", "b"), Path("v", ("b",)),

@@ -5,6 +5,7 @@ import pytest
 from ggt.errors import MalformedGraph, ParseError
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
+from ggt.fullgroup import Block
 from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            canonical_pieces, canonicalize, complement_pieces,
@@ -40,6 +41,12 @@ def test_intersect_examples():
 def test_subtract_examples():
     got = clo(EINF, "Z(@v)").subtract(clo(EINF, "Z(L#3)"))
     assert str(got) == r"Z(@v \ L#3)"
+    # pieces and punctures follow edge_key, which puts L#9 before L#10,
+    # where the order of strings or of tuples of strings would not
+    got = clo(EINF, "Z(@v)").subtract(clo(EINF, "Z(L#10) + Z(L#9)"))
+    assert str(got) == r"Z(@v \ L#9,L#10)"
+    got = clo(EINF, "Z(L#10.L#10) + Z(L#9.L#10) + Z(L#10.L#9)")
+    assert str(got) == "Z(L#9.L#10) + Z(L#10.L#9) + Z(L#10.L#10)"
     assert clo(E2, "Z(@v)").subtract(clo(E2, "Z(a) + Z(b)")).is_empty()
     got = clo(E2, "Z(a)").subtract(clo(E2, "Z(a.a)"))
     assert str(got) == "Z(a.b)"
@@ -67,6 +74,28 @@ def test_member_examples():
     assert not clo(EINF, r"Z(@v \ L#1)").contains(y)
     z = BoundaryPoint.at_singular(EINF, Path("v"))
     assert clo(EINF, r"Z(@v \ L#1)").contains(z)
+
+
+def test_value_types_are_immutable_tuples_of_their_fields():
+    p = Path("v", ("a", "b"))
+    piece = Piece(p, ("a",))
+    block = Block(p, ("a",), Path("v", ("b", "a")))
+    # len counts edges, so the empty path at a vertex is falsy
+    assert len(p) == 2 and len(Path("v")) == 0 and not Path("v")
+    for value, name in ((p, "edges"), (piece, "punctures"), (block, "nu")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        # no per-object state: nothing can be cached on a value
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.memo = 1
+    # equality and hashing go by the fields, and a value of one type
+    # never equals a value of another
+    assert p == Path("v", ("a", "b")) and hash(p) == hash(Path("v", ("a", "b")))
+    assert piece == Piece(Path("v", ("a", "b")), ("a",))
+    assert Path("v") != Piece(Path("v")) and Piece(Path("v")) != Path("v")
+    assert p != Block(p, (), p) and Piece(p) != Block(p, (), p)
+    assert len({p, piece, block, Piece(p), Path("v")}) == 5
 
 
 def test_piece_validation():
