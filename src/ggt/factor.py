@@ -20,12 +20,13 @@ VerificationFailed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
                      NotEquivalent, ParseError, VerificationFailed)
 from .fullgroup import (Block, Element, acts_as, bisection_range,
-                        bisection_source, check_bisection, compose_all,
+                        check_bisection_unions, compose_all,
                         compose_bisections, identity_blocks, is_involution,
                         lag_parts, parse_element_text,
                         print_element, shrink_support, support,
@@ -39,11 +40,33 @@ from .pathspace import (Clopen, Path, Piece, canonicalize, complement_pieces,
 
 # -- cancellation bisections -------------------------------------------------
 
-def _pool_insert(pools, g, piece, depth):
-    """File a piece under (length, range vertex), splitting regular
-    ranges down to the working depth first."""
-    for p in Clopen(g, (piece,)).refine_to(depth).pieces:
-        pools.setdefault((len(p.mu), path_range(g, p.mu)), []).append(p)
+def _pool_order(p: Piece):
+    """The order a pool is paired in: fewer punctures first, then
+    ``Piece.key``, which is total."""
+    return (len(p.punctures), p.key())
+
+
+def _pool_insert(pools, keys, g, piece, depth, side):
+    """File a piece under its key (length, range vertex) into
+    ``pools[key][side]``, side 0 for a and 1 for b. A piece shorter than
+    the working depth with a regular range is split, on an explicit
+    stack, into the plain sub-cylinders at the depth, which are filed
+    instead. A key new to pools goes on the heap keys."""
+    stack = [piece]
+    while stack:
+        p = stack.pop()
+        n = len(p.mu.edges)
+        v = path_range(g, p.mu)
+        if n < depth and g.is_regular(v):
+            stack.extend(Piece(p.mu.extend(e)) for e in g.out_concrete(v)
+                         if e not in p.punctures)
+            continue
+        key = (n, v)
+        pair = pools.get(key)
+        if pair is None:
+            pair = pools[key] = ([], [])
+            heapq.heappush(keys, key)
+        pair[side].append(p)
 
 
 def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
@@ -55,46 +78,70 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
     different puncture sets are split to the common superset: the middle
     parts admit a canonical arrow and the released plain sub-cylinders
     re-enter the pools one level deeper.
+
+    The keys wait on a heap, each once: a key is pushed when its first
+    piece is filed and leaves with both its pools, a's and b's, in one
+    pop, so the heap always yields the least key still holding pieces.
+    That key is complete when it is popped: releases go to longer keys
+    (point (3) of ``find_bisection``'s proof), so nothing is filed under
+    it or under a smaller key later. Each pool is sorted by
+    ``_pool_order``, a total order, so the pairs do not depend on the
+    order the pieces were filed in.
     """
-    pools_a, pools_b = {}, {}
+    pools, keys = {}, []
     for p in a.pieces:
-        _pool_insert(pools_a, g, p, depth)
+        _pool_insert(pools, keys, g, p, depth, 0)
     for p in b.pieces:
-        _pool_insert(pools_b, g, p, depth)
+        _pool_insert(pools, keys, g, p, depth, 1)
     blocks = []
     residue = 0
-    while pools_a or pools_b:
-        # releases go to longer keys (point (3) of find_bisection's
-        # proof), so the least key is complete when it is popped
-        key = min(pools_a.keys() | pools_b.keys())
-        la = sorted(pools_a.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
-        lb = sorted(pools_b.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
+    while keys:
+        la, lb = pools.pop(heapq.heappop(keys))
+        la.sort(key=_pool_order)
+        lb.sort(key=_pool_order)
         for p, q in zip(la, lb):
             punct = tuple(sorted(set(p.punctures) | set(q.punctures), key=edge_key))
             for f in punct:
                 if f not in p.punctures:
-                    _pool_insert(pools_a, g, Piece(p.mu.extend(f)), depth)
+                    _pool_insert(pools, keys, g, Piece(p.mu.extend(f)), depth, 0)
                 if f not in q.punctures:
-                    _pool_insert(pools_b, g, Piece(q.mu.extend(f)), depth)
+                    _pool_insert(pools, keys, g, Piece(q.mu.extend(f)), depth, 1)
             blocks.append(Block(q.mu, punct, p.mu))
         residue += abs(len(la) - len(lb))
     return blocks, residue
 
 
+def _union_is(g: Graph, union, c: Clopen) -> bool:
+    """Whether the canonical pieces ``union``, in any order, make up the
+    set c. Sorted, they are the one canonical tuple of their set, so they
+    are compared with c's pieces first, and c is canonicalized only when
+    the two differ: a c that is not in canonical form."""
+    union = Clopen(g, tuple(sorted(union, key=Piece.key)))
+    union._check_same_graph(c)
+    return union.pieces == c.pieces or union.pieces == canonicalize(g, c.pieces)
+
+
 def _check_matched(g: Graph, blocks, a: Clopen, b: Clopen, lag: int):
     """The checked blocks of a lag-``lag`` bisection from a onto b.
 
-    A failed check raises VerificationFailed naming it, also under
-    ``python -O``.
+    The checks run in this order: the blocks are made (MalformedGraph),
+    the sources and then the ranges must be pairwise disjoint
+    (SourcesOverlap, RangesOverlap), every block must have the lag, and
+    the source union must be a and the range union b. One path trie per
+    side serves both the overlap search and the union
+    (``check_bisection_unions``), and a or b is canonicalized only when
+    it is not in canonical form (``_union_is``): two tries, plus one per
+    a or b that is not canonical. A failed lag, source or range check
+    raises VerificationFailed naming it, also under ``python -O``.
     """
-    blocks = check_bisection(g, blocks)
+    blocks, src, rng = check_bisection_unions(g, blocks)
     bad = next((x for x in blocks if x.lag() != lag), None)
     if bad is not None:
         raise VerificationFailed(
             f"lag check failed: block [{bad}] has lag {bad.lag()}, not {lag}")
-    if not bisection_source(g, blocks).equal(a):
+    if not _union_is(g, src, a):
         raise VerificationFailed(f"source check failed: source is not {a}")
-    if not bisection_range(g, blocks).equal(b):
+    if not _union_is(g, rng, b):
         raise VerificationFailed(f"range check failed: range is not {b}")
     return blocks
 

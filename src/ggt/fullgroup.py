@@ -27,9 +27,9 @@ from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, check_punctures,
                         complement_pieces, find_overlap, intersect_pieces,
-                        parse_path, path_range, path_trie, piece_contains,
-                        piece_is_empty, prepend_prefix, singleton_point,
-                        strip_prefix)
+                        overlap_or_union, parse_path, path_range, path_trie,
+                        piece_contains, piece_is_empty, prepend_prefix,
+                        singleton_point, strip_prefix)
 
 
 class Block(NamedTuple):
@@ -118,17 +118,21 @@ def _block_is_identity(g: Graph, b: Block) -> bool:
     return image == pt
 
 
+def _refuse_overlap(live, hit, error, side):
+    """Raise error naming the two blocks of live that an overlap search
+    hit on the given side; nothing when hit is None."""
+    if hit is not None:
+        raise error(f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] "
+                    f"have overlapping {side}")
+
+
 def _check_disjoint(g: Graph, blocks):
     """Non-empty blocks of the list; raises if two sources or two ranges meet."""
     live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
-    hit = find_overlap(g, [b.source_piece() for b in live])
-    if hit is not None:
-        raise SourcesOverlap(
-            f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping sources")
-    hit = find_overlap(g, [b.range_piece() for b in live])
-    if hit is not None:
-        raise RangesOverlap(
-            f"blocks [{live[hit[0]]}] and [{live[hit[1]]}] have overlapping ranges")
+    _refuse_overlap(live, find_overlap(g, [b.source_piece() for b in live]),
+                    SourcesOverlap, "sources")
+    _refuse_overlap(live, find_overlap(g, [b.range_piece() for b in live]),
+                    RangesOverlap, "ranges")
     return live
 
 
@@ -485,6 +489,25 @@ def check_bisection(g: Graph, blocks):
     """Sources pairwise disjoint and ranges pairwise disjoint."""
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     return _check_disjoint(g, blocks)
+
+
+def check_bisection_unions(g: Graph, blocks):
+    """(``check_bisection``'s blocks, the canonical pieces of their source
+    union, those of their range union), the pieces in walk order.
+
+    The checks and their refusals are those of ``check_bisection``, in
+    its order. Each side builds one path trie, which both finds an
+    overlap and, when there is none, is walked to the side's union
+    (``overlap_or_union``). The sources' union is walked before the
+    ranges are searched; a walk raises nothing, so the order holds.
+    """
+    blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
+    live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
+    hit, src = overlap_or_union(g, [b.source_piece() for b in live])
+    _refuse_overlap(live, hit, SourcesOverlap, "sources")
+    hit, rng = overlap_or_union(g, [b.range_piece() for b in live])
+    _refuse_overlap(live, hit, RangesOverlap, "ranges")
+    return live, src, rng
 
 
 def bisection_source(g: Graph, blocks) -> Clopen:

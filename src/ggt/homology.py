@@ -56,9 +56,13 @@ class ClassVector:
 
     @classmethod
     def of(cls, g: Graph, items) -> "ClassVector":
+        """The vector of the (vertex, level), coefficient items, summed.
+        A vertex is looked up in the graph's in-degree table, one hash
+        probe rather than a scan of ``g.vertices``."""
+        incoming = g._incoming
         acc = {}
         for (v, n), c in items:
-            if v not in g.vertices:
+            if v not in incoming:
                 raise MalformedGraph(f"unknown vertex {v!r}")
             acc[(n, v)] = acc.get((n, v), 0) + c
         terms = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
@@ -114,17 +118,19 @@ def class_of(a: Clopen) -> ClassVector:
     Each piece Z(mu \\ F) contributes the atom of its range vertex at
     level |mu| minus one atom per puncture one level deeper. Atoms (v, n)
     are meaningful for every n only when every vertex has an incoming
-    edge, hence the no-sources requirement.
+    edge, hence the no-sources requirement. Sources are found by one scan
+    of the in-degree table; only a refusal orders them, to name the least.
     """
     g = a.graph
-    for v in sorted(g.vertices):
-        if g._incoming[v] == 0:
-            raise SourcePresent(f"vertex {v} is a source")
+    if 0 in g._incoming.values():
+        source = min(v for v, k in g._incoming.items() if k == 0)
+        raise SourcePresent(f"vertex {source} is a source")
     items = []
     for p in a.pieces:
-        items.append(((path_range(g, p.mu), len(p.mu)), 1))
+        n = len(p.mu.edges)
+        items.append(((path_range(g, p.mu), n), 1))
         for e in p.punctures:
-            items.append(((g.range(e), len(p.mu) + 1), -1))
+            items.append(((g.range(e), n + 1), -1))
     return ClassVector.of(g, items)
 
 

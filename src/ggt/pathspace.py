@@ -13,7 +13,11 @@ search over pieces is a prefix search, and it has one index: the path
 trie (``path_trie``), one node per path prefix, each holding the entries
 whose path ends there. The canonical form and the complement are walks
 over it, ``find_overlap`` finds two meeting pieces with it, and
-``fullgroup.compose_bisections`` pairs blocks through it.
+``fullgroup.compose_bisections`` pairs blocks through it. Building a
+trie (``path_trie``) is kept apart from searching it (``_trie_overlap``)
+and walking it to the canonical form (``_trie_pieces``), so a caller
+that needs both, such as a check that a list of pieces is disjoint with
+a given union, builds one trie for both (``overlap_or_union``).
 
 ``Path`` and ``Piece`` are immutable tuples (``typing.NamedTuple``) with
 no per-object attributes: field access, equality and hashing run in C,
@@ -116,6 +120,10 @@ def make_piece(g: Graph, mu: Path, punctures=()) -> Piece:
 
 
 def piece_is_empty(g: Graph, p: Piece) -> bool:
+    """Only a punctured piece can be empty: one at a regular vertex that
+    punctures every out-edge. A plain cylinder holds a boundary path."""
+    if not p.punctures:
+        return False
     v = path_range(g, p.mu)
     if g.is_regular(v):
         return set(p.punctures) >= set(g.out_concrete(v))
@@ -226,19 +234,29 @@ def find_overlap(g: Graph, pieces):
 
     Two pieces meet only when one path is a prefix of the other. The
     search builds the trie over all the paths (``path_trie``) and then
-    makes two passes in list order. The first pairs each piece with the
-    earlier pieces on its own path, which meet unless their punctures
-    together empty the cylinder. The second walks each path down the
-    trie and pairs it with the pieces ending at each strict prefix whose
-    punctures miss the path's next edge. The trie is whole before either
-    pass, so a shorter piece later in the list is found too. The pair
-    reported is (j, i) for the first i that either pass meets, with the
-    least j on i's own path in the first pass, and in the second the
-    least j on the shortest prefix of i's path that holds one. No prefix
-    is copied or hashed: the search takes time linear in the total path
-    length plus the pairs on shared paths.
+    searches it (``_trie_overlap``).
     """
     roots, ends = path_trie(p.mu for p in pieces)
+    return _trie_overlap(g, pieces, roots, ends)
+
+
+def _trie_overlap(g: Graph, pieces, roots, ends):
+    """``find_overlap``'s search of the whole trie over the pieces' paths.
+
+    It makes two passes in list order. The first pairs each piece with
+    the earlier pieces on its own path, which meet unless their
+    punctures together empty the cylinder. The second walks each path
+    down the trie and pairs it with the pieces ending at each strict
+    prefix whose punctures miss the path's next edge. The trie is whole
+    before either pass, so a shorter piece later in the list is found
+    too. The pair reported is (j, i) for the first i that either pass
+    meets, with the least j on i's own path in the first pass, and in the
+    second the least j on the shortest prefix of i's path that holds one.
+    No prefix is copied or hashed: the search takes time linear in the
+    total path length plus the pairs on shared paths. It reads the
+    trie's ``at`` lists and children and writes nothing, so the same trie
+    can be walked (``_trie_pieces``) after it.
+    """
     for i, node in enumerate(ends):
         if len(node.at) > 1:
             for j in node.at:
@@ -330,9 +348,17 @@ def _settle(g: Graph, mu: Path, node: TrieNode, edges, pieces):
 
 
 def canonical_pieces(g: Graph, pieces):
-    """The pieces of ``canonicalize``, in walk order rather than sorted."""
+    """The pieces of ``canonicalize``, in walk order rather than sorted:
+    the empty pieces are dropped, and the trie over the rest is built
+    (``path_trie``) and walked (``_trie_pieces``)."""
     pieces = [p for p in pieces if not piece_is_empty(g, p)]
     roots, _ = path_trie(p.mu for p in pieces)
+    return _trie_pieces(g, pieces, roots)
+
+
+def _trie_pieces(g: Graph, pieces, roots):
+    """The canonical pieces of the union of nonempty pieces, one ``_emit``
+    walk per root of the trie over their paths, roots in vertex order."""
     out = []
     for v, node in sorted(roots.items()):
         r = _emit(g, Path(v), node, pieces)
@@ -341,6 +367,19 @@ def canonical_pieces(g: Graph, pieces):
         else:
             out.extend(r)
     return out
+
+
+def overlap_or_union(g: Graph, pieces):
+    """(hit, None) when two of the nonempty pieces meet, hit being the
+    pair ``find_overlap`` reports; else (None, the ``canonical_pieces`` of
+    their union). One trie serves both: it is searched, and walked only
+    when the search finds nothing.
+    """
+    roots, ends = path_trie(p.mu for p in pieces)
+    hit = _trie_overlap(g, pieces, roots, ends)
+    if hit is not None:
+        return hit, None
+    return None, _trie_pieces(g, pieces, roots)
 
 
 def canonicalize(g: Graph, pieces):

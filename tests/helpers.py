@@ -9,10 +9,11 @@ determinants for checking Smith transforms, a boundary-point
 enumerator that checks set algebra pointwise, the dictionary forms of
 block pairing and overlap search with the recursive canonical walk that
 the path-trie walks replaced, the pairwise intersection and subtraction
-that the complement walks replaced, and the graded partition and index
-that built S(0) everywhere, and the routed-path check that decided
-containment by one subtraction per path. They stay independent of the
-code paths they check.
+that the complement walks replaced, the graded partition and index
+that built S(0) everywhere, the routed-path check that decided
+containment by one subtraction per path, and the matcher that filed
+every piece through a one-piece refinement and scanned for its least
+key. They stay independent of the code paths they check.
 """
 
 import random
@@ -815,6 +816,43 @@ def random_balanced_table(g, rng, depth=2):
         for src, dst in zip(group, images):
             blocks.append(Block(dst.mu, dst.punctures, src.mu))
     return validate_element(g, blocks)
+
+
+# -- the min-scan matcher (reference) ------------------------------------------
+
+def _reference_pool_insert(pools, g, piece, depth):
+    """File a piece under (length, range vertex), splitting regular
+    ranges down to the working depth first, through a one-piece
+    ``Clopen.refine_to``."""
+    for p in Clopen(g, (piece,)).refine_to(depth).pieces:
+        pools.setdefault((len(p.mu), path_range(g, p.mu)), []).append(p)
+
+
+def reference_match_at_depth(g, a, b, depth):
+    """``factor._match_at_depth`` with one pool dict per side and the
+    least key taken by a scan of both dicts' keys every round, instead of
+    a heap: (blocks, residue)."""
+    pools_a, pools_b = {}, {}
+    for p in a.pieces:
+        _reference_pool_insert(pools_a, g, p, depth)
+    for p in b.pieces:
+        _reference_pool_insert(pools_b, g, p, depth)
+    blocks = []
+    residue = 0
+    while pools_a or pools_b:
+        key = min(pools_a.keys() | pools_b.keys())
+        la = sorted(pools_a.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
+        lb = sorted(pools_b.pop(key, []), key=lambda p: (len(p.punctures), p.key()))
+        for p, q in zip(la, lb):
+            punct = tuple(sorted(set(p.punctures) | set(q.punctures), key=edge_key))
+            for f in punct:
+                if f not in p.punctures:
+                    _reference_pool_insert(pools_a, g, Piece(p.mu.extend(f)), depth)
+                if f not in q.punctures:
+                    _reference_pool_insert(pools_b, g, Piece(q.mu.extend(f)), depth)
+            blocks.append(Block(q.mu, punct, p.mu))
+        residue += abs(len(la) - len(lb))
+    return blocks, residue
 
 
 # -- class-preserving clopen mutations -----------------------------------------

@@ -13,7 +13,8 @@ from pathlib import Path as FsPath
 import pytest
 
 from ggt.cli import main
-from ggt.errors import (HypothesesFailed, IndexNonzero, NotEquivalent,
+from ggt.errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
+                        NotEquivalent, RangesOverlap, SourcesOverlap,
                         VerificationFailed)
 from ggt.factor import (Factorization, _check_matched, _match_at_depth,
                         af_factor, compose_bisections,
@@ -30,12 +31,14 @@ from ggt.fullgroup import (Block, Element, bisection_range, bisection_source,
 from ggt.graphs import Graph, free_edges, print_graph, validate
 from ggt.homology import (class_of, classes_equal, index, shift,
                           vanishing_level)
-from ggt.pathspace import Clopen, Path, parse_clopen, parse_path, path_range
+from ggt.pathspace import (Clopen, Path, Piece, canonicalize, parse_clopen,
+                           parse_path, path_range)
 
 from helpers import (acts_pointwise, mutate_clopen, point_family,
                      random_balanced_table, random_clopen, random_element,
-                     random_transposition, random_twin_graph, random_walk,
-                     reference_block_key, twin_chain)
+                     random_cycle_graph, random_transposition,
+                     random_twin_graph, random_walk, reference_block_key,
+                     reference_match_at_depth, twin_chain)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -880,6 +883,164 @@ def test_matcher_results_are_checked_without_asserts(monkeypatch):
         assert refused.returncode == 1
         assert refused.stderr.splitlines()[-1].startswith(
             b"ggt.errors.VerificationFailed: source check failed")
+
+
+def test_matcher_matches_the_min_scan_reference(monkeypatch):
+    # the key heap and the direct filing give the blocks and residue of
+    # the matcher that refined each piece as a one-piece clopen and
+    # scanned both pool dicts for the least key, at depths start to
+    # start + 2: the fixtures, benchmark-style random graphs, unequal
+    # classes (residue > 0) and punctured pieces that release
+    # sub-cylinders
+    mod = sys.modules["ggt.factor"]
+    real = mod._pool_insert
+    filed = [0]
+
+    def counted(*args):
+        filed[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(mod, "_pool_insert", counted)
+    rng = random.Random(2503)
+    graphs = [mixed_graph(), emitter_two_loops(), EINF, E2, cycle_graph(3)]
+    graphs += [random_cycle_graph(rng, rng.randrange(10, 40)) for _ in range(6)]
+    pairs = [(parse_clopen(EINF, r"Z(@v \ L#1)"),
+              parse_clopen(EINF, r"Z(@v \ L#2)")),
+             (parse_clopen(EINF, r"Z(L#3 \ L#1,L#4)"),
+              parse_clopen(EINF, r"Z(L#2 \ L#2) + Z(L#1.L#1)"))]
+    for g in graphs:
+        for _ in range(20):
+            a = random_clopen(g, rng, pieces=3, max_len=2)
+            if rng.random() < 0.6:
+                b = mutate_clopen(g, rng, a)
+            else:
+                b = random_clopen(g, rng, pieces=3, max_len=2)
+            pairs.append((a, b))
+    seen = set()
+    for a, b in pairs:
+        g = a.graph
+        start = max(a.depth(), b.depth(), 1)
+        for depth in range(start, start + 3):
+            filed[0] = 0
+            got = _match_at_depth(g, a, b, depth)
+            assert got == reference_match_at_depth(g, a, b, depth)
+            seen.add("residue" if got[1] else "matched")
+            if filed[0] > len(a.pieces) + len(b.pieces):
+                seen.add("released")
+    assert seen == {"residue", "matched", "released"}
+
+
+def _refused(g, blocks, a, b, lag=0):
+    """(exception type, message) of ``_check_matched``'s refusal."""
+    with pytest.raises(Exception) as info:
+        _check_matched(g, blocks, parse_clopen(g, a), parse_clopen(g, b), lag)
+    return type(info.value), str(info.value)
+
+
+def test_check_matched_keeps_its_refusals_and_their_order():
+    # each message is written out in full, so any change of wording or
+    # of order fails here; the checks run in the order make_block,
+    # sources, ranges, lag, source union, range union
+    e2, petal = E2, emitter_two_loops()
+    bad = Block(Path("v", ("c",)), (), Path("v", ("a",)))
+    cases = [
+        # a malformed block comes first, even after two overlapping ones
+        (e2, [blk(e2, "b.a", [], "a"), blk(e2, "b.b", [], "a.a"), bad],
+         "Z(a)", "Z(b)",
+         MalformedGraph, "path c is not composable at 'c'"),
+        (e2, [blk(e2, "b.a", [], "a"), blk(e2, "b.b", [], "a.a")],
+         "Z(a)", "Z(b)", SourcesOverlap,
+         "blocks [block b.a | - | a] and [block b.b | - | a.a] "
+         "have overlapping sources"),
+        (e2, [blk(e2, "b", [], "a.a"), blk(e2, "b.b", [], "a.b")],
+         "Z(a)", "Z(b)", RangesOverlap,
+         "blocks [block b | - | a.a] and [block b.b | - | a.b] "
+         "have overlapping ranges"),
+        # both overlap: the sources are named
+        (e2, [blk(e2, "b", [], "a"), blk(e2, "b.a", [], "a.b")],
+         "Z(a)", "Z(b)", SourcesOverlap,
+         "blocks [block b | - | a] and [block b.a | - | a.b] "
+         "have overlapping sources"),
+        # punctured pieces at a singular vertex
+        (EINF, [blk(EINF, "L#3", ["L#1"], "L#1"),
+                blk(EINF, "L#4", [], "L#1.L#2")],
+         "Z(L#1)", "Z(L#3)", SourcesOverlap,
+         "blocks [block L#3 | L#1 | L#1] and [block L#4 | - | L#1.L#2] "
+         "have overlapping sources"),
+        (EINF, [blk(EINF, "L#3", ["L#1"], "L#1"),
+                blk(EINF, "L#3.L#2", [], "L#2.L#1")],
+         "Z(L#1)", "Z(L#3)", RangesOverlap,
+         "blocks [block L#3 | L#1 | L#1] and [block L#3.L#2 | - | L#2.L#1] "
+         "have overlapping ranges"),
+        (e2, [blk(e2, "b.a", [], "a")], "Z(a)", "Z(b.a)",
+         VerificationFailed,
+         "lag check failed: block [block b.a | - | a] has lag 1, not 0"),
+        # a wrong lag is named before unions that are off too
+        (petal, [blk(petal, "a", [], "b.t.a")], "Z(p)", "Z(q)",
+         VerificationFailed,
+         "lag check failed: block [block a | - | b.t.a] has lag -2, not 0"),
+        (e2, [blk(e2, "b.a", [], "a.a")], "Z(a)", "Z(b.a)",
+         VerificationFailed, "source check failed: source is not Z(a)"),
+        (e2, [blk(e2, "b", [], "a")], "Z(a)", "Z(b.b)",
+         VerificationFailed, "range check failed: range is not Z(b.b)"),
+        # both unions off: the source is named
+        (e2, [blk(e2, "b", [], "a")], "Z(a.a)", "Z(b.b)",
+         VerificationFailed, "source check failed: source is not Z(a.a)"),
+    ]
+    for g, blocks, a, b, error, message in cases:
+        assert _refused(g, blocks, a, b) == (error, message)
+    # a set over another graph is refused even when its pieces read alike
+    e3 = rose(3)
+    with pytest.raises(MalformedGraph) as info:
+        _check_matched(e2, [blk(e2, "b", [], "a")], parse_clopen(e3, "Z(a)"),
+                       parse_clopen(e2, "Z(b)"), 0)
+    assert str(info.value) == "operands live over different graphs"
+
+
+def test_check_matched_builds_one_trie_per_side(monkeypatch):
+    # one path trie per side serves the overlap search and the union, and
+    # a or b costs one more only when it is not in canonical form; a
+    # non-canonical a or b that is the union as a set is accepted
+    pathspace = sys.modules["ggt.pathspace"]
+    real = pathspace.path_trie
+    built = [0]
+
+    def counted(paths):
+        built[0] += 1
+        return real(paths)
+
+    monkeypatch.setattr(pathspace, "path_trie", counted)
+    petal = emitter_two_loops()
+
+    def off_form(g, text):
+        c = parse_clopen(g, text)
+        return Clopen(g, c.refine_to(c.depth() + 1).pieces)
+
+    def cost(g, blocks, a, b):
+        loose = sum(c.pieces != canonicalize(g, c.pieces) for c in (a, b))
+        built[0] = 0
+        _check_matched(g, blocks, a, b, 0)
+        return built[0], loose
+
+    swap = [blk(E2, "b", [], "a")]
+    za, zb = parse_clopen(E2, "Z(a)"), parse_clopen(E2, "Z(b)")
+    assert cost(E2, swap, za, zb) == (2, 0)
+    assert cost(E2, swap, off_form(E2, "Z(a)"), zb) == (3, 1)
+    assert cost(E2, swap, off_form(E2, "Z(a)"), off_form(E2, "Z(b)")) == (4, 2)
+    # Z(@w) as a punctured piece at the emitter w and the cylinder it misses
+    w = Clopen(petal, (Piece(Path("w"), ("W#1",)), Piece(Path("w", ("W#1",)))))
+    assert cost(petal, [blk(petal, "@w", [], "@w")], w, w) == (4, 2)
+    seen = set()
+    for a, b in depth_theorem_pairs(random.Random(2502)):
+        g = a.graph
+        blocks, residue = _match_at_depth(
+            g, a, b, max(a.depth(), b.depth(), 1,
+                         vanishing_level(class_of(a).sub(class_of(b)))))
+        assert residue == 0
+        tries, loose = cost(g, blocks, a, b)
+        assert tries == 2 + loose
+        seen.add(loose)
+    assert seen == {0, 1}
 
 
 def test_af_certification_does_not_compose(monkeypatch):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ggt.errors import (CriteriaFailed, NegativeLevel, NotEssential,
-                        SourcePresent)
+from ggt.errors import (CriteriaFailed, MalformedGraph, NegativeLevel,
+                        NotEssential, SourcePresent)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import (Block, Element, compose, graded_partition, inverse,
@@ -229,6 +229,23 @@ def test_class_of_examples():
 def test_class_of_rejects_sources():
     with pytest.raises(SourcePresent):
         class_of(Clopen.full(mixed_graph()))
+
+
+def test_class_vector_refusals_name_their_vertex():
+    # an unknown vertex is named as given; of two sources declared out
+    # of name order, class_of names the least
+    for items in ([(("w", 0), 1)], [(("v", 1), 2), (("w", 0), 0)]):
+        with pytest.raises(MalformedGraph) as info:
+            ClassVector.of(E2, items)
+        assert str(info.value) == "unknown vertex 'w'"
+    g = Graph("two_sources", ["z", "m", "b"],
+              [("l", "m", "m"), ("e", "z", "m"), ("f", "b", "m")])
+    with pytest.raises(SourcePresent) as info:
+        class_of(Clopen.full(g))
+    assert str(info.value) == "vertex b is a source"
+    with pytest.raises(SourcePresent) as info:
+        class_of(Clopen.empty(mixed_graph()))
+    assert str(info.value) == "vertex u is a source"
 
 
 def test_shift_examples():

@@ -9,8 +9,9 @@ from ggt.fullgroup import Block
 from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            canonical_pieces, canonicalize, complement_pieces,
-                           make_piece, parse_clopen, parse_path, parse_piece,
-                           path_range, prepend_prefix, singleton_point,
+                           find_overlap, make_piece, overlap_or_union,
+                           parse_clopen, parse_path, parse_piece, path_range,
+                           piece_is_empty, prepend_prefix, singleton_point,
                            strip_prefix)
 
 from helpers import (member_set, pairwise_intersect, pairwise_subtract,
@@ -300,6 +301,48 @@ def test_canonical_walk_matches_the_recursive_reference():
             rng.shuffle(pieces)
             assert canonical_pieces(g, pieces) == \
                 recursive_canonical_pieces(g, pieces)
+
+
+def test_one_trie_search_and_walk_match_the_two_calls():
+    # overlap_or_union builds one trie for the overlap search and the
+    # canonical walk: its hit is find_overlap's pair, and with no hit its
+    # pieces are canonical_pieces'. Lists of nonempty pieces: overlapping
+    # extensions, punctured pieces at singular vertices, and disjoint
+    # lists (refinements of a clopen, shuffled), some of them not in
+    # canonical form
+    rng = random.Random(2501)
+    seen = set()
+    for g in (E2, EINF, C2, MIXED, emitter_two_loops()):
+        for trial in range(80):
+            if trial % 2:
+                depth = rng.randrange(0, 4)
+                pieces = list(random_clopen(g, rng).refine_to(depth).pieces)
+            else:
+                pieces = [p for p in (raw_piece(g, rng)
+                                      for _ in range(rng.randrange(1, 5)))
+                          if not piece_is_empty(g, p)]
+                for p in list(pieces):
+                    ext = random_walk(g, rng, path_range(g, p.mu),
+                                      rng.randrange(1, 3))
+                    if ext is not None and rng.random() < 0.4:
+                        pieces.append(Piece(p.mu.extend(*ext.edges)))
+            rng.shuffle(pieces)
+            hit, union = overlap_or_union(g, pieces)
+            assert hit == find_overlap(g, pieces)
+            if hit is None:
+                assert union == canonical_pieces(g, pieces)
+                seen.add("apart")
+                if tuple(sorted(union, key=Piece.key)) != tuple(
+                        sorted(pieces, key=Piece.key)):
+                    seen.add("merged")
+            else:
+                assert union is None
+                seen.add("hit")
+            if any(p.punctures and g.is_singular(path_range(g, p.mu))
+                   for p in pieces):
+                seen.add("hit, punctured" if hit else "apart, punctured")
+    assert seen == {"apart", "merged", "hit", "apart, punctured",
+                    "hit, punctured"}
 
 
 def test_complement_walk_emits_canonical_pieces():
