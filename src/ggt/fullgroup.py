@@ -28,8 +28,8 @@ from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, check_punctures,
                         complement_pieces, find_overlap, intersect_pieces,
                         overlap_or_union, parse_path, path_range, path_trie,
-                        piece_contains, piece_is_empty, prepend_prefix,
-                        singleton_point, strip_prefix)
+                        piece_contains, piece_is_canonical, piece_is_empty,
+                        prepend_prefix, singleton_point, strip_prefix)
 
 
 class Block(NamedTuple):
@@ -168,6 +168,14 @@ def _normalize_table(g: Graph, live) -> Element:
     joins moved pieces, and a split child fixed pointwise would need its
     branching parent vertex on an exitless cycle.
 
+    A group of one tail that ``pathspace.piece_is_canonical`` accepts is
+    already canonical, so it keeps its input block and builds no trie;
+    any other group is walked. This is exact: the predicate holds
+    iff ``canonical_pieces`` returns that tail alone, field for field.
+    That includes the puncture order: the walk writes punctures sorted by
+    ``edge_key``, and the predicate compares the tail's punctures with
+    that sort itself instead of trusting each caller to have sorted them.
+
     Theorem: without one-point pieces (so over every graph meeting the AH
     criteria: no sinks and Condition (L)) equal action implies equal
     normal form. Proof: if blocks (mu, nu) and (mu', nu.s) agree near x,
@@ -193,7 +201,9 @@ def _normalize_table(g: Graph, live) -> Element:
         groups.setdefault((mu0, nu0), {})[tail] = b
     kept = []
     for (mu0, nu0), tails in groups.items():
-        for p in canonical_pieces(g, tails):
+        pieces = (tails if len(tails) == 1 and piece_is_canonical(g, *tails)
+                  else canonical_pieces(g, tails))
+        for p in pieces:
             b = tails.get(p)
             if b is None:
                 b = Block(Path(mu0.base, mu0.edges + p.mu.edges), p.punctures,
@@ -485,21 +495,17 @@ def graded_partition(e: Element) -> GradedPartition:
     return GradedPartition(Clopen.full(g), levels)
 
 
-def check_bisection(g: Graph, blocks):
-    """Sources pairwise disjoint and ranges pairwise disjoint."""
-    blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
-    return _check_disjoint(g, blocks)
-
-
 def check_bisection_unions(g: Graph, blocks):
-    """(``check_bisection``'s blocks, the canonical pieces of their source
-    union, those of their range union), the pieces in walk order.
+    """(the blocks, the canonical pieces of their source union, those of
+    their range union), the pieces in walk order.
 
-    The checks and their refusals are those of ``check_bisection``, in
-    its order. Each side builds one path trie, which both finds an
-    overlap and, when there is none, is walked to the side's union
-    (``overlap_or_union``). The sources' union is walked before the
-    ranges are searched; a walk raises nothing, so the order holds.
+    Every block goes through ``make_block``; then the sources must be
+    pairwise disjoint, else SourcesOverlap, and so must the ranges, else
+    RangesOverlap, as in ``_check_disjoint``. Each side builds one path
+    trie, which both finds an overlap and, when there is none, is walked
+    to the side's union (``overlap_or_union``). The sources' union is
+    walked before the ranges are searched; a walk raises nothing, so the
+    order holds.
     """
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
@@ -523,18 +529,20 @@ def transposition(g: Graph, blocks) -> Element:
 
     The bisection's total source and range must be disjoint; the result
     is the table blocks + inverse blocks, identity elsewhere, and squares
-    to the identity. Each table axiom is checked once: ``check_bisection``
-    makes every block and keeps the sources apart and the ranges apart,
-    and one overlap search over sources and ranges keeps each source off
-    each range. Those are the table's disjointness axioms, and its source
-    and range unions are both source + range, so the table is not checked
-    again.
+    to the identity. Every block goes through ``make_block``, which
+    refuses an empty source (a fully punctured regular cylinder), so
+    every block is live. One overlap search over sources + ranges then
+    checks all three of the table's disjointness axioms at once, and its
+    source and range unions are both source + range, so the table is not
+    checked again. When the search hits, the refusal is the one of the
+    checks in turn: ``_check_disjoint`` (two sources, then two ranges),
+    then the pair the search found, which is then a source and a range.
     """
-    blocks = check_bisection(g, blocks)
+    blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     hit = find_overlap(g, [b.source_piece() for b in blocks]
                        + [b.range_piece() for b in blocks])
     if hit is not None:
-        # sources and ranges are each disjoint, so i is a source, j a range
+        _check_disjoint(g, blocks)
         i, j = sorted(hit)
         raise OverlappingSourceRange(f"source of block [{blocks[i]}] meets range "
                                      f"of block [{blocks[j - len(blocks)]}]")

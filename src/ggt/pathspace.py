@@ -356,6 +356,27 @@ def canonical_pieces(g: Graph, pieces):
     return _trie_pieces(g, pieces, roots)
 
 
+def piece_is_canonical(g: Graph, p: Piece) -> bool:
+    """True when the nonempty piece p is its own canonical form, that is
+    when ``canonical_pieces(g, [p]) == [p]``, without building a trie.
+
+    In the one-piece trie, ``_settle`` makes p's end node _FULL when p is
+    plain, and that _FULL rises past every edge that is the only out-edge
+    of a regular vertex; so a plain Z(mu) stays itself unless mu's last
+    edge is such an edge. A punctured piece stays itself at a singular
+    vertex, with its punctures sorted by ``edge_key`` and each once, the
+    order ``_settle`` writes; at a regular vertex it splits into plain
+    children.
+    """
+    if p.punctures:
+        return (g.is_singular(path_range(g, p.mu)) and p.punctures
+                == tuple(sorted(set(p.punctures), key=edge_key)))
+    if not p.mu.edges:
+        return True
+    v = g.source(p.mu.edges[-1])
+    return g.is_singular(v) or len(g.out_concrete(v)) > 1
+
+
 def _trie_pieces(g: Graph, pieces, roots):
     """The canonical pieces of the union of nonempty pieces, one ``_emit``
     walk per root of the trie over their paths, roots in vertex order."""

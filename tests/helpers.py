@@ -13,22 +13,25 @@ that the complement walks replaced, the graded partition and index
 that built S(0) everywhere, the routed-path check that decided
 containment by one subtraction per path, and the matcher that filed
 every piece through a one-piece refinement and scanned for its least
-key. They stay independent of the code paths they check.
+key, and the normal form that walked every reduced-exchange group,
+even a group of one canonical tail (``reference_normalize_table``).
+They stay independent of the code paths they check.
 """
 
 import random
 
 from ggt.errors import NotEssential, VerificationFailed
-from ggt.fullgroup import (Block, Element, GradedPartition, apply, compose,
-                           transposition, validate_element)
+from ggt.fullgroup import (Block, Element, GradedPartition,
+                           _block_is_identity, apply, compose, transposition,
+                           validate_element)
 from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.homology import (ClassVector, HomologyReport, IndexValue, class_of,
                           is_zero, shift)
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
-                           complement_pieces, find_overlap, intersect_pieces,
-                           make_piece, path_range, piece_is_empty,
-                           subtract_piece)
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
+                           canonical_pieces, canonicalize, complement_pieces,
+                           find_overlap, intersect_pieces, make_piece,
+                           path_range, piece_is_empty, subtract_piece)
 
 
 # -- naive Smith normal form (oracle) -----------------------------------------
@@ -433,6 +436,33 @@ def reference_block_key(b):
     """The block order by source key, then range key: ``Block.key`` before
     it read the source alone."""
     return b.source_piece().key() + b.range_piece().key()
+
+
+def reference_normalize_table(g, live):
+    """``fullgroup._normalize_table`` with one ``canonical_pieces`` walk per
+    reduced-exchange group, a group of one tail included."""
+    groups = {}   # (mu0, nu0) -> {tail piece: input block}
+    for b in live:
+        if _block_is_identity(g, b):
+            continue
+        mu_edges, nu_edges = b.mu.edges, b.nu.edges
+        m, k = len(mu_edges), len(nu_edges)
+        n = 0
+        while n < m and n < k and mu_edges[-1 - n] == nu_edges[-1 - n]:
+            n += 1
+        mu0 = Path(b.mu.base, mu_edges[:m - n])
+        nu0 = Path(b.nu.base, nu_edges[:k - n])
+        tail = Piece(Path(path_range(g, nu0), nu_edges[k - n:]), b.punctures)
+        groups.setdefault((mu0, nu0), {})[tail] = b
+    kept = []
+    for (mu0, nu0), tails in groups.items():
+        for p in canonical_pieces(g, tails):
+            b = tails.get(p)
+            if b is None:
+                b = Block(Path(mu0.base, mu0.edges + p.mu.edges), p.punctures,
+                          Path(nu0.base, nu0.edges + p.mu.edges))
+            kept.append(b)
+    return Element(g, tuple(sorted(kept, key=Block.key)))
 
 
 def reference_graded_partition(e):

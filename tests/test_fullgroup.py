@@ -9,8 +9,8 @@ from ggt.errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import find_bisection
-from ggt.fullgroup import (Block, Element, _check_table, _normalize_table,
-                           _totalize, acts_as, apply, bisection_range,
+from ggt.fullgroup import (Block, Element, _check_table, _fold,
+                           _normalize_table, _totalize, acts_as, apply, bisection_range,
                            bisection_source, compose, compose_all,
                            compose_bisections, doubling_bisections,
                            graded_partition, identity_blocks, image_of,
@@ -26,7 +26,7 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
 from helpers import (dict_compose_bisections, dict_find_overlap,
                      mutate_clopen, point_family, punctured_transposition,
                      random_clopen, random_element, random_transposition,
-                     refine_blocks)
+                     reference_normalize_table, refine_blocks)
 from test_pathspace import TAIL
 
 E2 = rose(2)
@@ -208,6 +208,163 @@ def test_transposition_examples():
             r"^source of block \[block b\.a \| - \| a\.a\] meets range "
             r"of block \[block a \| - \| b\.b\]$")):
         transposition(E2, [blk(E2, "b.a", [], "a.a"), blk(E2, "a", [], "b.b")])
+
+
+def raw_block(g, mu, punctures, nu):
+    """A block built without make_block, so that transposition checks it."""
+    return Block(parse_path(g, mu), tuple(punctures), parse_path(g, nu))
+
+
+def test_transposition_refusals():
+    # every block is made before any overlap search, and the overlap
+    # refusals come in the order sources, ranges, source against range,
+    # naming the same blocks whichever overlaps the one search meets
+    mixed = mixed_graph()
+    cases = [
+        # a malformed block before an overlapping pair
+        (E2, [Block(Path("v", ("a", "z")), (), Path("v", ("b",))),
+              raw_block(E2, "b.a", [], "a.a"), raw_block(E2, "b.b", [], "a")],
+         MalformedGraph, "path a.z is not composable at 'z'"),
+        (E2, [raw_block(E2, "b.a", [], "a.a"), raw_block(E2, "b.b", [], "a"),
+              raw_block(E2, "a", ["a", "c"], "b")],
+         MalformedGraph, "puncture 'c' is not emitted by v"),
+        (E2, [raw_block(E2, "b.a", [], "a.a"), raw_block(E2, "b.b", [], "a")],
+         SourcesOverlap, "blocks [block b.b | - | a] and "
+         "[block b.a | - | a.a] have overlapping sources"),
+        (E2, [raw_block(E2, "a", [], "b.a"), raw_block(E2, "a.b", [], "b.b")],
+         RangesOverlap, "blocks [block a | - | b.a] and "
+         "[block a.b | - | b.b] have overlapping ranges"),
+        # sources and ranges overlap at once
+        (E2, [raw_block(E2, "a.a", [], "b.a"), raw_block(E2, "a", [], "b")],
+         SourcesOverlap, "blocks [block a | - | b] and "
+         "[block a.a | - | b.a] have overlapping sources"),
+        # and a source meets a range as well
+        (E2, [raw_block(E2, "a.a", [], "b"), raw_block(E2, "a", [], "b.b"),
+              raw_block(E2, "b.a", [], "a.b")],
+         SourcesOverlap, "blocks [block a.a | - | b] and "
+         "[block a | - | b.b] have overlapping sources"),
+        (E2, [raw_block(E2, "b.a", [], "a.a"), raw_block(E2, "a", [], "b.b")],
+         OverlappingSourceRange, "source of block [block b.a | - | a.a] "
+         "meets range of block [block a | - | b.b]"),
+        # punctured pieces at the infinite emitter v
+        (EINF, [Block(Path("v", ("L#3",)), ("L#1",), Path("v")),
+                Block(Path("v", ("L#4",)), ("L#2",), Path("v"))],
+         SourcesOverlap, "blocks [block L#3 | L#1 | @v] and "
+         "[block L#4 | L#2 | @v] have overlapping sources"),
+        (EINF, [Block(Path("v"), ("L#1", "L#2"), Path("v", ("L#3",))),
+                Block(Path("v", ("L#4",)), (), Path("v", ("L#1", "L#5")))],
+         RangesOverlap, "blocks [block @v | L#1,L#2 | L#3] and "
+         "[block L#4 | - | L#1.L#5] have overlapping ranges"),
+        (EINF, [Block(Path("v", ("L#2",)), ("L#1",), Path("v"))],
+         OverlappingSourceRange, "source of block [block L#2 | L#1 | @v] "
+         "meets range of block [block L#2 | L#1 | @v]"),
+        # an empty source, a fully punctured regular cylinder, is a bad
+        # puncture set: make_block refuses it before any search
+        (mixed, [Block(Path("u"), ("e",), Path("u"))],
+         MalformedGraph, "fully punctured regular cylinder is empty"),
+        (mixed, [raw_block(mixed, "d1.k1", [], "c1"),
+                 raw_block(mixed, "d1", ["m1", "m2", "m3", "m4", "k1", "k2",
+                                         "k3"], "d2")],
+         MalformedGraph, "fully punctured regular cylinder is empty"),
+    ]
+    for g, blocks, error, message in cases:
+        with pytest.raises(error) as info:
+            transposition(g, blocks)
+        assert type(info.value) is error and str(info.value) == message
+    # punctures that keep the pieces apart at the emitter are accepted
+    t = transposition(EINF, [Block(Path("v", ("L#1",)), ("L#1",), Path("v"))])
+    assert [str(b) for b in t.blocks] == ["block L#1 | L#1 | @v",
+                                          "block @v | L#1 | L#1"]
+
+
+def test_transposition_of_canonical_single_tails_builds_one_trie(monkeypatch):
+    # the one overlap search builds the only path trie when every
+    # reduced-exchange group of the table is one canonical tail
+    ps = sys.modules["ggt.pathspace"]
+    real = ps.path_trie
+    built = [0]
+
+    def counted(paths):
+        built[0] += 1
+        return real(paths)
+
+    monkeypatch.setattr(ps, "path_trie", counted)
+    inputs = [(E2, [raw_block(E2, "a.a", [], "b")]),
+              (E2, [raw_block(E2, "a.a", [], "b.b"),
+                    raw_block(E2, "a.b", [], "b.a")]),
+              (EINF, [raw_block(EINF, "L#1", [], "L#2")]),
+              (EINF, [Block(Path("v", ("L#2", "L#2")), ("L#1", "L#3"),
+                            Path("v", ("L#1",)))])]
+    rng = random.Random(2602)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(10):
+            # a one-block transposition's normal form is that block and
+            # its inverse, each a canonical tail alone in its group
+            t = random_transposition(g, rng)
+            if len(t.blocks) == 2:
+                inputs.append((g, [t.blocks[0]]))
+    for g, blocks in inputs:
+        built[0] = 0
+        t = transposition(g, blocks)
+        assert built[0] == 1
+        assert len(t.blocks) == 2 * len(blocks)
+
+
+def split_all(g, blocks):
+    """The same table with every plain block at a regular range vertex
+    split into one block per out-edge, a complete sibling family that
+    the normal form merges back."""
+    out = []
+    for b in blocks:
+        v = path_range(g, b.nu)
+        if b.punctures or g.is_singular(v):
+            out.append(b)
+        else:
+            out.extend(Block(b.mu.extend(e), (), b.nu.extend(e))
+                       for e in g.out_concrete(v))
+    return out
+
+
+def test_normal_form_matches_the_reference(monkeypatch):
+    # every normal form made while building seeded transpositions,
+    # products and validated tables (refined, or split to be merged back)
+    # equals the one of the walk of every group; among them are single
+    # tails that are not canonical and groups of several blocks
+    fg = sys.modules["ggt.fullgroup"]
+    real_normalize = fg._normalize_table
+    real_canonical, real_pieces = fg.piece_is_canonical, fg.canonical_pieces
+    seen = set()
+
+    def normalize(g, live):
+        got = real_normalize(g, live)
+        assert got == reference_normalize_table(g, live)
+        return got
+
+    def canonical(g, p):
+        ok = real_canonical(g, p)
+        seen.add("canonical tail" if ok else "tail walked")
+        return ok
+
+    def pieces(g, tails):
+        if len(tails) > 1:
+            seen.add("several")
+        return real_pieces(g, tails)
+
+    monkeypatch.setattr(fg, "_normalize_table", normalize)
+    monkeypatch.setattr(fg, "piece_is_canonical", canonical)
+    monkeypatch.setattr(fg, "canonical_pieces", pieces)
+    rng = random.Random(2603)
+    for g in (E2, EINF, cycle_graph(3), mixed_graph(), emitter_two_loops()):
+        for _ in range(6):
+            punctured_transposition(g, rng)
+            e = random_element(g, rng, rng.randrange(1, 4))
+            f = random_element(g, rng, rng.randrange(1, 4))
+            for x, y in ((e, f), (f, e), (e, inverse(e))):
+                assert compose(x, y) == normalize(
+                    g, _check_table(g, _fold(g, [x, y])))
+            validate_element(g, refine_blocks(g, e.blocks, rng))
+            validate_element(g, split_all(g, e.blocks))
+    assert seen == {"canonical tail", "tail walked", "several"}
 
 
 def test_transposition_squares_random():

@@ -11,8 +11,8 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            canonical_pieces, canonicalize, complement_pieces,
                            find_overlap, make_piece, overlap_or_union,
                            parse_clopen, parse_path, parse_piece, path_range,
-                           piece_is_empty, prepend_prefix, singleton_point,
-                           strip_prefix)
+                           piece_is_canonical, piece_is_empty, prepend_prefix,
+                           singleton_point, strip_prefix)
 
 from helpers import (member_set, pairwise_intersect, pairwise_subtract,
                      point_family, random_clopen, random_twin_graph,
@@ -301,6 +301,42 @@ def test_canonical_walk_matches_the_recursive_reference():
             rng.shuffle(pieces)
             assert canonical_pieces(g, pieces) == \
                 recursive_canonical_pieces(g, pieces)
+
+
+def test_piece_is_canonical_matches_the_walk():
+    # one nonempty piece is its own canonical form exactly when the
+    # predicate says so: plain tails ending on the only out-edge of a
+    # regular vertex (mixed_graph's e, every edge of a cycle) rise to
+    # their parent, punctured ones at regular vertices split, punctured
+    # ones at singular vertices stay, unless their punctures are out of
+    # edge_key order or repeated
+    rng = random.Random(2601)
+    c3 = cycle_graph(3)
+    seen = set()
+    for g in (E2, EINF, c3, MIXED, emitter_two_loops()):
+        for _ in range(150):
+            p = raw_piece(g, rng)
+            if piece_is_empty(g, p):
+                continue
+            if len(p.punctures) > 1 and rng.random() < 0.3:
+                punct = list(p.punctures) + [p.punctures[0]] * rng.randrange(2)
+                rng.shuffle(punct)
+                p = Piece(p.mu, tuple(punct))
+            canonical = canonical_pieces(g, [p]) == [p]
+            assert piece_is_canonical(g, p) == canonical
+            seen.add(canonical)
+            v = path_range(g, p.mu)
+            if g is c3 and not canonical:
+                seen.add("cycle")
+            elif g is MIXED and p.mu.edges[-1:] == ("e",) and not p.punctures:
+                seen.add("e")
+            if p.punctures and (g is MIXED or g is EINF):
+                seen.add(f"punctured at {v}")
+                if p.punctures != tuple(sorted(set(p.punctures), key=edge_key)):
+                    seen.add("out of order")
+    assert seen == {True, False, "cycle", "e", "punctured at b",
+                    "punctured at c", "punctured at d", "punctured at v",
+                    "out of order"}
 
 
 def test_one_trie_search_and_walk_match_the_two_calls():
