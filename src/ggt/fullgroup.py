@@ -27,9 +27,10 @@ from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, check_punctures,
                         complement_pieces, find_overlap, intersect_pieces,
-                        overlap_or_union, parse_path, path_range, path_trie,
-                        piece_contains, piece_is_canonical, piece_is_empty,
-                        prepend_prefix, singleton_point, strip_prefix)
+                        overlap_or_complement, overlap_or_union, parse_path,
+                        path_range, path_trie, piece_contains,
+                        piece_is_canonical, piece_is_empty, prepend_prefix,
+                        singleton_point, strip_prefix)
 
 
 class Block(NamedTuple):
@@ -127,33 +128,52 @@ def _refuse_overlap(live, hit, error, side):
 
 
 def _check_disjoint(g: Graph, blocks):
-    """Non-empty blocks of the list; raises if two sources or two ranges meet."""
-    live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
-    _refuse_overlap(live, find_overlap(g, [b.source_piece() for b in live]),
+    """Raises if two sources or two ranges of the blocks meet.
+
+    Every block comes from ``make_block``, which refuses an empty source,
+    so every block is live and none is filtered out."""
+    _refuse_overlap(blocks, find_overlap(g, [b.source_piece() for b in blocks]),
                     SourcesOverlap, "sources")
-    _refuse_overlap(live, find_overlap(g, [b.range_piece() for b in live]),
+    _refuse_overlap(blocks, find_overlap(g, [b.range_piece() for b in blocks]),
                     RangesOverlap, "ranges")
-    return live
 
 
 def _check_table(g: Graph, blocks):
-    """Disjointness and carrier axioms for a list of valid blocks.
+    """The blocks, after the disjointness and carrier axioms: two sources
+    meeting raise SourcesOverlap, then ``_check_ranges`` runs.
 
-    When the source pieces and the range pieces are the same pieces the
-    two unions are equal and nothing is canonicalized; the live sources
-    are disjoint and nonempty, hence distinct, so comparing sets is exact.
+    Every block comes from ``make_block``, which refuses an empty source,
+    or from ``compose_bisections``, which emits none, so no block is
+    filtered out.
     """
-    live = _check_disjoint(g, blocks)
-    src = [b.source_piece() for b in live]
-    rng = [b.range_piece() for b in live]
+    src = [b.source_piece() for b in blocks]
+    _refuse_overlap(blocks, find_overlap(g, src), SourcesOverlap, "sources")
+    _check_ranges(g, blocks, src)
+    return blocks
+
+
+def _check_ranges(g: Graph, blocks, src):
+    """The rest of the table axioms once the blocks' source pieces src
+    are known to be disjoint: two ranges meeting raise RangesOverlap, and
+    unions that differ raise CarrierMismatch.
+
+    When the range list is the source list, the ranges search would
+    repeat the sources search and the unions are equal, so nothing runs.
+    When the two lists hold the same pieces the unions are equal and
+    nothing is canonicalized; the sources are disjoint and nonempty,
+    hence distinct, so comparing sets is exact.
+    """
+    rng = [b.range_piece() for b in blocks]
+    if rng == src:
+        return
+    _refuse_overlap(blocks, find_overlap(g, rng), RangesOverlap, "ranges")
     if set(src) == set(rng):
-        return live
+        return
     src = canonicalize(g, src)
     rng = canonicalize(g, rng)
     if src != rng:
         raise CarrierMismatch(f"source union {Clopen(g, src)} differs "
                               f"from range union {Clopen(g, rng)}")
-    return live
 
 
 def _normalize_table(g: Graph, live) -> Element:
@@ -418,12 +438,25 @@ def acts_as(factors, e: Element) -> bool:
     most one point, which ``_block_is_identity``'s singleton rule decides,
     so no normal form is needed. The sources are total iff they leave no
     complement piece (``complement_pieces`` emits no empty one).
+
+    One trie over the sources serves their overlap search and the
+    complement walk (``overlap_or_complement``); the walk raises nothing,
+    so the refusals keep ``_check_table``'s order: SourcesOverlap, then
+    ``_check_ranges``, and only then the answer. Without one-point pieces
+    every block of a passing certificate is (mu, F, mu), so the range list
+    is the source list, ``_check_ranges`` searches nothing and the final
+    table builds one trie; a block (mu, F, nu) fixing its one point costs
+    the ranges search and the carrier check.
     """
     g = e.graph
-    live = _check_table(g, _fold(g, list(factors) + [inverse(e)]))
-    if complement_pieces(g, [b.source_piece() for b in live]):
+    table = _fold(g, list(factors) + [inverse(e)])
+    src = [b.source_piece() for b in table]
+    hit, rest = overlap_or_complement(g, src)
+    _refuse_overlap(table, hit, SourcesOverlap, "sources")
+    _check_ranges(g, table, src)
+    if rest:
         return False
-    return all(_block_is_identity(g, b) for b in live)
+    return all(_block_is_identity(g, b) for b in table)
 
 
 def is_involution(t: Element) -> bool:
@@ -499,7 +532,8 @@ def check_bisection_unions(g: Graph, blocks):
     """(the blocks, the canonical pieces of their source union, those of
     their range union), the pieces in walk order.
 
-    Every block goes through ``make_block``; then the sources must be
+    Every block goes through ``make_block``, which refuses an empty
+    source, so no block is filtered out; then the sources must be
     pairwise disjoint, else SourcesOverlap, and so must the ranges, else
     RangesOverlap, as in ``_check_disjoint``. Each side builds one path
     trie, which both finds an overlap and, when there is none, is walked
@@ -508,12 +542,11 @@ def check_bisection_unions(g: Graph, blocks):
     order holds.
     """
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
-    live = [b for b in blocks if not piece_is_empty(g, b.source_piece())]
-    hit, src = overlap_or_union(g, [b.source_piece() for b in live])
-    _refuse_overlap(live, hit, SourcesOverlap, "sources")
-    hit, rng = overlap_or_union(g, [b.range_piece() for b in live])
-    _refuse_overlap(live, hit, RangesOverlap, "ranges")
-    return live, src, rng
+    hit, src = overlap_or_union(g, [b.source_piece() for b in blocks])
+    _refuse_overlap(blocks, hit, SourcesOverlap, "sources")
+    hit, rng = overlap_or_union(g, [b.range_piece() for b in blocks])
+    _refuse_overlap(blocks, hit, RangesOverlap, "ranges")
+    return blocks, src, rng
 
 
 def bisection_source(g: Graph, blocks) -> Clopen:

@@ -15,9 +15,11 @@ whose path ends there. The canonical form and the complement are walks
 over it, ``find_overlap`` finds two meeting pieces with it, and
 ``fullgroup.compose_bisections`` pairs blocks through it. Building a
 trie (``path_trie``) is kept apart from searching it (``_trie_overlap``)
-and walking it to the canonical form (``_trie_pieces``), so a caller
-that needs both, such as a check that a list of pieces is disjoint with
-a given union, builds one trie for both (``overlap_or_union``).
+and walking it to the canonical form (``_trie_pieces``) or to the
+complement (``_trie_complement``), so a caller that needs both, such as
+a check that a list of pieces is disjoint with a given union, or
+disjoint and total, builds one trie for both (``overlap_or_union``,
+``overlap_or_complement``).
 
 ``Path`` and ``Piece`` are immutable tuples (``typing.NamedTuple``) with
 no per-object attributes: field access, equality and hashing run in C,
@@ -255,7 +257,7 @@ def _trie_overlap(g: Graph, pieces, roots, ends):
     No prefix is copied or hashed: the search takes time linear in the
     total path length plus the pairs on shared paths. It reads the
     trie's ``at`` lists and children and writes nothing, so the same trie
-    can be walked (``_trie_pieces``) after it.
+    can be walked (``_trie_pieces``, ``_trie_complement``) after it.
     """
     for i, node in enumerate(ends):
         if len(node.at) > 1:
@@ -415,7 +417,7 @@ def canonicalize(g: Graph, pieces):
 
 def complement_pieces(g: Graph, pieces):
     """The canonical pieces of what the given pieces leave uncovered, by
-    one walk over their path trie, unsorted.
+    one walk over their path trie (``_trie_complement``), unsorted.
 
     Pieces may overlap and need not be merged. Below a node holding
     pieces, only the edges punctured by all of them stay uncovered; below
@@ -425,7 +427,8 @@ def complement_pieces(g: Graph, pieces):
     otherwise stays on or above some input path: no emitted piece is
     deeper than the deepest input piece.
 
-    The output is already canonical, so sorting it by ``Piece.key`` gives
+    The walk does not enter a subtree that a plain piece covers. The
+    output is already canonical, so sorting it by ``Piece.key`` gives
     ``canonicalize`` of it. Empty input pieces are dropped first, so every
     trie node has a nonempty input piece in its subtree, and:
 
@@ -441,6 +444,19 @@ def complement_pieces(g: Graph, pieces):
     """
     pieces = [p for p in pieces if not piece_is_empty(g, p)]
     roots, _ = path_trie(p.mu for p in pieces)
+    return _trie_complement(g, pieces, roots)
+
+
+def _trie_complement(g: Graph, pieces, roots):
+    """``complement_pieces`` of nonempty pieces, by one depth-first walk
+    of the trie over their paths from the roots in vertex order.
+
+    A child node whose first piece is plain is not pushed: that piece
+    covers the child's cylinder, so the child would leave no open edge,
+    emit nothing and read nothing below it. Skipping it leaves the output,
+    order included, as it is; the test reads one piece, so a child whose
+    plain piece comes later in its list is walked, and emits nothing.
+    """
     out = []
     stack = []
     for v in sorted(g.vertices):
@@ -467,9 +483,20 @@ def complement_pieces(g: Graph, pieces):
             sub = node.children.get(e)
             if sub is None:
                 out.append(Piece(mu.extend(e)))
-            else:
+            elif not sub.at or pieces[sub.at[0]].punctures:
                 stack.append((mu.extend(e), sub))
     return out
+
+
+def overlap_or_complement(g: Graph, pieces):
+    """(hit, None) when two of the nonempty pieces meet, hit being the
+    pair ``find_overlap`` reports; else (None, their ``complement_pieces``).
+    One trie serves both, as in ``overlap_or_union``."""
+    roots, ends = path_trie(p.mu for p in pieces)
+    hit = _trie_overlap(g, pieces, roots, ends)
+    if hit is not None:
+        return hit, None
+    return None, _trie_complement(g, pieces, roots)
 
 
 @dataclass(frozen=True)

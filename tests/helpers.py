@@ -13,8 +13,10 @@ that the complement walks replaced, the graded partition and index
 that built S(0) everywhere, the routed-path check that decided
 containment by one subtraction per path, and the matcher that filed
 every piece through a one-piece refinement and scanned for its least
-key, and the normal form that walked every reduced-exchange group,
-even a group of one canonical tail (``reference_normalize_table``).
+key, the normal form that walked every reduced-exchange group,
+even a group of one canonical tail (``reference_normalize_table``), and
+the complement walk that pushed every child node on its stack, also one
+that a plain piece covers (``reference_complement_pieces``).
 They stay independent of the code paths they check.
 """
 
@@ -31,7 +33,8 @@ from ggt.intlin import IntMatrix, Lattice, smith_normal_form
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            canonical_pieces, canonicalize, complement_pieces,
                            find_overlap, intersect_pieces, make_piece,
-                           path_range, piece_is_empty, subtract_piece)
+                           path_range, path_trie, piece_is_empty,
+                           subtract_piece)
 
 
 # -- naive Smith normal form (oracle) -----------------------------------------
@@ -399,6 +402,44 @@ def recursive_canonical_pieces(g, pieces):
     for v, node in sorted(_setdefault_trie(g, pieces).items()):
         r = _recursive_emit(g, Path(v), node)
         out.extend([Piece(Path(v))] if r is _COVERED else r)
+    return out
+
+
+def reference_complement_pieces(g, pieces):
+    """``pathspace.complement_pieces`` as it walked before it skipped
+    covered children: every child node on a taken or open edge is pushed,
+    and one that a plain piece covers is popped, leaves no open edge and
+    emits nothing."""
+    pieces = [p for p in pieces if not piece_is_empty(g, p)]
+    roots, _ = path_trie(p.mu for p in pieces)
+    out = []
+    stack = []
+    for v in sorted(g.vertices):
+        if v in roots:
+            stack.append((Path(v), roots[v]))
+        else:
+            out.append(Piece(Path(v)))
+    while stack:
+        mu, node = stack.pop()
+        if node.at:
+            open_edges = set(pieces[node.at[0]].punctures)
+            for i in node.at[1:]:
+                open_edges.intersection_update(pieces[i].punctures)
+            edges = sorted(open_edges, key=edge_key)
+        else:
+            edges = node.children
+            v = path_range(g, mu)
+            if g.is_regular(v):
+                out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                           if e not in edges)
+            else:
+                out.append(Piece(mu, tuple(sorted(edges, key=edge_key))))
+        for e in edges:
+            sub = node.children.get(e)
+            if sub is None:
+                out.append(Piece(mu.extend(e)))
+            else:
+                stack.append((mu.extend(e), sub))
     return out
 
 

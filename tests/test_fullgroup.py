@@ -8,7 +8,7 @@ from ggt.errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                         RangesOverlap, SourcesOverlap, VerificationFailed)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.factor import find_bisection
+from ggt.factor import af_factor, find_bisection
 from ggt.fullgroup import (Block, Element, _check_table, _fold,
                            _normalize_table, _totalize, acts_as, apply, bisection_range,
                            bisection_source, compose, compose_all,
@@ -25,8 +25,9 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
 
 from helpers import (dict_compose_bisections, dict_find_overlap,
                      mutate_clopen, point_family, punctured_transposition,
-                     random_clopen, random_element, random_transposition,
-                     reference_normalize_table, refine_blocks)
+                     random_balanced_table, random_clopen, random_element,
+                     random_transposition, reference_normalize_table,
+                     refine_blocks)
 from test_pathspace import TAIL
 
 E2 = rose(2)
@@ -902,6 +903,133 @@ def test_acts_as_refuses_partial_tables(monkeypatch):
     monkeypatch.setattr(sys.modules["ggt.fullgroup"], "_totalize",
                         lambda e: list(e.blocks))
     assert not acts_as([t12, t34], t12)
+
+
+def test_acts_as_refusals_and_answers_on_final_tables(monkeypatch):
+    # the fold's last compose_bisections is replaced by a fixed final
+    # table: the refusals come in the order sources, ranges, carrier, all
+    # before totality is read, and a mu != nu block over a one-point
+    # piece passes when the exchange fixes that point
+    fg = sys.modules["ggt.fullgroup"]
+
+    def total(g, blocks):
+        return blocks + identity_blocks(complement_pieces(
+            g, [b.source_piece() for b in blocks]))
+
+    r = raw_block
+    cases = [
+        (E2, [r(E2, "a", [], "a"), r(E2, "a.a", [], "a.a"), r(E2, "b", [], "b")],
+         SourcesOverlap, "blocks [block a | - | a] and "
+         "[block a.a | - | a.a] have overlapping sources"),
+        # not total either
+        (E2, [r(E2, "a", [], "a"), r(E2, "a.a", [], "a.a")],
+         SourcesOverlap, "blocks [block a | - | a] and "
+         "[block a.a | - | a.a] have overlapping sources"),
+        # the ranges overlap too, or the unions differ too
+        (E2, [r(E2, "a.a", [], "a"), r(E2, "a", [], "a.a")],
+         SourcesOverlap, "blocks [block a.a | - | a] and "
+         "[block a | - | a.a] have overlapping sources"),
+        (E2, [r(E2, "a", [], "a"), r(E2, "b.a", [], "a.a")],
+         SourcesOverlap, "blocks [block a | - | a] and "
+         "[block b.a | - | a.a] have overlapping sources"),
+        (E2, [r(E2, "a", [], "b"), r(E2, "a.a", [], "a")],
+         RangesOverlap, "blocks [block a | - | b] and "
+         "[block a.a | - | a] have overlapping ranges"),
+        (E2, [r(E2, "a.a", [], "b"), r(E2, "a.a.b", [], "a.a")],
+         RangesOverlap, "blocks [block a.a | - | b] and "
+         "[block a.a.b | - | a.a] have overlapping ranges"),
+        (EINF, total(EINF, [r(EINF, "L#2", ["L#1"], "L#1"),
+                            r(EINF, "L#1", [], "L#3")]),
+         RangesOverlap, "blocks [block @v | L#1,L#3 | @v] and "
+         "[block L#2 | L#1 | L#1] have overlapping ranges"),
+        (E2, [r(E2, "a.a", [], "a"), r(E2, "b", [], "b")],
+         CarrierMismatch, "source union Z(@v) differs from range union "
+         "Z(b) + Z(a.a)"),
+        (E2, [r(E2, "a.a", [], "a")],
+         CarrierMismatch, "source union Z(a) differs from range union Z(a.a)"),
+        (EINF, [r(EINF, "@v", ["L#1"], "@v"), r(EINF, "L#1.L#2", [], "L#1")],
+         CarrierMismatch, "source union Z(@v) differs from range union "
+         r"Z(@v \ L#1) + Z(L#1.L#2)"),
+        # Z(a.f.x) is the one point a.f.x.x..., which (a.f | a.f.x) fixes
+        # and (b.f.x | a.f) moves
+        (HOOK, total(HOOK, [r(HOOK, "a.f", [], "a.f.x")]), None, True),
+        (HOOK, total(HOOK, [r(HOOK, "b.f.x", [], "a.f"),
+                            r(HOOK, "a.f", [], "b.f.x")]), None, False),
+    ]
+    for g, table, error, expected in cases:
+        monkeypatch.setattr(fg, "compose_bisections",
+                            lambda g, outer, inner, table=table: list(table))
+        x = Element.identity(g)
+        if error is None:
+            assert acts_as([x], x) is expected
+            continue
+        with pytest.raises(error) as info:
+            acts_as([x], x)
+        assert type(info.value) is error and str(info.value) == expected
+
+
+def test_acts_as_builds_one_trie_for_the_final_table(monkeypatch):
+    # one path trie per distinct totalized factor (e^{-1} among them), one
+    # per compose step, and one that serves the final table's overlap
+    # search and complement walk
+    fg = sys.modules["ggt.fullgroup"]
+    ps = sys.modules["ggt.pathspace"]
+    real_trie, real_acts = ps.path_trie, fg.acts_as
+    built, counts = [0], []
+
+    def counted(paths):
+        built[0] += 1
+        return real_trie(paths)
+
+    def acts(factors, e):
+        factors = list(factors)
+        built[0] = 0
+        out = real_acts(factors, e)
+        distinct = len({id(f) for f in factors}) + 1
+        counts.append((len(factors), built[0], distinct + len(factors) + 1))
+        return out
+
+    for mod in (fg, ps):
+        monkeypatch.setattr(mod, "path_trie", counted)
+    monkeypatch.setattr(sys.modules["ggt.factor"], "acts_as", acts)
+    rng = random.Random(2704)
+    for _ in range(12):
+        af_factor(random_balanced_table(E2, rng, depth=rng.randrange(2, 5)))
+    assert all(got == expected for _, got, expected in counts)
+    assert {got for n, got, _ in counts if n == 2} == {6}
+
+
+def test_is_involution_agrees_with_the_fold():
+    # the table comparison, and the fold when it fails, decide exactly what
+    # acts_as([t, t], identity) decides
+    rng = random.Random(2705)
+    tables = [three_cycle_with_lag(), swap_e2(), alpha0()]
+    g = Graph("tail", ["u", "c"],
+              [("a", "u", "u"), ("b", "u", "u"), ("f", "u", "c"),
+               ("x", "c", "c")])
+    t1, t2, t3 = (transposition(g, [blk(g, mu, [], "f")])
+                  for mu in ("a.f", "a.f.x", "b.f"))
+    tables += [t1, t2, t3, compose(t1, t2), compose(t3, t1),
+               compose(t1, compose(t3, t1))]
+    for h in (E2, EINF, emitter_two_loops(), mixed_graph()):
+        for _ in range(6):
+            a, b = random_transposition(h, rng), random_transposition(h, rng)
+            tables += [a, compose(a, b), compose(a, compose(b, a))]
+    for _ in range(6):
+        fact = af_factor(random_balanced_table(E2, rng, depth=3))
+        tables.extend(fact.transpositions)
+    # hand-built tables in other than sorted order
+    for t in list(tables):
+        if len(t.blocks) > 1:
+            blocks = list(t.blocks)
+            rng.shuffle(blocks)
+            tables.append(Element(t.graph, tuple(blocks)))
+    outcomes = set()
+    for t in tables:
+        expected = acts_as([t, t], Element.identity(t.graph))
+        assert is_involution(t) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def pairing_tables(g, rng):

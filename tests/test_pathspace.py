@@ -9,15 +9,16 @@ from ggt.fullgroup import Block
 from ggt.graphs import Graph, edge_key, family_member
 from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
                            canonical_pieces, canonicalize, complement_pieces,
-                           find_overlap, make_piece, overlap_or_union,
-                           parse_clopen, parse_path, parse_piece, path_range,
-                           piece_is_canonical, piece_is_empty, prepend_prefix,
-                           singleton_point, strip_prefix)
+                           find_overlap, make_piece, overlap_or_complement,
+                           overlap_or_union, parse_clopen, parse_path,
+                           parse_piece, path_range, piece_is_canonical,
+                           piece_is_empty, prepend_prefix, singleton_point,
+                           strip_prefix)
 
 from helpers import (member_set, pairwise_intersect, pairwise_subtract,
                      point_family, random_clopen, random_twin_graph,
                      random_walk, recursive_canonical_pieces,
-                     symmetric_difference_empty)
+                     reference_complement_pieces, symmetric_difference_empty)
 
 E2 = rose(2)
 EINF = infinite_rose()
@@ -342,7 +343,8 @@ def test_piece_is_canonical_matches_the_walk():
 def test_one_trie_search_and_walk_match_the_two_calls():
     # overlap_or_union builds one trie for the overlap search and the
     # canonical walk: its hit is find_overlap's pair, and with no hit its
-    # pieces are canonical_pieces'. Lists of nonempty pieces: overlapping
+    # pieces are canonical_pieces'; overlap_or_complement likewise gives
+    # the pair or complement_pieces'. Lists of nonempty pieces: overlapping
     # extensions, punctured pieces at singular vertices, and disjoint
     # lists (refinements of a clopen, shuffled), some of them not in
     # canonical form
@@ -365,6 +367,8 @@ def test_one_trie_search_and_walk_match_the_two_calls():
             rng.shuffle(pieces)
             hit, union = overlap_or_union(g, pieces)
             assert hit == find_overlap(g, pieces)
+            rest = complement_pieces(g, pieces) if hit is None else None
+            assert overlap_or_complement(g, pieces) == (hit, rest)
             if hit is None:
                 assert union == canonical_pieces(g, pieces)
                 seen.add("apart")
@@ -405,3 +409,50 @@ def test_complement_walk_emits_canonical_pieces():
             assert Clopen.complement_of(g, pieces) == rest
             punctured += any(q.punctures for q in got)
     assert punctured > 0
+
+
+def test_complement_walk_matches_the_reference():
+    # the walk that skips child nodes covered by a plain piece emits the
+    # list of the walk that visits them, order included: raw lists with
+    # plain pieces above other pieces, pieces sharing a path and punctured
+    # pieces at infinite emitters
+    rng = random.Random(2703)
+    p = Piece
+    cases = [
+        (E2, [p(parse_path(E2, "a")), p(parse_path(E2, "a.b")),
+              p(parse_path(E2, "b.a.a"))]),
+        (E2, [p(Path("v"), ("a",)), p(parse_path(E2, "a.b")),
+              p(parse_path(E2, "a.b")), p(parse_path(E2, "a.b.a"))]),
+        (EINF, [p(Path("v"), ("L#1", "L#2")), p(Path("v"), ("L#2",)),
+                p(parse_path(EINF, "L#2")), p(parse_path(EINF, "L#2.L#1"))]),
+        (EINF, [p(parse_path(EINF, "L#3"), ("L#1",)),
+                p(parse_path(EINF, "L#3")), p(parse_path(EINF, "L#3.L#1"))]),
+    ]
+    for g in (E2, EINF, C2, MIXED, emitter_two_loops()):
+        for _ in range(120):
+            pieces = [raw_piece(g, rng) for _ in range(rng.randrange(0, 5))]
+            for q in list(pieces):
+                ext = random_walk(g, rng, path_range(g, q.mu),
+                                  rng.randrange(1, 3))
+                if ext is not None and rng.random() < 0.6:
+                    pieces.append(Piece(q.mu.extend(*ext.edges)))
+                if rng.random() < 0.2:
+                    pieces.append(Piece(q.mu))
+            rng.shuffle(pieces)
+            cases.append((g, pieces))
+    seen = set()
+    for g, pieces in cases:
+        assert complement_pieces(g, pieces) == \
+            reference_complement_pieces(g, pieces)
+        live = [q for q in pieces if not piece_is_empty(g, q)]
+        paths = [q.mu for q in live]
+        if any(not q.punctures and q.mu.edges
+               and any(q.mu.is_prefix_of(m) and m != q.mu for m in paths)
+               for q in live):
+            seen.add("plain above")
+        if len(set(paths)) < len(paths):
+            seen.add("shared path")
+        if any(q.punctures and g.is_singular(path_range(g, q.mu))
+               for q in live):
+            seen.add("punctured at emitter")
+    assert seen == {"plain above", "shared path", "punctured at emitter"}
