@@ -6,8 +6,8 @@ for full-group elements, groupoid homology with the index map, and a
 certified factorization of index-kernel elements into transpositions.
 """
 
-from .errors import (CarrierMismatch, ChainLimitExceeded, CriteriaFailed,
-                     GgtError, HypothesesFailed, IndexNonzero, MalformedGraph,
+from .errors import (CarrierMismatch, CriteriaFailed, GgtError,
+                     HypothesesFailed, IndexNonzero, MalformedGraph,
                      NegativeLevel, NoDisjointCycles, NotARegularSource,
                      NotEquivalent, NotEssential, NotInfiniteEmitter,
                      NotStronglyConnected, OverlappingSourceRange,

@@ -83,9 +83,5 @@ class NotEquivalent(RefusalError):
     pass
 
 
-class ChainLimitExceeded(RefusalError):
-    pass
-
-
 class VerificationFailed(RefusalError):
     """A claimed factorization did not recompose to the target element."""

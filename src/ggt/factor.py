@@ -35,7 +35,7 @@ from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
                      require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
 from .pathspace import (Clopen, Path, Piece, canonicalize, complement_pieces,
-                        find_overlap, path_range)
+                        find_overlap, path_range, piece_is_empty)
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -216,7 +216,10 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int):
 
     Requires phi^n of the class of a to equal the class of b. Length-n
     paths are prepended to a's pieces, giving a set with the class of b,
-    and the lag-zero matcher closes the gap.
+    and the lag-zero matcher closes the gap. a may be any ``Clopen``, not
+    canonical: an empty piece of a lifts to an empty piece, which still
+    counts towards the matcher's depth but is not handed to
+    ``compose_bisections``, whose inputs hold nonempty pieces only.
     """
     if n <= 0:
         raise MalformedGraph("graded cancellation needs a positive lag")
@@ -231,6 +234,7 @@ def graded_cancellation(a: Clopen, b: Clopen, n: int):
     lifted = Clopen(g, tuple(sorted((b_.range_piece() for b_ in lift),
                                     key=Piece.key)))
     closing = find_bisection(lifted, b)
+    lift = [x for x in lift if not piece_is_empty(g, x.source_piece())]
     blocks = sorted(compose_bisections(g, closing, lift), key=Block.key)
     return _check_matched(g, blocks, a, b, n)
 
@@ -537,14 +541,16 @@ def _factor_proper(e: Element):
     ``certify`` in ``factor`` read only those two normal forms. The
     regions to route are e's ``lag_parts``, the level-0 region being the
     lag-0 part (empty without one), and the S(k) checks read beta's; the
-    fixed region S(0) is never built.
+    fixed region S(0) is never built. The carrier and the S(k) parts on
+    both sides of their checks are canonical, and canonical forms are
+    unique, so each check compares piece tuples and canonicalizes nothing.
     """
     g = e.graph
     # one shrink step suffices: the remainder fixes a clopen, so its
     # support is proper
     head = []
     carrier = support(e)
-    if not e.is_identity() and carrier.equal(Clopen.full(g)):
+    if not e.is_identity() and carrier.pieces == Clopen.full(g).pieces:
         tau, e = shrink_support(e)
         head = [tau]
         carrier = support(e)
@@ -591,7 +597,7 @@ def _factor_proper(e: Element):
         s_beta[k] = Clopen(g, canonicalize(
             g, [prepend(routed[(k, i, 0)], p)
                 for i, p in enumerate(region_pieces[k], start=1)]))
-        if not beta_parts.get(k, Clopen.empty(g)).equal(s_beta[k]):
+        if beta_parts.get(k, Clopen.empty(g)).pieces != s_beta[k].pieces:
             raise VerificationFailed(
                 f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 

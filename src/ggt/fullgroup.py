@@ -12,6 +12,15 @@ groupoids, where supports of full-group elements are clopen. It then
 writes the blocks sharing a reduced prefix exchange as the canonical
 pieces of their union, so over graphs without one-point pieces (all
 graphs meeting the AH criteria) equal elements have equal tables.
+
+Every piece of every table here is nonempty. ``make_block`` refuses an
+empty source, a fully punctured regular cylinder; the complement walk
+(``pathspace.complement_pieces``) emits no empty piece and normal forms
+are canonical; and ``compose_bisections``, given nonempty pieces, emits
+none. So the table checks filter nothing, and the pairing tests only the
+one piece where two puncture sets meet. The two public entries that pair
+a caller's raw ``Clopen``, ``image_of`` and ``factor.graded_cancellation``,
+keep its empty pieces out of the pairing.
 """
 
 from __future__ import annotations
@@ -127,25 +136,9 @@ def _refuse_overlap(live, hit, error, side):
                     f"have overlapping {side}")
 
 
-def _check_disjoint(g: Graph, blocks):
-    """Raises if two sources or two ranges of the blocks meet.
-
-    Every block comes from ``make_block``, which refuses an empty source,
-    so every block is live and none is filtered out."""
-    _refuse_overlap(blocks, find_overlap(g, [b.source_piece() for b in blocks]),
-                    SourcesOverlap, "sources")
-    _refuse_overlap(blocks, find_overlap(g, [b.range_piece() for b in blocks]),
-                    RangesOverlap, "ranges")
-
-
 def _check_table(g: Graph, blocks):
     """The blocks, after the disjointness and carrier axioms: two sources
-    meeting raise SourcesOverlap, then ``_check_ranges`` runs.
-
-    Every block comes from ``make_block``, which refuses an empty source,
-    or from ``compose_bisections``, which emits none, so no block is
-    filtered out.
-    """
+    meeting raise SourcesOverlap, then ``_check_ranges`` runs."""
     src = [b.source_piece() for b in blocks]
     _refuse_overlap(blocks, find_overlap(g, src), SourcesOverlap, "sources")
     _check_ranges(g, blocks, src)
@@ -237,9 +230,8 @@ def validate_element(g: Graph, blocks) -> Element:
 
     Each block goes through ``make_block`` first, which raises
     MalformedGraph for a bad path, mismatched range vertices or a bad
-    puncture; an empty source, a fully punctured regular cylinder, is a
-    bad puncture set, so no empty block reaches the table checks. Those
-    raise SourcesOverlap / RangesOverlap / CarrierMismatch naming the
+    puncture, an empty source included. The table checks then raise
+    SourcesOverlap / RangesOverlap / CarrierMismatch naming the
     offending blocks. Normalization (``_normalize_table``) drops identity
     blocks, rewrites the blocks of each reduced prefix exchange to the
     canonical pieces of their union and sorts canonically; without
@@ -302,8 +294,11 @@ def compose_bisections(g: Graph, outer, inner):
     without a further intersection: over a shorter outer path the piece
     is the inner range piece, over the same path it carries both
     puncture sets, and over a longer one it is the outer source piece.
-    A piece that its punctures empty yields no block; an unpunctured
-    piece is never empty, since a regular vertex emits an edge. Blocks
+    Both lists hold nonempty pieces only (the module's table invariant),
+    so the first and the last kind are nonempty, and only a same-path
+    piece with punctures is tested: the two puncture sets together may
+    cover a regular vertex's out-edges, and then it yields no block. The
+    output thus holds nonempty pieces only as well. Blocks
     come out in inner order and, within one inner block, in outer order;
     they are not sorted. No prefix is copied or hashed: the cost is the
     total length of the paths of both lists plus the subtrees walked and
@@ -339,22 +334,20 @@ def compose_bisections(g: Graph, outer, inner):
             continue
         hits.sort()
         n = len(edges)
-        inner_empty = bool(punctures) and piece_is_empty(g, bi.range_piece())
         for i in hits:
             bo = outer[i]
             m = len(bo.nu.edges)
             if m < n:
                 # the outer source lies above: the piece is the inner range
-                if not inner_empty:
-                    out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
-                                     punctures, bi.nu))
+                out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
+                                 punctures, bi.nu))
             elif m == n:
                 merged = (tuple(sorted(set(punctures) | set(bo.punctures),
                                        key=edge_key))
                           if punctures or bo.punctures else ())
                 if not (merged and piece_is_empty(g, Piece(bi.mu, merged))):
                     out.append(Block(bo.mu, merged, bi.nu))
-            elif not (bo.punctures and piece_is_empty(g, bo.source_piece())):
+            else:
                 # the outer source lies below: the piece is that source
                 out.append(Block(bo.mu, bo.punctures,
                                  Path(bi.nu.base, bi.nu.edges + bo.nu.edges[n:])))
@@ -479,12 +472,14 @@ def support(e: Element) -> Clopen:
 
 
 def image_of(e: Element, a: Clopen) -> Clopen:
-    """Exact image e(a): e's total table paired by compose_bisections."""
+    """Exact image e(a): e's total table paired by ``compose_bisections``
+    with the identity blocks of a's nonempty pieces. a may be any
+    ``Clopen``, not canonical, so its empty pieces are dropped here."""
     if a.graph != e.graph:
         raise MalformedGraph("operands live over different graphs")
     g = e.graph
-    return bisection_range(
-        g, compose_bisections(g, _totalize(e), identity_blocks(a.pieces)))
+    inner = identity_blocks(p for p in a.pieces if not piece_is_empty(g, p))
+    return bisection_range(g, compose_bisections(g, _totalize(e), inner))
 
 
 @dataclass(frozen=True)
@@ -532,14 +527,13 @@ def check_bisection_unions(g: Graph, blocks):
     """(the blocks, the canonical pieces of their source union, those of
     their range union), the pieces in walk order.
 
-    Every block goes through ``make_block``, which refuses an empty
-    source, so no block is filtered out; then the sources must be
+    Every block goes through ``make_block``; then the sources must be
     pairwise disjoint, else SourcesOverlap, and so must the ranges, else
-    RangesOverlap, as in ``_check_disjoint``. Each side builds one path
-    trie, which both finds an overlap and, when there is none, is walked
-    to the side's union (``overlap_or_union``). The sources' union is
-    walked before the ranges are searched; a walk raises nothing, so the
-    order holds.
+    RangesOverlap. Each side builds one path trie, which both finds an
+    overlap and, when there is none, is walked to the side's union
+    (``overlap_or_union``). The sources' union is walked before the
+    ranges are searched; a walk raises nothing, so the order holds.
+    ``transposition`` names its refusals with this function too.
     """
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     hit, src = overlap_or_union(g, [b.source_piece() for b in blocks])
@@ -562,20 +556,19 @@ def transposition(g: Graph, blocks) -> Element:
 
     The bisection's total source and range must be disjoint; the result
     is the table blocks + inverse blocks, identity elsewhere, and squares
-    to the identity. Every block goes through ``make_block``, which
-    refuses an empty source (a fully punctured regular cylinder), so
-    every block is live. One overlap search over sources + ranges then
-    checks all three of the table's disjointness axioms at once, and its
-    source and range unions are both source + range, so the table is not
-    checked again. When the search hits, the refusal is the one of the
-    checks in turn: ``_check_disjoint`` (two sources, then two ranges),
-    then the pair the search found, which is then a source and a range.
+    to the identity. Every block goes through ``make_block``. One overlap
+    search over sources + ranges then checks all three of the table's
+    disjointness axioms at once, and its source and range unions are both
+    source + range, so the table is not checked again. When the search
+    hits, the refusal is the one of the checks in turn:
+    ``check_bisection_unions`` (two sources, then two ranges), then the
+    pair the search found, which is then a source and a range.
     """
     blocks = [make_block(g, b.mu, b.punctures, b.nu) for b in blocks]
     hit = find_overlap(g, [b.source_piece() for b in blocks]
                        + [b.range_piece() for b in blocks])
     if hit is not None:
-        _check_disjoint(g, blocks)
+        check_bisection_unions(g, blocks)
         i, j = sorted(hit)
         raise OverlappingSourceRange(f"source of block [{blocks[i]}] meets range "
                                      f"of block [{blocks[j - len(blocks)]}]")

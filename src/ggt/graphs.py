@@ -137,10 +137,9 @@ class Graph:
         return triple[1]
 
     def range(self, edge: str) -> str:
-        """The range vertex of an edge reference: a concrete edge is one
-        dict lookup and no method call, a family member goes through
-        ``_resolve``."""
-        triple = self._edge_map.get(edge) or self._resolve(edge)
+        """The range vertex of an edge reference, resolved by ``_resolve``
+        like ``source`` and ``is_edge``."""
+        triple = self._resolve(edge)
         if triple is None:
             raise MalformedGraph(f"unknown edge {edge!r}")
         return triple[2]
@@ -263,9 +262,11 @@ class CriteriaReport:
         return None
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def validate(g: Graph) -> CriteriaReport:
-    """Compute all structural flags exactly, once per graph.
+    """Compute all structural flags exactly, once per graph while it is
+    among the 128 graphs looked up last: the cache is bounded, so a
+    process that validates many graphs does not keep them all alive.
 
     Every criterion is read off the SCC condensation. Tarjan emits a
     component only after every component it reaches, so one pass over

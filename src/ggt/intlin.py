@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import ChainLimitExceeded
+from .errors import VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,7 @@ def eventual_kernel(push: IntMatrix, forbidden_coords) -> Lattice:
     keeping the forbidden coordinates zero at every step. The chain ascends
     through saturated sublattices, so each strict step raises the rank and
     the chain stabilizes within dim + 1 iterations; running past them is a
-    broken invariant, and ChainLimitExceeded names dim and the rank reached.
+    broken invariant, and VerificationFailed names dim and the rank reached.
     """
     if push.rows != push.cols:
         raise ValueError("push matrix must be square")
@@ -442,6 +442,6 @@ def eventual_kernel(push: IntMatrix, forbidden_coords) -> Lattice:
         if w == v:
             return v
         v = w
-    raise ChainLimitExceeded(
+    raise VerificationFailed(
         f"eventual-kernel chain not stable within {dim + 1} iterations: "
         f"dim={dim} rank={v.rank}")

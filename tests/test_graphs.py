@@ -409,6 +409,20 @@ def test_validate_walks_the_components_once(monkeypatch):
     assert counts == {"strongly_connected_components": 1}
 
 
+def test_validate_cache_is_bounded():
+    # 200 distinct graphs leave at most 128 reports alive; a graph
+    # validated lately is still a hit and gets the same report back
+    validate.cache_clear()
+    graphs = [cycle_graph(n) for n in range(1, 201)]
+    reports = [validate(g) for g in graphs]
+    info = validate.cache_info()
+    assert info.misses == 200 and info.currsize <= 128
+    assert validate(graphs[-1]) is reports[-1]
+    assert validate.cache_info().hits == info.hits + 1
+    validate(graphs[0])
+    assert validate.cache_info().misses == 201
+
+
 def test_move_t_reads_the_validated_components(monkeypatch):
     pet = emitter_two_loops()
     validate(pet)
