@@ -34,8 +34,8 @@ from .fullgroup import (Block, Element, acts_as, bisection_range,
 from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
                      require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
-from .pathspace import (Clopen, Path, Piece, canonicalize, complement_pieces,
-                        find_overlap, path_range, piece_is_empty)
+from .pathspace import (Clopen, Path, Piece, canonicalize, find_overlap,
+                        path_range, piece_is_empty)
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -315,24 +315,24 @@ def construct_disjoint_paths(g: Graph, region: Clopen, targets) -> PathFamilies:
                                     + (loops[(k, i)],) * (k_buf + 1 + j) + (f,))
 
     fam = PathFamilies(len(mu) + k_buf + 2, paths)
-    _check_path_families(g, fam, region, targets)
+    _check_path_families(g, fam, region, outside, targets)
     return fam
 
 
-def _check_path_families(g, fam: PathFamilies, region, targets):
+def _check_path_families(g, fam: PathFamilies, region, outside, targets):
     """VerificationFailed naming two paths that are not disjoint or a path
     whose cylinder escapes its container, or else the first path that
     breaks the table's length or end vertex, also under -O.
 
     Two overlap searches decide disjointness and containment together:
     the j = 0 paths as plain pieces with the region's pieces, and the
-    j != 0 paths with the pieces of the region's complement
-    (``complement_pieces``). A hit between two paths is a shared point; a
-    hit between a path and a container piece is a point of the path off
-    its own container, the outside for j = 0 and the region otherwise.
-    ``find_overlap`` is exact here because every searched piece is
-    nonempty: routed cylinders are plain, the region's pieces are
-    canonical, and ``complement_pieces`` emits no empty piece. The pieces
+    j != 0 paths with the pieces of ``outside``, the region's complement
+    as ``construct_disjoint_paths`` built it. A hit between two paths is
+    a shared point; a hit between a path and a container piece is a
+    point of the path off its own container, the outside for j = 0 and
+    the region otherwise. ``find_overlap`` is exact here because every
+    searched piece is nonempty: routed cylinders are plain, and the
+    pieces of the region and of its complement are canonical. The pieces
     of one container are disjoint, so no hit pairs two of them. A clean
     search thus puts each side inside its own container with its paths
     pairwise disjoint, and paths on different sides lie in the two
@@ -345,8 +345,7 @@ def _check_path_families(g, fam: PathFamilies, region, targets):
     routed = sorted(fam.paths.items())
     for side, container in (
             ([r for r in routed if r[0][2] == 0], region.pieces),
-            ([r for r in routed if r[0][2] != 0],
-             complement_pieces(g, region.pieces))):
+            ([r for r in routed if r[0][2] != 0], outside.pieces)):
         hit = find_overlap(g, [Piece(p) for _, p in side] + list(container))
         if hit is not None and max(hit) < len(side):
             raise VerificationFailed(f"paths not disjoint: {side[hit[0]][1]} "

@@ -18,22 +18,23 @@ at regular v, so the group is the increasing union of its level-n stage
 groups. Atoms at singular vertices admit no rewrite and generate free
 summands. Hence a vector vanishes iff rewriting it level by level
 upward leaves no singular coefficient at any level and, at some level
-at or above its top, nothing at all. The top-level vectors that die this
-way form the eventual kernel of the pushdown map
-(``intlin.eventual_kernel``), the limit of an ascending chain of
-saturated sublattices of Z^|V| that is stable from step |V| on, so the
-rewrite runs at most |V| levels past the top and the zero test takes no
-iteration cap. The level where the rewrite first empties
-(``vanishing_level``) is also the depth at which the bisection matcher
-pairs two clopens of equal class (``factor.find_bisection``). The
-endomorphism phi shifts atom levels by one; the first homology embeds as
-the kernel of (id - phi), and the index of a table is the alternating
-phi-sum over its lag parts; S(0) adds 0.
+at or above its top, nothing at all. The top-level vectors that die
+within k pushes form a saturated sublattice K_k of Z^|V|; the K_k
+ascend, each is fixed by the one before, and a strict step raises the
+rank, so the chain is stable from step |V| on (``vanishing_level``
+gives the argument). So the rewrite runs at most |V| levels past the
+top and the zero test takes no iteration cap. The level where the
+rewrite first empties (``vanishing_level``) is also the depth at which
+the bisection matcher pairs two clopens of equal class
+(``factor.find_bisection``). The endomorphism phi shifts atom levels by
+one; the first homology embeds as the kernel of (id - phi), and the
+index of a table is the alternating phi-sum over its lag parts; S(0)
+adds 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (MalformedGraph, NegativeLevel, NotEssential,
                      SourcePresent, VerificationFailed)
@@ -143,12 +144,20 @@ def vanishing_level(c: ClassVector) -> int | None:
     stage group is free on the singular atoms below n and all atoms at
     n, so a nonzero singular coefficient at any level witnesses a
     nonzero class and an empty rewrite at a level at or above the top
-    witnesses zero. Past the top nothing new enters: a vector z with
-    zero singular coordinates at every step dies after k pushes iff it
-    lies in the k-th lattice of the chain of ``intlin.eventual_kernel``,
-    which is stable from step |V| on. So the rewrite runs at most |V|
-    levels past the top, and a survivor there is nonzero. The empty
-    vector vanishes at level 0.
+    witnesses zero. Past the top nothing new enters, and the rewrite is
+    the push P on Z^|V|, which sends each regular coordinate along the
+    out-edges. Let K_0 = {0} and K_(k+1) = {z : z is 0 at every singular
+    vertex and P*z lies in K_k}: the vectors that die within k pushes
+    with no singular coefficient on the way. Each K_k is a subgroup, and
+    it is saturated (m*z in K_k with m != 0 puts z in K_k), by induction:
+    m*z is 0 at the singular vertices iff z is, and P*(m*z) = m*(P*z).
+    The chain ascends, K_k in K_(k+1), also by induction, and K_(k+1)
+    depends on K_k alone, so once two terms agree all later ones do. Two
+    saturated lattices K in K' of one rank span one rational space and
+    so are equal, since each is its span's integer points. So every
+    strict step raises the rank, which is at most |V|, and K_|V| holds
+    every K_k: the rewrite runs at most |V| levels past the top, and a
+    survivor there is nonzero. The empty vector vanishes at level 0.
     """
     if not c.terms:
         return 0
@@ -256,8 +265,7 @@ def abelianization_report(g: Graph) -> HomologyReport:
         note = "trivial"
     else:
         note = f"Z^{m} (+) (Z/2)^N, 0 <= N <= {nmax}"
-    return HomologyReport(h.h0_torsion, h.h0_free_rank, h.h1_rank,
-                          h.h1_kernel_basis, h.h0_tensor_z2_rank, note)
+    return replace(h, abelianization_note=note)
 
 
 @dataclass(frozen=True)

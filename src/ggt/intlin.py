@@ -1,7 +1,8 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Provides Smith normal form with unimodular transforms, integer kernels
-and cokernel invariants, canonical (Hermite echelon) lattices with
+Provides the Smith normal form D of a matrix with the unimodular column
+transform V (the row transform is never built), integer kernels and
+cokernel invariants, canonical (Hermite echelon) lattices with
 decidable equality and membership, and the ascending eventual-kernel
 chain whose saturation bounds the homology zero-test (the tests use it
 as the zero-test's reference). No floating point anywhere;
@@ -22,8 +23,9 @@ kept, and they carry the kernel of the residual R back to that of the
 matrix, as V applied to 0 + ker R. The rows of R that are all zero are
 then set aside, each a free summand Z of the cokernel that puts no
 condition on the kernel, and the dense Smith loop runs once, on the
-nonzero rows of R only. The relation matrices of graphs are mostly 0
-and +-1, so that part of R is small.
+nonzero rows of R only. It too records only its column operations, for
+the same reason. The relation matrices of graphs are mostly 0 and +-1,
+so that part of R is small.
 """
 
 from __future__ import annotations
@@ -89,20 +91,18 @@ def _min_abs_entry(a, t, rows, cols):
 
 
 def smith_normal_form(m: IntMatrix):
-    """Return (U, D, V) with U*m*V = D, U and V unimodular.
+    """Return (D, V) with V unimodular and U*m*V = D for some unimodular U.
 
-    D is diagonal with nonnegative entries d1 | d2 | ... . Pivots are
+    D is diagonal with nonnegative entries d1 | d2 | ... . Only the
+    column operations are recorded, in V; the row operations are applied
+    to m and forgotten, since no caller needs U: the cokernel is read off
+    D and the kernel off the columns of V past the rank. Pivots are
     chosen with minimal absolute value to curb coefficient growth;
     correctness does not depend on that choice.
     """
     r, c = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
     v = IntMatrix.identity(c).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -114,8 +114,6 @@ def smith_normal_form(m: IntMatrix):
         # row[dst] += q * row[src]
         for j in range(c):
             a[dst][j] += q * a[src][j]
-        for j in range(r):
-            u[dst][j] += q * u[src][j]
 
     def add_col(dst, src, q):
         for row in a:
@@ -123,22 +121,17 @@ def smith_normal_form(m: IntMatrix):
         for row in v:
             row[dst] += q * row[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
     while t < min(r, c):
         pos = _min_abs_entry(a, t, r, c)
         if pos is None:
             break
         i, j, _ = pos
-        if i != t:
-            swap_rows(t, i)
+        a[t], a[i] = a[i], a[t]
         if j != t:
             swap_cols(t, j)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         dirty = False
         for i in range(t + 1, r):
             if a[i][t] != 0:
@@ -168,9 +161,8 @@ def smith_normal_form(m: IntMatrix):
         t += 1
 
     d = IntMatrix.from_rows(a) if a else IntMatrix.zeros(0, c)
-    um = IntMatrix.from_rows(u) if u else IntMatrix.zeros(0, 0)
     vm = IntMatrix.from_rows(v) if v else IntMatrix.zeros(0, 0)
-    return um, d, vm
+    return d, vm
 
 
 def _unit_eliminate(rows, cols):
@@ -273,10 +265,11 @@ def sparse_smith_invariants(rows, cols):
     R on the rest. A row of R that is all zero is a free summand Z of
     that cokernel and puts no condition on the kernel, since
     Z^rows(R) / im R = Z^(zero rows) + coker(R on its nonzero rows).
-    So those rows are set aside before the Smith normal form, which
-    then builds no transform for them. With U_R*R'*V_R = D of rank r on
-    the nonzero rows R', the torsion is the diagonal entries of D above
-    1 and the free rank is rows - k - r, all the rows of R less r.
+    So those rows are set aside before the Smith normal form. Its
+    (D, V_R) on the nonzero rows R' has D = U_R*R'*V_R, of rank r, for
+    some unimodular U_R that is never built, as it changes neither the
+    cokernel nor the kernel. The torsion is the diagonal entries of D
+    above 1 and the free rank is rows - k - r, all the rows of R less r.
     And m*x = 0 iff (I_k + R)*(V^-1 x) = 0, that is iff y = V^-1 x is 0
     on the pivot columns and R'*y = 0 on the rest; so the kernel is V
     applied to 0 + ker R', and ker R' is spanned by the last columns of
@@ -289,7 +282,7 @@ def sparse_smith_invariants(rows, cols):
     nonzero = [row for row in res if row]
     dense = IntMatrix(len(nonzero), len(left),
                       tuple(row.get(j, 0) for row in nonzero for j in left))
-    _, d, v = smith_normal_form(dense)
+    d, v = smith_normal_form(dense)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     vectors = []

@@ -4,11 +4,11 @@ The oracles here are deliberately separate implementations: a naive
 Smith reducer without transform tracking, the dense Smith invariants
 that unit elimination replaced, the dense relation matrix and the
 dense-scan, rescanning unit elimination that sparse relation rows and
-the pivot heap replaced, integer matrix products and
-determinants for checking Smith transforms, a boundary-point
-enumerator that checks set algebra pointwise, the dictionary forms of
-block pairing and overlap search with the recursive canonical walk that
-the path-trie walks replaced, the pairwise intersection and subtraction
+the pivot heap replaced, integer matrix products, determinants and
+determinantal divisors (gcds of minors) for checking Smith forms, a
+boundary-point enumerator that checks set algebra pointwise, the
+dictionary forms of block pairing and overlap search with the recursive
+canonical walk that the path-trie walks replaced, the pairwise intersection and subtraction
 that the complement walks replaced, the graded partition and index
 that built S(0) everywhere, the routed-path check that decided
 containment by one subtraction per path, and the matcher that filed
@@ -20,6 +20,8 @@ that a plain piece covers (``reference_complement_pieces``).
 They stay independent of the code paths they check.
 """
 
+import itertools
+import math
 import random
 
 from ggt.errors import NotEssential, VerificationFailed
@@ -40,7 +42,11 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
 # -- naive Smith normal form (oracle) -----------------------------------------
 
 def naive_invariant_factors(rows):
-    """Diagonal invariant factors by textbook reduction, no transforms."""
+    """Diagonal invariant factors by textbook reduction, no transforms.
+
+    Step t repeats until row t and column t are both clear past the
+    pivot: a column swap made while clearing row t can put nonzero
+    entries back into column t below the pivot."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -73,6 +79,8 @@ def naive_invariant_factors(rows):
                 if a[t][j] != 0:
                     for row in a:
                         row[t], row[j] = row[j], row[t]
+        if any(a[i][t] != 0 for i in range(t + 1, m)):
+            continue
         p = abs(a[t][t])
         for i in range(t + 1, m):
             for j in range(t + 1, n):
@@ -94,11 +102,11 @@ def dense_smith_invariants(m):
     of all of m, with no unit elimination: the reference of the sparse
     ``intlin.smith_invariants``.
 
-    With U*m*V = D of rank k the torsion is the diagonal entries above 1,
-    the free rank is rows - k, and the last cols - k columns of V span
-    the kernel.
+    With D = U*m*V of rank k (U is never built) the torsion is the
+    diagonal entries above 1, the free rank is rows - k, and the last
+    cols - k columns of V span the kernel.
     """
-    _, d, v = smith_normal_form(m)
+    d, v = smith_normal_form(m)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     ker = Lattice.from_vectors(m.cols, [[v.get(i, j) for i in range(m.cols)]
@@ -195,7 +203,7 @@ def reference_smith_invariants(m):
     the oracle of ``intlin.smith_invariants`` at sizes where
     ``dense_smith_invariants`` is too slow."""
     res, basis = reference_unit_eliminate(m)
-    _, d, v = smith_normal_form(res)
+    d, v = smith_normal_form(res)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     vectors = []
@@ -269,6 +277,31 @@ def determinant(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def minors_gcd(m, k):
+    """The gcd of all k x k minors of m (1 for k = 0, as the empty minor
+    is 1; 0 if k exceeds a side)."""
+    out = 0
+    for rs in itertools.combinations(range(m.rows), k):
+        for cs in itertools.combinations(range(m.cols), k):
+            out = math.gcd(out, determinant(IntMatrix(k, k, tuple(
+                m.get(i, j) for i in rs for j in cs))))
+    return out
+
+
+def determinantal_invariant_factors(m):
+    """The nonzero invariant factors of m from its determinantal divisors:
+    with D_k the gcd of the k x k minors, the k-th factor is D_k / D_(k-1),
+    for k up to the rank. Independent of every elimination order."""
+    out, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk = minors_gcd(m, k)
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
 
 
 # -- prefix dictionaries and the recursive canonical walk (references) --------

@@ -241,6 +241,10 @@ def test_path_check_agrees_with_the_subtraction_reference():
     # the same tables and name the same kind of failure
     from ggt.factor import _check_path_families
     from helpers import reference_check_path_families
+
+    def check_with_complement(g, fam, region, targets):
+        return _check_path_families(g, fam, region, region.complement(), targets)
+
     rng = random.Random(1901)
     kinds = set()
     for g in (EINF, emitter_two_loops()):
@@ -255,7 +259,7 @@ def test_path_check_agrees_with_the_subtraction_reference():
             fam = construct_disjoint_paths(g, region, targets)
             tables += 1
             for args in _perturbed_tables(g, rng, fam, region, targets):
-                got = _failure_kind(_check_path_families, g, *args)
+                got = _failure_kind(check_with_complement, g, *args)
                 want = _failure_kind(reference_check_path_families, g, *args)
                 assert got == want, (g.name, args)
                 kinds.add(got)
@@ -1099,10 +1103,12 @@ def test_index_and_factor_never_build_s0(monkeypatch):
 
 def test_factor_builds_no_cylinder_or_difference(monkeypatch):
     # the routing runs against the whole space: its outside is one
-    # complement and its check two overlap searches and one complement
-    # walk, so factor builds no cylinder clopen and subtracts no clopens
+    # complement walk, which its check reuses beside two overlap
+    # searches, so factor builds no cylinder clopen and subtracts no
+    # clopens. The walk is counted where the outside makes it and under
+    # factor's own name, so a second walk in the check would count too
     elements = _lagged_elements()
-    mod = sys.modules["ggt.factor"]
+    factor_mod, pathspace = sys.modules["ggt.factor"], sys.modules["ggt.pathspace"]
     calls = []
 
     def refuse(*args, **kwargs):
@@ -1110,9 +1116,10 @@ def test_factor_builds_no_cylinder_or_difference(monkeypatch):
 
     monkeypatch.setattr(Clopen, "subtract", refuse)
     monkeypatch.setattr(Clopen, "cylinder", refuse)
-    for name in ("find_overlap", "complement_pieces"):
-        monkeypatch.setattr(mod, name, lambda *args, name=name, real=getattr(mod, name): (
-            calls.append(name) or real(*args)))
+    for mod, name in ((factor_mod, "find_overlap"), (factor_mod, "complement_pieces"),
+                      (pathspace, "complement_pieces")):
+        monkeypatch.setattr(mod, name, lambda *args, name=name, real=getattr(pathspace, name): (
+            calls.append(name) or real(*args)), raising=False)
     assert all(factor(e).certified for e in elements)
     # one routing check per element
     assert sorted(calls) == ["complement_pieces"] * 2 + ["find_overlap"] * 4
@@ -1163,7 +1170,8 @@ def test_invariant_checks_raise_typed_errors(monkeypatch):
             (fam, region.complement(), targets,
              "cylinder escapes its container")):
         with pytest.raises(VerificationFailed, match=message):
-            _check_path_families(EINF, broken, region_, targets_)
+            _check_path_families(EINF, broken, region_, region_.complement(),
+                                 targets_)
 
     # the index lies in ker(id - phi), and a refined part has full depth
     homology = sys.modules["ggt.homology"]

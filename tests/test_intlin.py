@@ -8,28 +8,56 @@ from ggt.intlin import (IntMatrix, Lattice, eventual_kernel, kernel,
                         preimage, restrict_to_zero_coords, smith_invariants,
                         smith_normal_form)
 
-from helpers import (dense_smith_invariants, determinant, full_lattice,
-                     mat_mul, mat_vec, naive_invariant_factors)
+from helpers import (dense_smith_invariants, determinant,
+                     determinantal_invariant_factors, full_lattice, mat_mul,
+                     mat_vec, minors_gcd, naive_invariant_factors)
 
 
-def snf_check(rows):
-    m = IntMatrix.from_rows(rows)
-    u, d, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v).to_rows() == d.to_rows()
-    assert determinant(u) in (1, -1)
+def check_smith_form(m, d, v):
+    """Assert that (d, v) is a Smith normal form of m and return the
+    diagonal of d.
+
+    No row transform is given, so the checks prove that one exists: v is
+    unimodular, d is diagonal with d_1 | d_2 | ..., and m*v = [W*diag(d) | 0]
+    with the r x r minors of W = [w_0 ... w_(r-1)] coprime, r the rank.
+    Such a W extends to a unimodular matrix, so some unimodular U has
+    U*W = [I_r; 0] and then U*m*v = d."""
     assert determinant(v) in (1, -1)
-    diag = d.diagonal()
+    assert (d.rows, d.cols) == (m.rows, m.cols)
     for i in range(m.rows):
         for j in range(m.cols):
             if i != j:
                 assert d.get(i, j) == 0
+    diag = d.diagonal()
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a != 0:
             assert b % a == 0
         else:
             assert b == 0
+    r = sum(1 for x in diag if x != 0)
+    mv = mat_mul(m, v)
+    assert all(mv.get(i, j) == 0 for i in range(m.rows) for j in range(r, m.cols))
+    w = []
+    for j in range(r):
+        col = [mv.get(i, j) for i in range(m.rows)]
+        assert all(x % diag[j] == 0 for x in col)
+        w.append([x // diag[j] for x in col])
+    wm = IntMatrix(m.rows, r, tuple(w[j][i] for i in range(m.rows) for j in range(r)))
+    assert minors_gcd(wm, r) == 1
     return diag
+
+
+def snf_check(rows):
+    m = IntMatrix.from_rows(rows)
+    return check_smith_form(m, *smith_normal_form(m))
+
+
+def random_matrices(seed, count, sides=range(1, 7), entries=range(-6, 7)):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.choice(sides), rng.choice(sides)
+        yield [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_snf_examples():
@@ -39,14 +67,47 @@ def test_snf_examples():
 
 
 def test_snf_random():
-    rng = random.Random(7)
-    for _ in range(60):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+    for m in random_matrices(7, 60):
         diag = snf_check(m)
         naive = naive_invariant_factors(m)
         assert [x for x in diag if x != 0] == [x for x in naive if x != 0]
+
+
+def test_snf_check_rejects_a_doubled_first_factor():
+    # a wrong Smith form with the right V fails the check whenever
+    # doubling d_1 changes it, that is whenever d_1 != 0
+    failed = 0
+    for rows in random_matrices(29, 40):
+        m = IntMatrix.from_rows(rows)
+        d, v = smith_normal_form(m)
+        if d.get(0, 0) == 0:
+            continue
+        entries = list(d.entries)
+        entries[0] *= 2
+        with pytest.raises(AssertionError):
+            check_smith_form(m, IntMatrix(d.rows, d.cols, tuple(entries)), v)
+        failed += 1
+    assert failed > 30
+
+
+def test_naive_oracle_clears_the_pivot_column_again():
+    # clearing row t by column swaps refills column t below the pivot;
+    # the determinantal divisors give the true factors
+    a = [[-3, -1, 5, 4], [1, 0, -5, 1], [2, -3, -5, -4], [-5, 4, -2, 3],
+         [-2, 3, -3, -5]]
+    b = [[-1, -4, 5, 2, 3], [4, 4, 5, -6, 1], [6, 4, 6, 2, 0], [0, 0, 0, -5, 1],
+         [4, 0, -6, -3, -5]]
+    for rows, factors in ((a, [1, 1, 1, 9]), (b, [1, 1, 1, 2, 788])):
+        assert determinantal_invariant_factors(IntMatrix.from_rows(rows)) == factors
+        assert naive_invariant_factors(rows) == factors
+        assert snf_check(rows) == factors
+
+
+def test_invariant_factors_match_determinantal_divisors():
+    for rows in random_matrices(31, 200):
+        factors = determinantal_invariant_factors(IntMatrix.from_rows(rows))
+        assert [x for x in snf_check(rows) if x != 0] == factors
+        assert [x for x in naive_invariant_factors(rows) if x != 0] == factors
 
 
 def test_kernel_examples():
