@@ -35,7 +35,8 @@ from .graphs import (Graph, edge_key, family_member, find_path, free_edges,
                      require_factor_hypotheses, split_member)
 from .homology import class_of, classes_equal, index, shift, vanishing_level
 from .pathspace import (Clopen, Path, Piece, canonicalize, find_overlap,
-                        path_range, piece_is_empty)
+                        path_range, piece_is_empty, puncture_set,
+                        refine_pieces)
 
 
 # -- cancellation bisections -------------------------------------------------
@@ -49,19 +50,11 @@ def _pool_order(p: Piece):
 def _pool_insert(pools, keys, g, piece, depth, side):
     """File a piece under its key (length, range vertex) into
     ``pools[key][side]``, side 0 for a and 1 for b. A piece shorter than
-    the working depth with a regular range is split, on an explicit
-    stack, into the plain sub-cylinders at the depth, which are filed
-    instead. A key new to pools goes on the heap keys."""
-    stack = [piece]
-    while stack:
-        p = stack.pop()
-        n = len(p.mu.edges)
-        v = path_range(g, p.mu)
-        if n < depth and g.is_regular(v):
-            stack.extend(Piece(p.mu.extend(e)) for e in g.out_concrete(v)
-                         if e not in p.punctures)
-            continue
-        key = (n, v)
+    the working depth with a regular range is split into the plain
+    sub-cylinders at the depth (``pathspace.refine_pieces``), which are
+    filed instead. A key new to pools goes on the heap keys."""
+    for p, v in refine_pieces(g, [piece], depth):
+        key = (len(p.mu.edges), v)
         pair = pools.get(key)
         if pair is None:
             pair = pools[key] = ([], [])
@@ -100,7 +93,7 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
         la.sort(key=_pool_order)
         lb.sort(key=_pool_order)
         for p, q in zip(la, lb):
-            punct = tuple(sorted(set(p.punctures) | set(q.punctures), key=edge_key))
+            punct = puncture_set(p.punctures, q.punctures)
             for f in punct:
                 if f not in p.punctures:
                     _pool_insert(pools, keys, g, Piece(p.mu.extend(f)), depth, 0)
@@ -543,6 +536,9 @@ def _factor_proper(e: Element):
     fixed region S(0) is never built. The carrier and the S(k) parts on
     both sides of their checks are canonical, and canonical forms are
     unique, so each check compares piece tuples and canonicalizes nothing.
+    Each region piece is put behind each of its routed paths once, in the
+    table ``copy``; tau_v's blocks, the S(k) checks, the positive cycles
+    and the X pieces all read their pieces off it.
     """
     g = e.graph
     # one shrink step suffices: the remainder fixes a clopen, so its
@@ -567,45 +563,39 @@ def _factor_proper(e: Element):
         raise VerificationFailed(
             f"index balance broken: levels {pos + neg} have one sign")
 
-    region_pieces = {k: parts[k].pieces if k in parts else ()
-                     for k in neg + [0] + pos}
+    # region[(k, i)]: the i-th piece of level k, levels ascending
+    region = {(k, i): p for k, part in parts.items()
+              for i, p in enumerate(part.pieces, start=1)}
+    routed = construct_disjoint_paths(
+        g, carrier, {key: p.mu.base for key, p in region.items()}).paths
+    # copy[(k, i, j)]: region[(k, i)] behind the routed path (k, i, j)
+    copy = {}
+    for (k, i, j), gamma in routed.items():
+        p = region[(k, i)]
+        copy[(k, i, j)] = Piece(Path(gamma.base, gamma.edges + p.mu.edges),
+                                p.punctures)
 
-    targets = {}
-    for k, pieces in region_pieces.items():
-        for i, p in enumerate(pieces, start=1):
-            targets[(k, i)] = p.mu.base
-    routed = construct_disjoint_paths(g, carrier, targets).paths
-
-    def prepend(gamma: Path, piece: Piece) -> Piece:
-        return Piece(Path(gamma.base, gamma.edges + piece.mu.edges),
-                     piece.punctures)
+    def copies(k, j):
+        return [copy[(k, i, j)] for kk, i in region if kk == k]
 
     # conjugate the element off its support
-    v_blocks = []
-    for k, pieces in region_pieces.items():
-        for i, p in enumerate(pieces, start=1):
-            moved = prepend(routed[(k, i, 0)], p)
-            v_blocks.append(Block(moved.mu, moved.punctures, p.mu))
-    tau_v = transposition(g, v_blocks)
+    tau_v = transposition(g, [Block(copy[(k, i, 0)].mu, p.punctures, p.mu)
+                              for (k, i), p in region.items()])
     # one fold, normalized once: lag_parts reads beta's lags
     beta = compose_all([tau_v, e, tau_v])
 
     beta_parts = lag_parts(beta)
     s_beta = {}
     for k in neg + pos:
-        s_beta[k] = Clopen(g, canonicalize(
-            g, [prepend(routed[(k, i, 0)], p)
-                for i, p in enumerate(region_pieces[k], start=1)]))
+        s_beta[k] = Clopen(g, canonicalize(g, copies(k, 0)))
         if beta_parts.get(k, Clopen.empty(g)).pieces != s_beta[k].pieces:
             raise VerificationFailed(
                 f"conjugated part S({k}) is not its routed copy {s_beta[k]}")
 
     # positive side: a routed piece cycles from its j = 0 copy through its
     # j = p, ..., 1 copies, all joined by canonical arrows
-    plus_cycles = [[prepend(routed[(p_key, i, j)], pc)
-                    for j in [0] + list(range(p_key, 0, -1))]
-                   for p_key in pos
-                   for i, pc in enumerate(region_pieces[p_key], start=1)]
+    plus_cycles = [[copy[(k, i, j)] for j in [0] + list(range(k, 0, -1))]
+                   for k, i in region if k > 0]
     tau_plus = _cycle_swaps(g, plus_cycles, _canonical_arrow)
 
     # negative side: S(q) = c_0 cycles through c_|q|, ..., c_1, where c_l
@@ -614,8 +604,7 @@ def _factor_proper(e: Element):
     # carries c_l onto c_0, composed of lag-1 cancellations c_l -> c_{l-1}
     d_all = Clopen(g, canonicalize(g, [c for cycle in plus_cycles
                                        for k, c in enumerate(cycle) if k != 1]))
-    x_pieces = {(q_key, l): [prepend(routed[(q_key, i, -l)], pc)
-                             for i, pc in enumerate(region_pieces[q_key], start=1)]
+    x_pieces = {(q_key, l): copies(q_key, -l)
                 for q_key in neg for l in range(1, -q_key + 1)}
     x_all = Clopen(g, canonicalize(g, [x for xs in x_pieces.values() for x in xs]))
     matching = find_bisection(x_all, d_all)

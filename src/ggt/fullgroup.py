@@ -31,15 +31,14 @@ from typing import NamedTuple
 from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
                      ParseError, RangesOverlap, SourcesOverlap,
                      VerificationFailed)
-from .graphs import (Graph, edge_key, free_edges, require_ah_criteria,
-                     two_disjoint_cycles)
+from .graphs import Graph, free_edges, require_ah_criteria, two_disjoint_cycles
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, check_punctures,
                         complement_pieces, find_overlap, intersect_pieces,
                         overlap_or_complement, overlap_or_union, parse_path,
-                        path_range, path_trie, piece_contains,
-                        piece_is_canonical, piece_is_empty, prepend_prefix,
-                        singleton_point, strip_prefix)
+                        path_range, path_trie, piece_contains, piece_is_empty,
+                        prepend_prefix, puncture_set, singleton_point,
+                        strip_prefix)
 
 
 class Block(NamedTuple):
@@ -177,17 +176,11 @@ def _normalize_table(g: Graph, live) -> Element:
     leaves (mu0, nu0), the exchange applied to Z(t \\ F) at the range of
     nu0. Each group's tails become the canonical pieces of their union
     (``pathspace.canonical_pieces``), re-prefixed to (mu0.t', F', nu0.t'),
-    and all are sorted. No rewritten block fixes its source: a merge only
-    joins moved pieces, and a split child fixed pointwise would need its
-    branching parent vertex on an exitless cycle.
-
-    A group of one tail that ``pathspace.piece_is_canonical`` accepts is
-    already canonical, so it keeps its input block and builds no trie;
-    any other group is walked. This is exact: the predicate holds
-    iff ``canonical_pieces`` returns that tail alone, field for field.
-    That includes the puncture order: the walk writes punctures sorted by
-    ``edge_key``, and the predicate compares the tail's punctures with
-    that sort itself instead of trusting each caller to have sorted them.
+    and all are sorted. A tail that comes back unchanged keeps its input
+    block; a group of one tail that is its own canonical form builds no
+    trie. No rewritten block fixes its source: a merge only joins moved
+    pieces, and a split child fixed pointwise would need its branching
+    parent vertex on an exitless cycle.
 
     Theorem: without one-point pieces (so over every graph meeting the AH
     criteria: no sinks and Condition (L)) equal action implies equal
@@ -214,9 +207,7 @@ def _normalize_table(g: Graph, live) -> Element:
         groups.setdefault((mu0, nu0), {})[tail] = b
     kept = []
     for (mu0, nu0), tails in groups.items():
-        pieces = (tails if len(tails) == 1 and piece_is_canonical(g, *tails)
-                  else canonical_pieces(g, tails))
-        for p in pieces:
+        for p in canonical_pieces(g, tails):
             b = tails.get(p)
             if b is None:
                 b = Block(Path(mu0.base, mu0.edges + p.mu.edges), p.punctures,
@@ -342,8 +333,7 @@ def compose_bisections(g: Graph, outer, inner):
                 out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
                                  punctures, bi.nu))
             elif m == n:
-                merged = (tuple(sorted(set(punctures) | set(bo.punctures),
-                                       key=edge_key))
+                merged = (puncture_set(punctures, bo.punctures)
                           if punctures or bo.punctures else ())
                 if not (merged and piece_is_empty(g, Piece(bi.mu, merged))):
                     out.append(Block(bo.mu, merged, bi.nu))

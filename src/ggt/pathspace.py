@@ -104,10 +104,19 @@ class Piece(NamedTuple):
         return f"Z({self.mu} \\ {','.join(self.punctures)})"
 
 
+def puncture_set(edges, *more) -> tuple:
+    """The edges of the given groups, each once, sorted by ``edge_key``:
+    the one form punctures are stored in."""
+    edges = set(edges)
+    if more:
+        edges.update(*more)
+    return tuple(sorted(edges, key=edge_key)) if len(edges) > 1 else tuple(edges)
+
+
 def check_punctures(g: Graph, v: str, punctures) -> tuple:
-    """The punctures at vertex v, sorted and each once; MalformedGraph if
+    """The punctures at vertex v as a ``puncture_set``; MalformedGraph if
     one is not emitted by v or they leave a regular v no edge."""
-    punctures = tuple(sorted(set(punctures), key=edge_key))
+    punctures = puncture_set(punctures)
     for e in punctures:
         if not g.is_edge(e) or g.source(e) != v:
             raise MalformedGraph(f"puncture {e!r} is not emitted by {v}")
@@ -141,8 +150,7 @@ def intersect_pieces(g: Graph, a: Piece, b: Piece):
     else:
         return None
     if len(shorter.mu) == len(longer.mu):
-        merged = tuple(sorted(set(a.punctures) | set(b.punctures), key=edge_key))
-        p = Piece(a.mu, merged)
+        p = Piece(a.mu, puncture_set(a.punctures, b.punctures))
         return None if piece_is_empty(g, p) else p
     nxt = longer.mu.edges[len(shorter.mu)]
     if nxt in shorter.punctures:
@@ -174,7 +182,7 @@ def subtract_piece(g: Graph, a: Piece, b: Piece):
     at = a.mu
     punct = set(a.punctures)
     for e in rel:
-        keep = Piece(at, tuple(sorted(punct | {e}, key=edge_key)))
+        keep = Piece(at, puncture_set(punct, (e,)))
         if not piece_is_empty(g, keep):
             out.append(keep)
         at = at.extend(e)
@@ -328,7 +336,7 @@ def _settle(g: Graph, mu: Path, node: TrieNode, edges, pieces):
         if not eff:
             return _FULL
         if not regular:
-            residue.insert(0, Piece(mu, tuple(sorted(eff, key=edge_key))))
+            residue.insert(0, Piece(mu, puncture_set(eff)))
         else:
             # split the punctured regular piece into plain children; a
             # fully punctured one contributes nothing
@@ -352,27 +360,39 @@ def _settle(g: Graph, mu: Path, node: TrieNode, edges, pieces):
 def canonical_pieces(g: Graph, pieces):
     """The pieces of ``canonicalize``, in walk order rather than sorted:
     the empty pieces are dropped, and the trie over the rest is built
-    (``path_trie``) and walked (``_trie_pieces``)."""
+    (``path_trie``) and walked (``_trie_pieces``).
+
+    A lone piece that ``piece_is_canonical`` accepts is returned as it is
+    and builds no trie. This is exact: the predicate holds iff the walk
+    returns that piece alone, field for field. That includes the puncture
+    order: the walk writes each puncture set as a ``puncture_set``, and the
+    predicate compares the piece's punctures with that form itself instead
+    of trusting each caller to have built it. Every caller takes the
+    shortcut: a one-tail group of ``fullgroup._normalize_table``, the lag
+    part or the support of a one-block table, a ``Clopen`` of one piece.
+    """
     pieces = [p for p in pieces if not piece_is_empty(g, p)]
+    if len(pieces) == 1 and piece_is_canonical(g, pieces[0]):
+        return pieces
     roots, _ = path_trie(p.mu for p in pieces)
     return _trie_pieces(g, pieces, roots)
 
 
 def piece_is_canonical(g: Graph, p: Piece) -> bool:
     """True when the nonempty piece p is its own canonical form, that is
-    when ``canonical_pieces(g, [p]) == [p]``, without building a trie.
+    when the walk of ``canonical_pieces`` over [p] returns [p]; it builds
+    no trie, and ``canonical_pieces`` asks it before walking a lone piece.
 
     In the one-piece trie, ``_settle`` makes p's end node _FULL when p is
     plain, and that _FULL rises past every edge that is the only out-edge
     of a regular vertex; so a plain Z(mu) stays itself unless mu's last
     edge is such an edge. A punctured piece stays itself at a singular
-    vertex, with its punctures sorted by ``edge_key`` and each once, the
-    order ``_settle`` writes; at a regular vertex it splits into plain
-    children.
+    vertex, with its punctures a ``puncture_set``, the form ``_settle``
+    writes; at a regular vertex it splits into plain children.
     """
     if p.punctures:
-        return (g.is_singular(path_range(g, p.mu)) and p.punctures
-                == tuple(sorted(set(p.punctures), key=edge_key)))
+        return (g.is_singular(path_range(g, p.mu))
+                and p.punctures == puncture_set(p.punctures))
     if not p.mu.edges:
         return True
     v = g.source(p.mu.edges[-1])
@@ -478,7 +498,7 @@ def _trie_complement(g: Graph, pieces, roots):
                 out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
                            if e not in edges)
             else:
-                out.append(Piece(mu, tuple(sorted(edges, key=edge_key))))
+                out.append(Piece(mu, puncture_set(edges)))
         for e in edges:
             sub = node.children.get(e)
             if sub is None:
@@ -497,6 +517,23 @@ def overlap_or_complement(g: Graph, pieces):
     if hit is not None:
         return hit, None
     return None, _trie_complement(g, pieces, roots)
+
+
+def refine_pieces(g: Graph, pieces, depth: int):
+    """Yield (piece, range vertex) for the given pieces with every piece
+    shorter than the depth at a regular range vertex split, on an
+    explicit stack, into its plain sub-cylinders at the depth, in stack
+    order. A piece at a singular vertex stops early and keeps its
+    punctures."""
+    stack = list(pieces)
+    while stack:
+        p = stack.pop()
+        v = path_range(g, p.mu)
+        if len(p.mu.edges) >= depth or g.is_singular(v):
+            yield p, v
+        else:
+            stack.extend(Piece(p.mu.extend(e)) for e in g.out_concrete(v)
+                         if e not in p.punctures)
 
 
 @dataclass(frozen=True)
@@ -576,23 +613,12 @@ class Clopen:
                 == canonicalize(self.graph, other.pieces))
 
     def refine_to(self, depth: int) -> "Clopen":
-        """The same set with every regular-range piece split to the depth.
-
-        Pieces whose range vertex is singular stop early and keep their
-        punctures; the output is deliberately not re-merged.
-        """
-        out = []
-        stack = list(self.pieces)
-        while stack:
-            p = stack.pop()
-            v = path_range(self.graph, p.mu)
-            if len(p.mu) >= depth or self.graph.is_singular(v):
-                out.append(p)
-                continue
-            for e in self.graph.out_concrete(v):
-                if e not in p.punctures:
-                    stack.append(Piece(p.mu.extend(e)))
-        return Clopen(self.graph, tuple(sorted(out, key=Piece.key)))
+        """The same set with every regular-range piece split to the depth
+        (``refine_pieces``), sorted; the output is deliberately not
+        re-merged."""
+        return Clopen(self.graph, tuple(sorted(
+            (p for p, _ in refine_pieces(self.graph, self.pieces, depth)),
+            key=Piece.key)))
 
     def contains(self, x: "BoundaryPoint") -> bool:
         return any(piece_contains(self.graph, p, x) for p in self.pieces)

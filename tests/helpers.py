@@ -32,10 +32,9 @@ from ggt.graphs import Graph, edge_key, family_member, validate
 from ggt.homology import (ClassVector, HomologyReport, IndexValue, class_of,
                           is_zero, shift)
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
-from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece,
-                           canonical_pieces, canonicalize, complement_pieces,
-                           find_overlap, intersect_pieces, make_piece,
-                           path_range, path_trie, piece_is_empty,
+from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
+                           complement_pieces, find_overlap, intersect_pieces,
+                           make_piece, path_range, path_trie, piece_is_empty,
                            subtract_piece)
 
 
@@ -513,8 +512,9 @@ def reference_block_key(b):
 
 
 def reference_normalize_table(g, live):
-    """``fullgroup._normalize_table`` with one ``canonical_pieces`` walk per
-    reduced-exchange group, a group of one tail included."""
+    """``fullgroup._normalize_table`` with one walk per reduced-exchange
+    group, a group of one tail included: ``recursive_canonical_pieces``,
+    which takes no lone-piece shortcut."""
     groups = {}   # (mu0, nu0) -> {tail piece: input block}
     for b in live:
         if _block_is_identity(g, b):
@@ -530,7 +530,7 @@ def reference_normalize_table(g, live):
         groups.setdefault((mu0, nu0), {})[tail] = b
     kept = []
     for (mu0, nu0), tails in groups.items():
-        for p in canonical_pieces(g, tails):
+        for p in recursive_canonical_pieces(g, tails):
             b = tails.get(p)
             if b is None:
                 b = Block(Path(mu0.base, mu0.edges + p.mu.edges), p.punctures,
@@ -926,10 +926,15 @@ def random_balanced_table(g, rng, depth=2):
 
 def _reference_pool_insert(pools, g, piece, depth):
     """File a piece under (length, range vertex), splitting regular
-    ranges down to the working depth first, through a one-piece
-    ``Clopen.refine_to``."""
-    for p in Clopen(g, (piece,)).refine_to(depth).pieces:
-        pools.setdefault((len(p.mu), path_range(g, p.mu)), []).append(p)
+    ranges down to the working depth first, one call per level: a split
+    independent of ``pathspace.refine_pieces``, which the matcher uses."""
+    v = path_range(g, piece.mu)
+    if len(piece.mu) < depth and g.is_regular(v):
+        for e in g.out_concrete(v):
+            if e not in piece.punctures:
+                _reference_pool_insert(pools, g, Piece(piece.mu.extend(e)), depth)
+    else:
+        pools.setdefault((len(piece.mu), v), []).append(piece)
 
 
 def reference_match_at_depth(g, a, b, depth):

@@ -6,13 +6,23 @@ replaced by a bad one such as ``L#0`` or ``L#99999999999``) and run
 through ``cli.main`` in process by every command that reads a file. Every
 run must exit 0, 2 or 3 with no exception escaping, print the same bytes
 when run again, and take under two seconds; a failure names the case's
-seed, the command and the mutated text.
+seed, the command and the mutated text. A fixed seeded sample of the
+runs, some exiting 0 and some 2 or 3 for each kind of file, is run again
+in fresh interpreters under two ``PYTHONHASHSEED`` values and under
+``python -O``, which must give the same exit codes and stdout bytes.
 """
 
 import contextlib
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from ggt.cli import main
 from ggt.factor import factor, print_factorization
@@ -26,6 +36,8 @@ from helpers import random_element
 SEED = 2803
 CASES = 150  # mutations per input kind
 OP_LIMIT_S = 2.0
+REPLAYS = 4  # sampled runs per input kind and outcome (exit 0, exit 2 or 3)
+SRC = Path(__file__).resolve().parent.parent / "src"
 BAD_TOKENS = ("L#0", "L#99999999999", "L#", "#1", "@", "@nowhere", "a.",
               ".a", "..", "|", "-", "Z(", "\\", "over", "block", "element",
               "vertex", "9", "-1", "é", "")
@@ -98,7 +110,9 @@ def run_once(argv):
 
 
 def check(case, argv, texts):
-    """Run argv twice; texts maps each mutated file to its content."""
+    """Run argv twice after writing texts, which maps each file that argv
+    reads, other than an unmutated graph file, to its content; (exit
+    code, stdout)."""
     where = f"case {case} (seed {SEED}): ggt {' '.join(argv)}\n" + "".join(
         f"--- {path.name}:\n{text}" for path, text in texts.items())
     for path, text in texts.items():
@@ -113,17 +127,25 @@ def check(case, argv, texts):
         assert took < OP_LIMIT_S, f"took {took:.2f} s\n{where}"
         runs.append(out)
     assert runs[0] == runs[1], where
-    return code
+    return code, runs[0]
 
 
-def test_cli_survives_mutated_inputs(tmp_path):
+@pytest.fixture(scope="module")
+def fuzzed(tmp_path_factory):
+    """The graph files written and, per input kind, the in-process runs
+    as (argv, texts, exit code, stdout)."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
     elements = element_texts()
     factors = factor_texts(elements)
     graph_files = {}
     for name, g in GRAPHS.items():
         graph_files[name] = tmp_path / f"{name}.graph"
         graph_files[name].write_text(print_graph(g), encoding="utf-8")
-    codes = set()
+    runs = {"graph": [], "element": [], "factors": []}
+
+    def record(kind, case, argv, texts):
+        runs[kind].append((argv, texts) + check(case, argv, texts))
+
     for case in range(CASES):
         rng = random.Random(f"{SEED}/graph/{case}")
         name = rng.choice(sorted(GRAPHS))
@@ -133,7 +155,7 @@ def test_cli_survives_mutated_inputs(tmp_path):
                      ["move-t", str(path), VERTICES[name]],
                      ["move-s", str(path), VERTICES[name]],
                      ["double", str(path), CLOPENS[name]]):
-            codes.add(check(case, argv, {path: text}))
+            record("graph", case, argv, {path: text})
         path.write_text(print_graph(GRAPHS[name]), encoding="utf-8")
     for case in range(CASES):
         rng = random.Random(f"{SEED}/element/{case}")
@@ -141,21 +163,74 @@ def test_cli_survives_mutated_inputs(tmp_path):
         graph = str(graph_files[name])
         elem = tmp_path / "x.elem"
         other = tmp_path / "y.elem"
-        other.write_text(rng.choice([t for n, t in elements if n == name]),
-                         encoding="utf-8")
+        other_text = rng.choice([t for n, t in elements if n == name])
         text = mutate(rng, base)
         for argv in (["index", graph, str(elem)], ["invert", graph, str(elem)],
                      ["partition", graph, str(elem)],
                      ["compose", graph, str(elem), str(other)],
                      ["compose", graph, str(other), str(elem)],
                      ["factor", graph, str(elem)]):
-            codes.add(check(case, argv, {elem: text}))
+            record("element", case, argv, {elem: text, other: other_text})
     for case in range(CASES):
         rng = random.Random(f"{SEED}/factors/{case}")
         name, elem_text, fact_text = rng.choice(factors)
         elem = tmp_path / "x.elem"
         fact = tmp_path / "x.factors"
-        elem.write_text(elem_text, encoding="utf-8")
-        codes.add(check(case, ["verify", str(graph_files[name]), str(elem),
-                               str(fact)], {fact: mutate(rng, fact_text)}))
+        record("factors", case, ["verify", str(graph_files[name]), str(elem),
+                                 str(fact)],
+               {elem: elem_text, fact: mutate(rng, fact_text)})
+    return graph_files, runs
+
+
+def test_cli_survives_mutated_inputs(fuzzed):
+    _, runs = fuzzed
+    codes = {code for kind_runs in runs.values() for _, _, code, _ in kind_runs}
     assert codes == {0, 2, 3}
+
+
+REPLAY = """\
+import contextlib, io, json, sys
+from ggt.cli import main
+graphs, runs = json.load(open(sys.argv[1], encoding="utf-8"))
+results = []
+for argv, texts in runs:
+    for path, text in list(graphs.items()) + list(texts.items()):
+        open(path, "w", encoding="utf-8").write(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_sampled_runs_do_not_depend_on_hash_seed_or_asserts(fuzzed, tmp_path):
+    # string hashing changes set and dict order between processes and -O
+    # strips asserts; neither may change an exit code or a stdout byte
+    graph_files, runs = fuzzed
+    rng = random.Random(f"{SEED}/replay")
+    sample = []
+    for kind, kind_runs in sorted(runs.items()):
+        for exits in ({0}, {2, 3}):
+            picks = [r for r in kind_runs if r[2] in exits]
+            assert picks, (kind, exits)
+            sample += rng.sample(picks, min(REPLAYS, len(picks)))
+    spec = tmp_path / "replay.json"
+    spec.write_text(json.dumps([
+        {str(path): print_graph(GRAPHS[name])
+         for name, path in graph_files.items()},
+        [[argv, {str(p): t for p, t in texts.items()}]
+         for argv, texts, _, _ in sample]]), encoding="utf-8")
+    expected = [[code, out] for _, _, code, out in sample]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    for flags, seed in (([], 0), ([], 4099), (["-O"], 77)):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run([sys.executable, *flags, "-c", REPLAY, str(spec)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        got = json.loads(proc.stdout)
+        assert len(got) == len(sample)
+        for (argv, texts, _, _), want, have in zip(sample, expected, got):
+            assert have == want, (flags, seed, argv, texts)

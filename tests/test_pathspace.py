@@ -323,7 +323,7 @@ def test_piece_is_canonical_matches_the_walk():
                 punct = list(p.punctures) + [p.punctures[0]] * rng.randrange(2)
                 rng.shuffle(punct)
                 p = Piece(p.mu, tuple(punct))
-            canonical = canonical_pieces(g, [p]) == [p]
+            canonical = recursive_canonical_pieces(g, [p]) == [p]
             assert piece_is_canonical(g, p) == canonical
             seen.add(canonical)
             v = path_range(g, p.mu)
