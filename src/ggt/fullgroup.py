@@ -13,13 +13,21 @@ writes the blocks sharing a reduced prefix exchange as the canonical
 pieces of their union, so over graphs without one-point pieces (all
 graphs meeting the AH criteria) equal elements have equal tables.
 
+Products are folds of ``compose_bisections``, which reads a table as
+its blocks extended by the identity off their sources. A fold starts
+from the identity blocks of the vertex cylinders and pairs each factor's
+own blocks; what a factor's sources leave of a piece comes through
+unchanged, so no factor is made total by a complement walk over the
+whole space.
+
 Every piece of every table here is nonempty. ``make_block`` refuses an
 empty source, a fully punctured regular cylinder; the complement walk
-(``pathspace.complement_pieces``) emits no empty piece and normal forms
-are canonical; and ``compose_bisections``, given nonempty pieces, emits
-none. So the table checks filter nothing, and the pairing tests only the
-one piece where two puncture sets meet. The two public entries that pair
-a caller's raw ``Clopen``, ``image_of`` and ``factor.graded_cancellation``,
+(``pathspace.complement_pieces``, and ``trie_remainder`` below one trie
+node) emits no empty piece and normal forms are canonical; and
+``compose_bisections``, given nonempty pieces, emits none. So the table
+checks filter nothing, and the pairing tests only the one piece where
+two differing puncture sets meet. The two public entries that pair a
+caller's raw ``Clopen``, ``image_of`` and ``factor.graded_cancellation``,
 keep its empty pieces out of the pairing.
 """
 
@@ -34,11 +42,11 @@ from .errors import (CarrierMismatch, MalformedGraph, OverlappingSourceRange,
 from .graphs import Graph, free_edges, require_ah_criteria, two_disjoint_cycles
 from .pathspace import (BoundaryPoint, Clopen, Path, Piece, canonical_pieces,
                         canonicalize, check_path, check_punctures,
-                        complement_pieces, find_overlap, intersect_pieces,
-                        overlap_or_complement, overlap_or_union, parse_path,
-                        path_range, path_trie, piece_contains, piece_is_empty,
-                        prepend_prefix, puncture_set, singleton_point,
-                        strip_prefix)
+                        find_overlap, intersect_pieces, overlap_or_complement,
+                        overlap_or_union, parse_path, path_range, path_trie,
+                        piece_contains, piece_is_empty, prepend_prefix,
+                        puncture_set, singleton_point, strip_prefix,
+                        trie_remainder)
 
 
 class Block(NamedTuple):
@@ -245,27 +253,15 @@ def inverse(e: Element) -> Element:
                                          key=Block.key)))
 
 
-def _totalize(e: Element):
-    """Table blocks plus identity blocks covering the carrier complement.
-
-    The complement is one walk over the trie of the raw source pieces
-    (``complement_pieces``), neither merged nor canonicalized: a fold
-    needs only some partition of the identity region. Splitting a block
-    along another partition only appends a common suffix to both of its
-    paths, which keeps its reduced prefix exchange, so the normal form of
-    every product (``_normalize_table``) is the same for any partition.
-    """
-    return list(e.blocks) + identity_blocks(complement_pieces(
-        e.graph, [b.source_piece() for b in e.blocks]))
-
-
 def identity_blocks(pieces):
     """Blocks fixing each of the given pieces pointwise."""
     return [Block(p.mu, p.punctures, p.mu) for p in pieces]
 
 
 def compose_bisections(g: Graph, outer, inner):
-    """Blocks of the partial bisection acting as outer after inner.
+    """Blocks of outer, extended by the identity off its sources, after
+    inner: the partial bisection acting as outer after inner on the outer
+    sources and as inner elsewhere on the inner sources.
 
     This is the one place where a block is restricted to a sub-piece and
     re-prefixed. An inner block's range piece and an outer block's source
@@ -274,93 +270,117 @@ def compose_bisections(g: Graph, outer, inner):
     product. Two pieces meet only when one path is a prefix of the other
     and no puncture of the shorter one is the longer path's next edge.
     So the outer source paths go into one trie (``pathspace.path_trie``),
-    and each inner range path walks down it. At each strict prefix the
-    walk takes the outer sources ending there whose punctures miss the
-    path's next edge; an unpunctured one always does. At the end node it
-    takes every outer source ending there, and below it every outer
-    source in the child subtrees whose edge is not an inner puncture,
-    walked on an explicit stack.
+    and each inner range path walks down it, with three outcomes:
+
+    * an outer source ending at a strict prefix whose punctures miss the
+      path's next edge (an unpunctured one always does) holds the whole
+      inner range, so no other outer source meets it: one fused block;
+    * the path leaves the trie before its end with no such source: no
+      outer source meets the range, and the inner block comes out as it
+      is;
+    * the walk reaches the path's end node: it takes every outer source
+      ending there, and below it every outer source in the child subtrees
+      whose edge is not an inner puncture, walked on an explicit stack,
+      and fuses each. What they leave of the inner range is the complement
+      walk from that node (``pathspace.trie_remainder``, the node step of
+      ``complement_pieces`` with the inner punctures left out at the top),
+      and the inner block restricted to each of its pieces comes out too.
+
+    When the inner ranges lie inside the outer sources, as in the AF
+    refinement, the ladders, ``graded_cancellation`` and the matching
+    restriction, every remainder is empty and the result is the product
+    of the two partial bisections.
 
     The walk already knows how the two paths relate, so each pair fuses
     without a further intersection: over a shorter outer path the piece
     is the inner range piece, over the same path it carries both
     puncture sets, and over a longer one it is the outer source piece.
     Both lists hold nonempty pieces only (the module's table invariant),
-    so the first and the last kind are nonempty, and only a same-path
-    piece with punctures is tested: the two puncture sets together may
-    cover a regular vertex's out-edges, and then it yields no block. The
-    output thus holds nonempty pieces only as well. Blocks
-    come out in inner order and, within one inner block, in outer order;
-    they are not sorted. No prefix is copied or hashed: the cost is the
-    total length of the paths of both lists plus the subtrees walked and
-    the blocks made. The subtrees below two disjoint inner range pieces
-    are disjoint, so for a bisection the subtree walks together visit
-    each trie node at most once.
+    so the first and the last kind are nonempty, and so is a same-path
+    piece whose two puncture sets are equal, which is the inner range
+    piece again. Only a same-path piece with two differing puncture sets
+    is tested: together they may cover a regular vertex's out-edges, and
+    then it yields no block. A remainder piece is a nonempty piece of the
+    complement walk. The output thus holds nonempty pieces only as well.
+    Blocks come out in inner order and, within one inner block, the fused
+    ones in outer order and then the remainder in walk order; they are
+    not sorted. No prefix is copied or hashed: the cost is the total
+    length of the paths of both lists plus the subtrees walked and the
+    blocks made. The subtrees below two disjoint inner range pieces are
+    disjoint, so for a bisection the subtree walks together visit each
+    trie node at most twice.
     """
     roots, _ = path_trie(bo.nu for bo in outer)
     out = []
     for bi in inner:
-        node = roots.get(bi.mu.base)
-        if node is None:
-            continue
         edges = bi.mu.edges
-        punctures = bi.punctures
-        hits = []
-        for e in edges:
-            for i in node.at:
-                if e not in outer[i].punctures:
-                    hits.append(i)
-            node = node.children.get(e)
-            if node is None:
-                break
-        else:
-            hits += node.at
-            below = [sub for e, sub in node.children.items()
-                     if e not in punctures]
-            while below:
-                node = below.pop()
-                hits += node.at
-                below.extend(node.children.values())
-        if not hits:
+        node = roots.get(bi.mu.base)
+        above = None
+        if node is not None:
+            for e in edges:
+                for i in node.at:
+                    if e not in outer[i].punctures:
+                        above = outer[i]
+                        break
+                node = node.children.get(e)
+                if above is not None or node is None:
+                    break
+        if above is not None:
+            out.append(Block(Path(above.mu.base,
+                                  above.mu.edges + edges[len(above.nu.edges):]),
+                             bi.punctures, bi.nu))
             continue
+        if node is None:
+            out.append(bi)
+            continue
+        punctures = bi.punctures
+        hits = list(node.at)
+        below = [sub for e, sub in node.children.items() if e not in punctures]
+        while below:
+            sub = below.pop()
+            hits += sub.at
+            below.extend(sub.children.values())
         hits.sort()
         n = len(edges)
         for i in hits:
             bo = outer[i]
-            m = len(bo.nu.edges)
-            if m < n:
-                # the outer source lies above: the piece is the inner range
-                out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
-                                 punctures, bi.nu))
-            elif m == n:
-                merged = (puncture_set(punctures, bo.punctures)
-                          if punctures or bo.punctures else ())
-                if not (merged and piece_is_empty(g, Piece(bi.mu, merged))):
-                    out.append(Block(bo.mu, merged, bi.nu))
-            else:
+            if len(bo.nu.edges) > n:
                 # the outer source lies below: the piece is that source
                 out.append(Block(bo.mu, bo.punctures,
                                  Path(bi.nu.base, bi.nu.edges + bo.nu.edges[n:])))
+            elif punctures == bo.punctures:
+                # the same piece on both sides: the inner range
+                out.append(Block(bo.mu, punctures, bi.nu))
+            else:
+                merged = puncture_set(punctures, bo.punctures)
+                if not piece_is_empty(g, Piece(bi.mu, merged)):
+                    out.append(Block(bo.mu, merged, bi.nu))
+        at = node.at
+        if at and (not outer[at[0]].punctures
+                   or outer[at[0]].punctures == punctures):
+            continue   # an outer source here holds the whole inner range
+        for p in trie_remainder(g, Piece(bi.mu, punctures), node, outer):
+            out.append(Block(p.mu, p.punctures,
+                             Path(bi.nu.base, bi.nu.edges + p.mu.edges[n:])))
     return out
 
 
 def _fold(g: Graph, factors):
     """The total table of the ordered product, last factor first.
 
-    The running table starts as the last factor's total table; each step
-    is ``compose_bisections`` of the next factor's total table after it,
-    and no partial product is checked or normalized. Each distinct
-    factor, the last one included, is totalized once per fold.
+    The running table starts as the identity blocks of the vertex
+    cylinders, which cover the space; each step is ``compose_bisections``
+    of the next factor's own blocks after it, which extends the factor by
+    the identity off its carrier, so every table stays total. No partial
+    product is checked or normalized, and no factor is totalized: the
+    pairing emits what a factor leaves of each inner range, and never
+    walks the complement of the factor's carrier over the whole space.
     """
-    totals = {}
-    table = None
+    table = identity_blocks(Piece(Path(v)) for v in sorted(g.vertices))
     for f in reversed(factors):
         if f.graph != g:
             raise MalformedGraph("operands live over different graphs")
-        outer = totals.get(id(f))
-        if outer is None:
-            outer = totals[id(f)] = _totalize(f)
-        table = outer if table is None else compose_bisections(g, outer, table)
+        table = compose_bisections(g, f.blocks, table)
     return table
 
 
@@ -373,25 +393,28 @@ def compose(f: Element, g_elt: Element) -> Element:
 def compose_all(factors) -> Element:
     """Ordered product: the first factor is applied last.
 
-    One fold of total tables (identity blocks over each carrier
-    complement), last factor first, with ``compose_bisections``, which
-    partitions the product of two total tables exactly; so the folded
-    blocks form the product's table. Nothing in between is checked or
-    normalized: the table is checked and normalized once at the end.
+    One fold (``_fold``) from the identity blocks of the vertex
+    cylinders, last factor first, with ``compose_bisections``, which
+    extends each factor by the identity off its sources and so partitions
+    the product of the factor and the running total table exactly; the
+    folded blocks form the product's table. Nothing in between is checked
+    or normalized: the table is checked and normalized once at the end.
 
-    Depth guard. A total table's paths are no longer than its element's
-    ``max_depth``: an identity block over the carrier complement
-    (``complement_pieces`` of the raw source pieces) reaches at most one
-    edge below a source path, and only through a puncture, which
-    ``max_depth`` counts. A fused block's range path is the
-    outer block's range path followed by the part of the inner range
-    path beyond the outer source path, and its source path is the inner
-    source path followed by the part of the outer source path beyond the
-    inner range path; so each step lengthens a path by at most the outer
-    factor's depth, and the folded paths stay within the sum of the
-    factors' depths. The guard allows one edge more per step, the bound
-    sum(max_depth) + (n - 1), which is f + g + 1 for two factors; a block
-    beyond it raises VerificationFailed.
+    Depth guard. A fused block's range path is the outer block's range
+    path followed by the part of the inner range path beyond the outer
+    source path, and its source path is the inner source path followed
+    by the part of the outer source path beyond the inner range path. A
+    remainder block keeps the inner block's prefix exchange and appends
+    to both paths the part of its piece's path beyond the inner range
+    path. Each remainder piece lies at most one edge below an outer
+    source path, reached through a puncture of that source, which
+    ``max_depth`` counts, or else no deeper than an outer source path;
+    so it is no deeper than the outer factor's ``max_depth``, as the
+    identity blocks of a total table were. So each step lengthens a path
+    by at most the outer factor's depth, and the folded paths stay within
+    the sum of the factors' depths. The guard allows one edge more per
+    step, the bound sum(max_depth) + (n - 1), which is f + g + 1 for two
+    factors; a block beyond it raises VerificationFailed.
     """
     factors = list(factors)
     if not factors:
@@ -412,15 +435,18 @@ def compose_all(factors) -> Element:
 def acts_as(factors, e: Element) -> bool:
     """True when the ordered product of the factors equals e pointwise.
 
-    One fold over total tables, never normalized: e^{-1}'s total table is
-    pushed through the factors, last factor first, by the fold of
-    ``compose_all``. The product f_1 ... f_n e^{-1} is the identity iff
-    the factors multiply to e. The final table is checked once: the table
-    axioms, totality (its sources cover the whole space), and every block
-    fixing its source pointwise. A prefix exchange with mu != nu fixes at
-    most one point, which ``_block_is_identity``'s singleton rule decides,
-    so no normal form is needed. The sources are total iff they leave no
-    complement piece (``complement_pieces`` emits no empty one).
+    One fold, never normalized: the identity blocks of the vertex
+    cylinders are pushed through e^{-1} and then the factors, last factor
+    first, by the fold of ``compose_all``, each factor's own blocks
+    extended by the identity off its sources. The product f_1 ... f_n
+    e^{-1} is the identity iff the factors multiply to e. The final table
+    is checked once: the table axioms, totality (its sources cover the
+    whole space), and every block fixing its source pointwise. A prefix
+    exchange with mu != nu fixes at most one point, which
+    ``_block_is_identity``'s singleton rule decides, so no normal form is
+    needed. The sources are total iff they leave no complement piece
+    (``complement_pieces`` emits no empty one); that is the one complement
+    walk of the certificate, as the fold walks none.
 
     One trie over the sources serves their overlap search and the
     complement walk (``overlap_or_complement``); the walk raises nothing,
@@ -429,7 +455,8 @@ def acts_as(factors, e: Element) -> bool:
     every block of a passing certificate is (mu, F, mu), so the range list
     is the source list, ``_check_ranges`` searches nothing and the final
     table builds one trie; a block (mu, F, nu) fixing its one point costs
-    the ranges search and the carrier check.
+    the ranges search and the carrier check. With the fold's one trie per
+    factor, a certificate of n factors builds n + 2 tries.
     """
     g = e.graph
     table = _fold(g, list(factors) + [inverse(e)])
@@ -462,14 +489,15 @@ def support(e: Element) -> Clopen:
 
 
 def image_of(e: Element, a: Clopen) -> Clopen:
-    """Exact image e(a): e's total table paired by ``compose_bisections``
-    with the identity blocks of a's nonempty pieces. a may be any
-    ``Clopen``, not canonical, so its empty pieces are dropped here."""
+    """Exact image e(a): e's own blocks paired by ``compose_bisections``
+    with the identity blocks of a's nonempty pieces, so the part of a off
+    e's carrier comes through as it is. a may be any ``Clopen``, not
+    canonical, so its empty pieces are dropped here."""
     if a.graph != e.graph:
         raise MalformedGraph("operands live over different graphs")
     g = e.graph
     inner = identity_blocks(p for p in a.pieces if not piece_is_empty(g, p))
-    return bisection_range(g, compose_bisections(g, _totalize(e), inner))
+    return bisection_range(g, compose_bisections(g, e.blocks, inner))
 
 
 @dataclass(frozen=True)

@@ -469,14 +469,8 @@ def complement_pieces(g: Graph, pieces):
 
 def _trie_complement(g: Graph, pieces, roots):
     """``complement_pieces`` of nonempty pieces, by one depth-first walk
-    of the trie over their paths from the roots in vertex order.
-
-    A child node whose first piece is plain is not pushed: that piece
-    covers the child's cylinder, so the child would leave no open edge,
-    emit nothing and read nothing below it. Skipping it leaves the output,
-    order included, as it is; the test reads one piece, so a child whose
-    plain piece comes later in its list is walked, and emits nothing.
-    """
+    of the trie over their paths from the roots in vertex order, one
+    ``_complement_step`` per node."""
     out = []
     stack = []
     for v in sorted(g.vertices):
@@ -485,27 +479,61 @@ def _trie_complement(g: Graph, pieces, roots):
         else:
             out.append(Piece(Path(v)))
     while stack:
-        mu, node = stack.pop()
-        if node.at:
-            # the pieces here leave only their common punctures open;
-            # sorted, so the output order does not follow string hashing
-            edges = sorted(_open_edges(pieces, node), key=edge_key)
-        else:
-            # nothing sits here: keep the untaken edges, descend the rest
-            edges = node.children
-            v = path_range(g, mu)
-            if g.is_regular(v):
-                out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
-                           if e not in edges)
-            else:
-                out.append(Piece(mu, puncture_set(edges)))
-        for e in edges:
-            sub = node.children.get(e)
-            if sub is None:
-                out.append(Piece(mu.extend(e)))
-            elif not sub.at or pieces[sub.at[0]].punctures:
-                stack.append((mu.extend(e), sub))
+        _complement_step(g, *stack.pop(), pieces, out, stack)
     return out
+
+
+def trie_remainder(g: Graph, piece: Piece, node: TrieNode, entries):
+    """The pairwise disjoint pieces of the nonempty piece that the entries
+    in the subtree at node, the trie node at the piece's path, leave uncovered:
+    the complement walk from that node, with the piece's punctures left
+    out at it. entries are what the trie indexes, read by their
+    ``punctures``; any with a path through one of those punctures lie
+    off the piece and count for nothing. The pieces come in the order
+    ``_trie_complement`` emits them below that node."""
+    out = []
+    stack = []
+    _complement_step(g, piece.mu, node, entries, out, stack, piece.punctures)
+    while stack:
+        _complement_step(g, *stack.pop(), entries, out, stack)
+    return out
+
+
+def _complement_step(g: Graph, mu: Path, node: TrieNode, entries, out, stack,
+                     skip=()):
+    """One node of the complement walk: the pieces of Z(mu \\ skip) that
+    the entries at the node and the subtrees on its child edges leave
+    uncovered at this level go to out, and the children to walk below are
+    pushed on the stack, in edge order.
+
+    A child node whose first entry is plain is not pushed: that entry
+    covers the child's cylinder, so the child would leave no open edge,
+    emit nothing and read nothing below it. Skipping it leaves the output,
+    order included, as it is; the test reads one entry, so a child whose
+    plain entry comes later in its list is walked, and emits nothing.
+    """
+    children = node.children
+    if node.at:
+        # the entries here leave only their common punctures open;
+        # sorted, so the output order does not follow string hashing
+        edges = sorted(_open_edges(entries, node).difference(skip),
+                       key=edge_key)
+    else:
+        # nothing sits here: keep the untaken edges, descend the rest
+        v = path_range(g, mu)
+        if g.is_regular(v):
+            out.extend(Piece(mu.extend(e)) for e in g.out_concrete(v)
+                       if e not in children and e not in skip)
+        else:
+            out.append(Piece(mu, puncture_set(children, skip)))
+        edges = [e for e in children if e not in skip] if skip else children
+    base, path = mu
+    for e in edges:
+        sub = children.get(e)
+        if sub is None:
+            out.append(Piece(Path(base, path + (e,))))
+        elif not sub.at or entries[sub.at[0]].punctures:
+            stack.append((Path(base, path + (e,)), sub))
 
 
 def overlap_or_complement(g: Graph, pieces):

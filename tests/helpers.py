@@ -16,8 +16,9 @@ every piece through a one-piece refinement and scanned for its least
 key, the normal form that walked every reduced-exchange group,
 even a group of one canonical tail (``reference_normalize_table``), and
 the complement walk that pushed every child node on its stack, also one
-that a plain piece covers (``reference_complement_pieces``).
-They stay independent of the code paths they check.
+that a plain piece covers (``reference_complement_pieces``), with the
+fold's pairing against a factor made total by that walk
+(``total_pairing``). They stay independent of the code paths they check.
 """
 
 import itertools
@@ -472,6 +473,62 @@ def reference_complement_pieces(g, pieces):
                 out.append(Piece(mu.extend(e)))
             else:
                 stack.append((mu.extend(e), sub))
+    return out
+
+
+def reference_totalize(g, blocks):
+    """The blocks plus identity blocks over what their sources leave
+    uncovered (``reference_complement_pieces``): the total table that the
+    fold once built for every factor before pairing it."""
+    rest = reference_complement_pieces(g, [b.source_piece() for b in blocks])
+    return list(blocks) + [Block(p.mu, p.punctures, p.mu) for p in rest]
+
+
+def total_pairing(g, outer, inner):
+    """outer, extended by the identity off its sources, after inner, as
+    the fold paired them before it passed uncovered pieces through: the
+    trie pairing of inner against ``reference_totalize`` of outer, with
+    every pair of one inner block taken in outer order."""
+    outer = reference_totalize(g, outer)
+    roots, _ = path_trie(bo.nu for bo in outer)
+    out = []
+    for bi in inner:
+        node = roots.get(bi.mu.base)
+        if node is None:
+            continue
+        edges = bi.mu.edges
+        punctures = bi.punctures
+        hits = []
+        for e in edges:
+            for i in node.at:
+                if e not in outer[i].punctures:
+                    hits.append(i)
+            node = node.children.get(e)
+            if node is None:
+                break
+        else:
+            hits += node.at
+            below = [sub for e, sub in node.children.items()
+                     if e not in punctures]
+            while below:
+                node = below.pop()
+                hits += node.at
+                below.extend(node.children.values())
+        n = len(edges)
+        for i in sorted(hits):
+            bo = outer[i]
+            m = len(bo.nu.edges)
+            if m < n:
+                out.append(Block(Path(bo.mu.base, bo.mu.edges + edges[m:]),
+                                 punctures, bi.nu))
+            elif m == n:
+                merged = tuple(sorted(set(punctures) | set(bo.punctures),
+                                      key=edge_key))
+                if not (merged and piece_is_empty(g, Piece(bi.mu, merged))):
+                    out.append(Block(bo.mu, merged, bi.nu))
+            else:
+                out.append(Block(bo.mu, bo.punctures,
+                                 Path(bi.nu.base, bi.nu.edges + bo.nu.edges[n:])))
     return out
 
 

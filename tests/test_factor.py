@@ -1075,15 +1075,16 @@ def _lagged_elements():
 def test_index_and_factor_never_build_s0(monkeypatch):
     # S(0) carries no index and the factorization routes only the moved
     # set: index makes no complement walk, and factor calls no
-    # graded_partition and intersects no clopens
-    fullgroup = sys.modules["ggt.fullgroup"]
+    # graded_partition and intersects no clopens. The walk is refused
+    # where S(0) would make it, under ``Clopen.complement_of``
+    pathspace = sys.modules["ggt.pathspace"]
     elements = _lagged_elements()
 
     def refuse(*args, **kwargs):
         raise AssertionError("S(0) was built")
 
     with monkeypatch.context() as m:
-        m.setattr(fullgroup, "complement_pieces", refuse)
+        m.setattr(pathspace, "complement_pieces", refuse)
         assert all(index(e).zero for e in elements)
 
     calls = []

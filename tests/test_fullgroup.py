@@ -10,7 +10,7 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.factor import af_factor, find_bisection
 from ggt.fullgroup import (Block, Element, _check_table, _fold,
-                           _normalize_table, _totalize, acts_as, apply, bisection_range,
+                           _normalize_table, acts_as, apply, bisection_range,
                            bisection_source, compose, compose_all,
                            compose_bisections, doubling_bisections,
                            graded_partition, identity_blocks, image_of,
@@ -26,8 +26,9 @@ from ggt.pathspace import (BoundaryPoint, Clopen, Path, Piece, canonicalize,
 from helpers import (dict_compose_bisections, dict_find_overlap,
                      mutate_clopen, point_family, punctured_transposition,
                      random_balanced_table, random_clopen, random_element,
-                     random_transposition, reference_normalize_table,
-                     refine_blocks)
+                     random_transposition, random_twin_graph,
+                     reference_normalize_table, reference_totalize,
+                     refine_blocks, total_pairing)
 from test_pathspace import TAIL
 
 E2 = rose(2)
@@ -619,8 +620,13 @@ def reference_image_of(e, a):
     return Clopen(g, canonicalize(g, pieces))
 
 
+def by_key(blocks):
+    return sorted(blocks, key=Block.key)
+
+
 def test_compose_bisections_matches_all_pairs_reference():
-    # partial block lists: nothing makes either side total
+    # partial block lists: the pairing extends outer by the identity off
+    # its sources, and the reference pairs against those identity blocks
     rng = random.Random(73)
     graphs = (E2, EINF, emitter_two_loops(), mixed_graph())
     for g in graphs:
@@ -629,8 +635,8 @@ def test_compose_bisections_matches_all_pairs_reference():
             inner = list(random_transposition(g, rng).blocks)
             for o, i in ((outer, inner), (inner, outer), (outer, outer)):
                 got = compose_bisections(g, o, i)
-                assert (sorted(got, key=Block.key)
-                        == sorted(reference_pairs(g, o, i), key=Block.key))
+                assert by_key(got) == by_key(
+                    reference_pairs(g, reference_totalize(g, o), i))
     # chained matchings a -> b -> c; mixed_graph has a source, so its
     # classes (and find_bisection) are undefined
     for g in graphs[:3]:
@@ -643,8 +649,8 @@ def test_compose_bisections_matches_all_pairs_reference():
             c = mutate_clopen(g, rng, b, moves=2)
             inner, outer = find_bisection(a, b), find_bisection(b, c)
             got = compose_bisections(g, outer, inner)
-            assert (sorted(got, key=Block.key)
-                    == sorted(reference_pairs(g, outer, inner), key=Block.key))
+            assert by_key(got) == by_key(
+                reference_pairs(g, reference_totalize(g, outer), inner))
             assert bisection_source(g, got).equal(a)
             assert bisection_range(g, got).equal(c)
             done += 1
@@ -714,35 +720,36 @@ def test_identity_region_is_one_disjoint_walk():
                 assert all(p.depth() <= e.max_depth() for p in rest)
 
 
-def test_totalize_canonicalizes_nothing_and_runs_once_per_factor(monkeypatch):
+def test_fold_builds_one_trie_per_factor_and_canonicalizes_nothing(monkeypatch):
+    # the fold pairs each factor's own blocks: one path trie per factor,
+    # no canonical form, and a total table at the end
     fg, ps = sys.modules["ggt.fullgroup"], sys.modules["ggt.pathspace"]
-    walks = []
+    walks, tries = [], []
     for mod in (fg, ps):
         for name in ("canonicalize", "canonical_pieces"):
             real = getattr(mod, name)
             monkeypatch.setattr(mod, name, lambda g, pieces, real=real: (
                 walks.append(1) or real(g, pieces)))
+        real = getattr(mod, "path_trie")
+        monkeypatch.setattr(mod, "path_trie", lambda paths, real=real: (
+            tries.append(1) or real(paths)))
     rng = random.Random(83)
     for g in (E2, EINF, emitter_two_loops(), mixed_graph(), TAIL):
         for _ in range(5):
-            e = random_element(g, rng, rng.randrange(1, 4))
+            fs = [random_element(g, rng, rng.randrange(1, 4))
+                  for _ in range(rng.randrange(1, 4))]
             walks.clear()
-            table = _totalize(e)
-            assert walks == []
+            tries.clear()
+            table = _fold(g, fs)
+            assert walks == [] and len(tries) == len(fs)
             assert bisection_source(g, table) == Clopen.full(g)
-    # compose_all([t, e, t]) totalizes t once, last factor included;
-    # so does the certification fold of acts_as
-    real_totalize = fg._totalize
-    seen = []
-    monkeypatch.setattr(fg, "_totalize",
-                        lambda x: seen.append(id(x)) or real_totalize(x))
+    # compose_all([t, e, t]) folds three factors, t twice
     t = transposition(EINF, [blk(EINF, "L#1.L#1", [], "L#2")])
     e = elem(EINF, ("L#3", [], "L#4"), ("L#4", [], "L#3"))
-    beta = compose_all([t, e, t])
-    assert sorted(seen) == sorted([id(t), id(e)])
-    seen.clear()
-    assert acts_as([t, e, t], beta)
-    assert len(seen) == 3 and seen.count(id(t)) == 1
+    tries.clear()
+    table = _fold(EINF, [t, e, t])
+    assert len(tries) == 3
+    assert _normalize_table(EINF, _check_table(EINF, table)) == compose_all([t, e, t])
 
 
 def separated(a, b):
@@ -757,7 +764,7 @@ def separated(a, b):
 
 def test_pairing_skips_pieces_a_puncture_separates(monkeypatch):
     # total tables of random elements carry punctures on both sides; the
-    # pairing must give the all-pairs list in the same order, and never
+    # pairing must give the blocks of the all-pairs list, and never
     # intersect two pieces that a puncture keeps apart
     fg = sys.modules["ggt.fullgroup"]
     real = fg.intersect_pieces
@@ -767,14 +774,16 @@ def test_pairing_skips_pieces_a_puncture_separates(monkeypatch):
     rng = random.Random(97)
     skipped = 0
     for g in (EINF, emitter_two_loops(), mixed_graph()):
-        tables = [_totalize(random_element(g, rng, rng.randrange(1, 4)))
+        tables = [reference_totalize(
+                      g, random_element(g, rng, rng.randrange(1, 4)).blocks)
                   for _ in range(10)]
         assert sum(bool(b.punctures) for t in tables for b in t) > 10
         for outer in tables[:5]:
             for inner in tables[5:]:
                 for o, i in ((outer, inner), (inner, outer)):
                     paired.clear()
-                    assert compose_bisections(g, o, i) == reference_pairs(g, o, i)
+                    assert by_key(compose_bisections(g, o, i)) == by_key(
+                        reference_pairs(g, reference_totalize(g, o), i))
                     assert not any(separated(a, b) for a, b in paired)
                     skipped += sum(separated(bi.range_piece(), bo.source_piece())
                                    for bi in i for bo in o)
@@ -901,14 +910,20 @@ def test_acts_as_decides_fixed_singletons():
 
 def test_acts_as_refuses_partial_tables(monkeypatch):
     # tables that do not cover the space must not pass as identities:
-    # with the identity blocks off the carriers left out, the fold of
-    # t12 . t34 against t12 ends empty, which is not total
+    # with the identity off each factor's sources left out (the all-pairs
+    # pairing of the blocks alone), the fold of t12 . t34 against t12
+    # ends empty, which is not total
     t12 = transposition(EINF, [blk(EINF, "L#1", [], "L#2")])
     t34 = transposition(EINF, [blk(EINF, "L#3", [], "L#4")])
     assert acts_as([t12], t12) and not acts_as([t12, t34], t12)
-    monkeypatch.setattr(sys.modules["ggt.fullgroup"], "_totalize",
-                        lambda e: list(e.blocks))
+    fg = sys.modules["ggt.fullgroup"]
+    ends = []
+    real_check = fg._check_ranges
+    monkeypatch.setattr(fg, "_check_ranges", lambda g, blocks, src: (
+        ends.append(list(blocks)) or real_check(g, blocks, src)))
+    monkeypatch.setattr(fg, "compose_bisections", reference_pairs)
     assert not acts_as([t12, t34], t12)
+    assert ends == [[]]
 
 
 def test_acts_as_refusals_and_answers_on_final_tables(monkeypatch):
@@ -975,9 +990,8 @@ def test_acts_as_refusals_and_answers_on_final_tables(monkeypatch):
 
 
 def test_acts_as_builds_one_trie_for_the_final_table(monkeypatch):
-    # one path trie per distinct totalized factor (e^{-1} among them), one
-    # per compose step, and one that serves the final table's overlap
-    # search and complement walk
+    # one path trie per fold step (e^{-1} among the factors) and one that
+    # serves the final table's overlap search and complement walk
     fg = sys.modules["ggt.fullgroup"]
     ps = sys.modules["ggt.pathspace"]
     real_trie, real_acts = ps.path_trie, fg.acts_as
@@ -991,8 +1005,7 @@ def test_acts_as_builds_one_trie_for_the_final_table(monkeypatch):
         factors = list(factors)
         built[0] = 0
         out = real_acts(factors, e)
-        distinct = len({id(f) for f in factors}) + 1
-        counts.append((len(factors), built[0], distinct + len(factors) + 1))
+        counts.append((len(factors), built[0], len(factors) + 2))
         return out
 
     for mod in (fg, ps):
@@ -1002,7 +1015,7 @@ def test_acts_as_builds_one_trie_for_the_final_table(monkeypatch):
     for _ in range(12):
         af_factor(random_balanced_table(E2, rng, depth=rng.randrange(2, 5)))
     assert all(got == expected for _, got, expected in counts)
-    assert {got for n, got, _ in counts if n == 2} == {6}
+    assert {got for n, got, _ in counts if n == 2} == {4}
 
 
 def test_is_involution_agrees_with_the_fold():
@@ -1045,13 +1058,15 @@ def pairing_tables(g, rng):
     requires of its inputs."""
     e = random_element(g, rng, rng.randrange(1, 4), max_len=rng.randrange(1, 5))
     t = punctured_transposition(g, rng, max_len=3)
-    split = refine_blocks(g, _totalize(e), rng, splits=rng.randrange(1, 6))
-    return [list(e.blocks), _totalize(e), _totalize(t), split,
+    split = refine_blocks(g, reference_totalize(g, e.blocks), rng,
+                          splits=rng.randrange(1, 6))
+    return [list(e.blocks), reference_totalize(g, e.blocks),
+            reference_totalize(g, t.blocks), split,
             identity_blocks(random_clopen(g, rng, max_len=4).pieces)]
 
 
 def test_trie_pairing_matches_the_dictionary_reference():
-    # the same blocks in the same order as the prefix-dictionary pairing
+    # the blocks of the prefix-dictionary pairing against outer made total
     rng = random.Random(131)
     punctured = 0
     for g in (E2, EINF, emitter_two_loops()):
@@ -1060,9 +1075,69 @@ def test_trie_pairing_matches_the_dictionary_reference():
             punctured += sum(bool(b.punctures) for t in tables for b in t)
             for outer in tables:
                 for inner in tables:
-                    assert (compose_bisections(g, outer, inner)
-                            == dict_compose_bisections(g, outer, inner))
+                    assert by_key(compose_bisections(g, outer, inner)) == by_key(
+                        dict_compose_bisections(
+                            g, reference_totalize(g, outer), inner))
     assert punctured > 50
+
+
+def test_pairing_matches_the_totalized_fold(monkeypatch):
+    # outer extended by the identity off its sources gives the blocks, in
+    # the same order, of the pairing against outer made total by a
+    # complement walk over the whole space, for four kinds of inner
+    # table; the remainder walk runs, and emits, on every graph
+    fg = sys.modules["ggt.fullgroup"]
+    real = fg.trie_remainder
+    emitted = []
+    monkeypatch.setattr(fg, "trie_remainder", lambda *args: (
+        emitted.append(len(real(*args))) or real(*args)))
+    rng = random.Random(3101)
+    blocks = dict.fromkeys(("total", "clopen", "refined", "vertices"), 0)
+    for make in (lambda: E2, lambda: EINF, emitter_two_loops, mixed_graph,
+                 lambda: random_twin_graph(rng)):
+        emitted.clear()
+        for _ in range(12):
+            g = make()
+            e = random_element(g, rng, rng.randrange(0, 4))
+            total = reference_totalize(
+                g, random_element(g, rng, rng.randrange(1, 4)).blocks)
+            inners = {
+                "total": total,
+                "clopen": identity_blocks(
+                    random_clopen(g, rng, max_len=4).pieces),
+                "refined": refine_blocks(g, total, rng,
+                                         splits=rng.randrange(1, 6)),
+                "vertices": identity_blocks(
+                    Piece(Path(v)) for v in sorted(g.vertices)),
+            }
+            for kind, inner in inners.items():
+                got = compose_bisections(g, e.blocks, inner)
+                assert got == total_pairing(g, e.blocks, inner)
+                blocks[kind] += len(got)
+            assert (bisection_source(g, compose_bisections(
+                g, e.blocks, inners["vertices"])) == Clopen.full(g))
+        assert sum(emitted) > 10
+    assert min(blocks.values()) > 200, blocks
+
+
+def test_the_fold_walks_no_complement(monkeypatch):
+    # no complement walk in compose_all, and exactly one in acts_as: the
+    # totality walk over the final table
+    ps = sys.modules["ggt.pathspace"]
+    real = ps._trie_complement
+    walks = []
+    monkeypatch.setattr(ps, "_trie_complement", lambda *args: (
+        walks.append(1) or real(*args)))
+    rng = random.Random(3103)
+    for g in (E2, EINF, emitter_two_loops(), mixed_graph(), TAIL):
+        for _ in range(6):
+            fs = [random_element(g, rng, rng.randrange(1, 4))
+                  for _ in range(rng.randrange(1, 4))]
+            walks.clear()
+            product = compose_all(fs)
+            assert walks == []
+            assert acts_as(fs, product)
+            assert walks == [1]
 
 
 def free_out_edges(g, p):
@@ -1111,7 +1186,7 @@ def test_trie_overlap_search_matches_the_dictionary_reference():
     for g in (E2, EINF, emitter_two_loops()):
         for _ in range(50):
             e = random_element(g, rng, rng.randrange(1, 4))
-            table = rng.choice((list(e.blocks), _totalize(e)))
+            table = rng.choice((list(e.blocks), reference_totalize(g, e.blocks)))
             pieces = [b.source_piece() for b in table]
             rng.shuffle(pieces)
             assert find_overlap(g, pieces) is None

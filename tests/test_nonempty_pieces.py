@@ -18,7 +18,7 @@ from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
 from ggt.fullgroup import (acts_as, compose_all, image_of, make_block,
                            support, validate_element)
 from ggt.pathspace import (Clopen, Path, Piece, parse_clopen, parse_path,
-                           path_range, piece_is_empty)
+                           path_range, piece_is_empty, puncture_set)
 
 from helpers import random_balanced_table, random_clopen, random_element
 
@@ -140,9 +140,11 @@ def test_compose_bisections_is_never_handed_an_empty_piece(monkeypatch):
         for bo in outer:
             seen["pieces"] += 1
             assert not piece_is_empty(g, bo.source_piece()), bo
+            assert bo.punctures == puncture_set(bo.punctures), bo
         for bi in inner:
             seen["pieces"] += 1
             assert not piece_is_empty(g, bi.range_piece()), bi
+            assert bi.punctures == puncture_set(bi.punctures), bi
         return real(g, outer, inner)
 
     monkeypatch.setattr(fg, "compose_bisections", checked)
