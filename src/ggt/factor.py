@@ -20,7 +20,6 @@ VerificationFailed.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import (HypothesesFailed, IndexNonzero, MalformedGraph,
@@ -47,19 +46,13 @@ def _pool_order(p: Piece):
     return (len(p.punctures), p.key())
 
 
-def _pool_insert(pools, keys, g, piece, depth, side):
-    """File a piece under its key (length, range vertex) into
-    ``pools[key][side]``, side 0 for a and 1 for b. A piece shorter than
-    the working depth with a regular range is split into the plain
-    sub-cylinders at the depth (``pathspace.refine_pieces``), which are
-    filed instead. A key new to pools goes on the heap keys."""
+def _pool_insert(levels, g, piece, depth, side):
+    """File a piece into ``levels[length][range vertex][side]``, side 0
+    for a and 1 for b. A piece shorter than the working depth with a
+    regular range is split into the plain sub-cylinders at the depth
+    (``pathspace.refine_pieces``), which are filed instead."""
     for p, v in refine_pieces(g, [piece], depth):
-        key = (len(p.mu.edges), v)
-        pair = pools.get(key)
-        if pair is None:
-            pair = pools[key] = ([], [])
-            heapq.heappush(keys, key)
-        pair[side].append(p)
+        levels[len(p.mu.edges)].setdefault(v, ([], []))[side].append(p)
 
 
 def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
@@ -72,35 +65,38 @@ def _match_at_depth(g: Graph, a: Clopen, b: Clopen, depth: int):
     parts admit a canonical arrow and the released plain sub-cylinders
     re-enter the pools one level deeper.
 
-    The keys wait on a heap, each once: a key is pushed when its first
-    piece is filed and leaves with both its pools, a's and b's, in one
-    pop, so the heap always yields the least key still holding pieces.
-    That key is complete when it is popped: releases go to longer keys
-    (point (3) of ``find_bisection``'s proof), so nothing is filed under
-    it or under a smaller key later. Each pool is sorted by
-    ``_pool_order``, a total order, so the pairs do not depend on the
-    order the pieces were filed in.
+    The pools are filed by level, ``levels[length]`` mapping a range
+    vertex to a's and b's pools, one level per length up to the depth:
+    no piece is longer (point (1) of ``find_bisection``'s proof). The
+    levels are visited in ascending order, and the vertices of a level
+    in name order, so the keys (length, vertex) come in ascending order.
+    A level is complete when it is visited: releases go to deeper levels
+    (point (3) of that proof), so nothing is filed into it or into a
+    shallower one later. Each pool is sorted by ``_pool_order``, a total
+    order, so the pairs do not depend on the order the pieces were filed
+    in.
     """
-    pools, keys = {}, []
+    levels = [{} for _ in range(depth + 1)]
     for p in a.pieces:
-        _pool_insert(pools, keys, g, p, depth, 0)
+        _pool_insert(levels, g, p, depth, 0)
     for p in b.pieces:
-        _pool_insert(pools, keys, g, p, depth, 1)
+        _pool_insert(levels, g, p, depth, 1)
     blocks = []
     residue = 0
-    while keys:
-        la, lb = pools.pop(heapq.heappop(keys))
-        la.sort(key=_pool_order)
-        lb.sort(key=_pool_order)
-        for p, q in zip(la, lb):
-            punct = puncture_set(p.punctures, q.punctures)
-            for f in punct:
-                if f not in p.punctures:
-                    _pool_insert(pools, keys, g, Piece(p.mu.extend(f)), depth, 0)
-                if f not in q.punctures:
-                    _pool_insert(pools, keys, g, Piece(q.mu.extend(f)), depth, 1)
-            blocks.append(Block(q.mu, punct, p.mu))
-        residue += abs(len(la) - len(lb))
+    for pools in levels:
+        for v in sorted(pools):
+            la, lb = pools[v]
+            la.sort(key=_pool_order)
+            lb.sort(key=_pool_order)
+            for p, q in zip(la, lb):
+                punct = puncture_set(p.punctures, q.punctures)
+                for f in punct:
+                    if f not in p.punctures:
+                        _pool_insert(levels, g, Piece(p.mu.extend(f)), depth, 0)
+                    if f not in q.punctures:
+                        _pool_insert(levels, g, Piece(q.mu.extend(f)), depth, 1)
+                blocks.append(Block(q.mu, punct, p.mu))
+            residue += abs(len(la) - len(lb))
     return blocks, residue
 
 

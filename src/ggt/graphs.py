@@ -175,55 +175,38 @@ class Graph:
         return self._successors[v]
 
     def strongly_connected_components(self):
-        """SCCs in deterministic order (Tarjan over sorted successors)."""
+        """SCCs in deterministic order: Tarjan (1972) over sorted
+        successors, on one work stack. The roots, in name order, are the
+        successors of a virtual vertex None at the bottom of the stack, so
+        roots and children are numbered by one step. A component is
+        emitted only after every component it reaches."""
         succ = self._successors
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        comps = []
-        counter = [0]
-
-        def strongconnect(v):
-            work = [(v, iter(succ[v]))]
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            while work:
-                u, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(succ[w])))
-                        advanced = True
-                        break
-                    elif w in on_stack:
-                        low[u] = min(low[u], index[w])
-                if advanced:
-                    continue
+        index, low, on_stack, stack, comps = {}, {}, set(), [], []
+        work = [(None, iter(sorted(self.vertices)))]
+        while True:
+            u, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[u] = min(low[u], index[w])
+            else:
+                if u is None:
+                    return comps
                 work.pop()
-                if work:
+                if low[u] < index[u]:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[u])
-                if low[u] == index[u]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == u:
-                            break
-                    comps.append(frozenset(comp))
-
-        for v in sorted(self.vertices):
-            if v not in index:
-                strongconnect(v)
-        return comps
+                    continue
+                comp = set()
+                while u not in comp:
+                    comp.add(stack.pop())
+                on_stack.difference_update(comp)
+                comps.append(frozenset(comp))
 
     def is_cyclic(self, comp):
         """Whether an SCC contains a cycle: more than one vertex, or a
@@ -270,10 +253,12 @@ def validate(g: Graph) -> CriteriaReport:
 
     Every criterion is read off the SCC condensation. Tarjan emits a
     component only after every component it reaches, so one pass over
-    the components in emission order gives each its reach set: itself
-    plus the reach sets of the components its edges enter. A cycle lies
-    inside one component, and every vertex of a cyclic component lies on
-    a cycle inside it.
+    the components in emission order gives each its reach set: its own
+    tracked vertices plus the reach sets of the components its edges
+    enter. Only the vertices the two reach tests below ask about are
+    tracked: those of cyclic components, and the infinite emitters. A
+    cycle lies inside one component, and every vertex of a cyclic
+    component lies on a cycle inside it.
 
     * Condition (L) fails iff some cycle has no exit, i.e. runs through
       vertices with one concrete out-edge and no family. Such a cycle is
@@ -293,7 +278,10 @@ def validate(g: Graph) -> CriteriaReport:
     the least v missing an emitter, with the least emitter it misses. The
     vertices on exitless cycles, and the vertices on cycles unreachable
     from v, are exactly the vertices of the components found above, so
-    each least vertex is the least vertex of those components.
+    each least vertex is the least vertex of those components. Each
+    distinct reach set is tested once, at the least vertex that has it,
+    in ascending order of those vertices, and the search stops at the
+    first that misses a target.
     """
     witnesses = []
     verts = sorted(g.vertices)
@@ -309,13 +297,19 @@ def validate(g: Graph) -> CriteriaReport:
         witnesses.append(("no_sources", f"source {sources[0]}"))
 
     comps = g.strongly_connected_components()
-    reach = {}  # vertex -> the reach set of its component
-    for comp in comps:
-        # successors outside comp lie in components emitted before it
-        r = set(comp).union(*(reach[w] for u in comp for w in g._successors[u]
-                              if w in reach))
-        reach.update(dict.fromkeys(comp, r))
     cyclic = [c for c in comps if g.is_cyclic(c)]
+    emitters = [v for v in verts if g.is_infinite_emitter(v)]
+    on_cycles = set().union(*cyclic)
+    tracked = on_cycles.union(emitters)
+    reach = {}  # vertex -> the tracked vertices its component reaches
+    for comp in comps:
+        # successors outside comp lie in components emitted before it; a
+        # component that adds nothing to the one reach set below shares it
+        own = tracked.intersection(comp)
+        below = [reach[w] for u in comp for w in g._successors[u] if w in reach]
+        r = (below[0] if below and not own and all(b is below[0] for b in below)
+             else own.union(*below))
+        reach.update(dict.fromkeys(comp, r))
 
     exitless = [v for c in cyclic
                 if all(len(g.out_concrete(u)) == 1 and not g.out_families(u)
@@ -325,22 +319,24 @@ def validate(g: Graph) -> CriteriaReport:
     if exitless:
         witnesses.append(("condition_L", f"exitless cycle at {min(exitless)}"))
 
+    firsts = {}  # reach set id -> the least vertex whose component has it
+    for v in sorted(min(c) for c in comps):
+        firsts.setdefault(id(reach[v]), v)
+
     def first_miss(targets):
         """The least v missing a target from its reach set, and the least
         target it misses; None if every v reaches all targets."""
-        for v in verts:
-            missed = targets - reach[v]
-            if missed:
-                return v, min(missed)
+        for v in firsts.values():
+            if not targets <= reach[v]:
+                return v, min(targets - reach[v])
         return None
 
-    miss = first_miss(set().union(*cyclic))
+    miss = first_miss(on_cycles)
     cofinal = miss is None
     if miss:
         witnesses.append(("cofinal",
                           "{} cannot reach the cycle at {}".format(*miss)))
 
-    emitters = [v for v in verts if g.is_infinite_emitter(v)]
     miss = first_miss(set(emitters))
     reaches = miss is None
     if miss:
@@ -358,7 +354,8 @@ def validate(g: Graph) -> CriteriaReport:
     if strongly:
         for w in emitters:
             loops = [f for f in g.out_families(w) if g.family_range(f) == w]
-            if loops and set(g.vertices) <= set(g.successors(w)):
+            # successors are distinct vertices
+            if loops and len(g.successors(w)) == len(g.vertices):
                 emitter = (w, loops[0])
                 break
     factor_ok = emitter is not None

@@ -18,7 +18,9 @@ even a group of one canonical tail (``reference_normalize_table``), and
 the complement walk that pushed every child node on its stack, also one
 that a plain piece covers (``reference_complement_pieces``), with the
 fold's pairing against a factor made total by that walk
-(``total_pairing``). They stay independent of the code paths they check.
+(``total_pairing``), and the per-vertex criteria that ``validate``
+read off the component graph replaced (``reference_validate``). They
+stay independent of the code paths they check.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from ggt.errors import NotEssential, VerificationFailed
 from ggt.fullgroup import (Block, Element, GradedPartition,
                            _block_is_identity, apply, compose, transposition,
                            validate_element)
-from ggt.graphs import Graph, edge_key, family_member, validate
+from ggt.graphs import CriteriaReport, Graph, edge_key, family_member, validate
 from ggt.homology import (ClassVector, HomologyReport, IndexValue, class_of,
                           is_zero, shift)
 from ggt.intlin import IntMatrix, Lattice, smith_normal_form
@@ -753,7 +755,7 @@ def acts_pointwise(e, factors, points):
     return True
 
 
-# -- reachability (oracle) -----------------------------------------------------
+# -- reachability and the per-vertex criteria (oracles) ------------------------
 
 def reachable_from(g, v):
     """All vertices reachable from v, including v, by depth-first search."""
@@ -766,6 +768,107 @@ def reachable_from(g, v):
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def brute_force_sccs(g):
+    """Independent SCC oracle: mutual reachability, no Tarjan."""
+    reach = {v: reachable_from(g, v) for v in g.vertices}
+    comps = set()
+    for v in g.vertices:
+        comps.add(frozenset(u for u in g.vertices
+                            if u in reach[v] and v in reach[u]))
+    return comps
+
+
+def reference_emitter(g):
+    """The emitter search the factorization made on its own before
+    ``validate`` recorded it: the least emitter carrying a loop family and
+    edges to every vertex, with its first loop family; None if none."""
+    for w in sorted(g.vertices):
+        if not g.is_infinite_emitter(w):
+            continue
+        loop_fams = [f for f in g.out_families(w) if g.family_range(f) == w]
+        if not loop_fams:
+            continue
+        if all(v in set(g.successors(w)) for v in g.vertices):
+            return w, loop_fams[0]
+    return None
+
+
+def _find_cycle_within(g, allowed):
+    """Least vertex lying on a cycle fully inside `allowed`, or None."""
+    allowed = set(allowed)
+    for v in sorted(allowed):
+        # DFS from v through allowed vertices looking for a return to v
+        stack = [v]
+        seen = set()
+        while stack:
+            u = stack.pop()
+            for w in g.successors(u):
+                if w == v:
+                    return v
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return None
+
+
+def reference_validate(g):
+    """The per-vertex criteria that ``validate`` read off the component
+    graph replaced: a cycle search inside the out-degree-1 vertices for
+    Condition (L), and one reachability walk per vertex for cofinality
+    and for reaching every infinite emitter. The components are counted
+    by mutual reachability (``brute_force_sccs``), not by Tarjan."""
+    witnesses = []
+    sinks = [v for v in sorted(g.vertices) if g.is_sink(v)]
+    if sinks:
+        witnesses.append(("no_sinks", f"sink {sinks[0]}"))
+    sources = [v for v in sorted(g.vertices) if g._incoming[v] == 0]
+    if sources:
+        witnesses.append(("no_sources", f"source {sources[0]}"))
+
+    forced = {v for v in g.vertices
+              if len(g.out_concrete(v)) == 1 and not g.out_families(v)}
+    cycle = _find_cycle_within(g, forced)
+    if cycle is not None:
+        witnesses.append(("condition_L", f"exitless cycle at {cycle}"))
+
+    cofinal = True
+    for v in sorted(g.vertices):
+        cyc = _find_cycle_within(g, set(g.vertices) - reachable_from(g, v))
+        if cyc is not None:
+            cofinal = False
+            witnesses.append(("cofinal", f"{v} cannot reach the cycle at {cyc}"))
+            break
+
+    reaches = True
+    emitters = [v for v in sorted(g.vertices) if g.is_infinite_emitter(v)]
+    for v in sorted(g.vertices):
+        reach = reachable_from(g, v)
+        missing = [w for w in emitters if w not in reach]
+        if missing:
+            reaches = False
+            witnesses.append(("reaches_all_infinite_emitters",
+                              f"{v} cannot reach {missing[0]}"))
+            break
+
+    comps = brute_force_sccs(g)
+    strongly = len(comps) == 1
+    if not strongly:
+        witnesses.append(("strongly_connected", f"{len(comps)} components"))
+    emitter = reference_emitter(g) if strongly else None
+    if emitter is None:
+        if not strongly:
+            witnesses.append(("factor_hypotheses", "not strongly connected"))
+        elif not emitters:
+            witnesses.append(("factor_hypotheses", "no infinite emitter"))
+        else:
+            witnesses.append(("factor_hypotheses",
+                              "no emitter with a loop family and edges to every vertex"))
+    no_sinks, cond_l = not sinks, cycle is None
+    return CriteriaReport(no_sinks, not sources, cond_l, cofinal, reaches,
+                          strongly, no_sinks and cond_l and cofinal and reaches,
+                          emitter is not None, emitter, tuple(witnesses))
 
 
 # -- graphs with twin vertices -------------------------------------------------
@@ -997,7 +1100,7 @@ def _reference_pool_insert(pools, g, piece, depth):
 def reference_match_at_depth(g, a, b, depth):
     """``factor._match_at_depth`` with one pool dict per side and the
     least key taken by a scan of both dicts' keys every round, instead of
-    a heap: (blocks, residue)."""
+    a visit of the levels in order: (blocks, residue)."""
     pools_a, pools_b = {}, {}
     for p in a.pieces:
         _reference_pool_insert(pools_a, g, p, depth)

@@ -10,6 +10,8 @@ seed, the command and the mutated text. A fixed seeded sample of the
 runs, some exiting 0 and some 2 or 3 for each kind of file, is run again
 in fresh interpreters under two ``PYTHONHASHSEED`` values and under
 ``python -O``, which must give the same exit codes and stdout bytes.
+Every mutated graph that parses gets the same ``validate`` report as
+the per-vertex reference (``helpers.reference_validate``).
 """
 
 import contextlib
@@ -25,13 +27,14 @@ from pathlib import Path
 import pytest
 
 from ggt.cli import main
+from ggt.errors import GgtError
 from ggt.factor import factor, print_factorization
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
 from ggt.fullgroup import parse_element_text, print_element
-from ggt.graphs import print_graph
+from ggt.graphs import parse_graph, print_graph, validate
 
-from helpers import random_element
+from helpers import random_element, reference_validate
 
 SEED = 2803
 CASES = 150  # mutations per input kind
@@ -186,6 +189,21 @@ def test_cli_survives_mutated_inputs(fuzzed):
     _, runs = fuzzed
     codes = {code for kind_runs in runs.values() for _, _, code, _ in kind_runs}
     assert codes == {0, 2, 3}
+
+
+def test_mutated_graphs_validate_like_the_reference(fuzzed):
+    _, runs = fuzzed
+    texts = {text for _, texts, _, _ in runs["graph"] for text in texts.values()}
+    parsed = 0
+    for text in sorted(texts):
+        try:
+            g = parse_graph(text)
+        except GgtError:
+            continue
+        parsed += 1
+        assert validate.__wrapped__(g) == reference_validate(g), text
+    # most mutations break the text; 28 of the 142 distinct texts parse
+    assert parsed >= 20, (parsed, len(texts))
 
 
 REPLAY = """\

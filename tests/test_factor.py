@@ -890,7 +890,7 @@ def test_matcher_results_are_checked_without_asserts(monkeypatch):
 
 
 def test_matcher_matches_the_min_scan_reference(monkeypatch):
-    # the key heap and the direct filing give the blocks and residue of
+    # the levels and the direct filing give the blocks and residue of
     # the matcher that refined each piece as a one-piece clopen and
     # scanned both pool dicts for the least key, at depths start to
     # start + 2: the fixtures, benchmark-style random graphs, unequal

@@ -1,6 +1,8 @@
 import random
 import re
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -8,11 +10,12 @@ from ggt.errors import (MalformedGraph, NoDisjointCycles, NotARegularSource,
                         NotInfiniteEmitter, NotStronglyConnected)
 from ggt.fixtures import (cycle_graph, emitter_two_loops, infinite_rose,
                           mixed_graph, rose)
-from ggt.graphs import (CriteriaReport, Graph, edge_key, family_member,
-                        find_path, move_s, move_t, parse_graph, print_graph,
-                        split_member, two_disjoint_cycles, validate)
+from ggt.graphs import (Graph, edge_key, family_member, find_path, move_s,
+                        move_t, parse_graph, print_graph, split_member,
+                        two_disjoint_cycles, validate)
 
-from helpers import random_twin_graph, reachable_from
+from helpers import (brute_force_sccs, random_twin_graph, reference_emitter,
+                     reference_validate)
 
 
 def refusal(fn, *args):
@@ -170,16 +173,6 @@ def test_move_s():
         move_s(g, "t")
 
 
-def brute_force_sccs(g):
-    """Independent SCC oracle: mutual reachability, no Tarjan."""
-    reach = {v: reachable_from(g, v) for v in g.vertices}
-    comps = set()
-    for v in g.vertices:
-        comps.add(frozenset(u for u in g.vertices
-                            if u in reach[v] and v in reach[u]))
-    return comps
-
-
 def test_move_s_preserves_scc_structure():
     rng = random.Random(3)
     for _ in range(25):
@@ -241,21 +234,6 @@ def test_graph_round_trip():
         assert parse_graph(print_graph(g), g.name) == g
 
 
-def reference_emitter(g):
-    """The emitter search the factorization made on its own before
-    ``validate`` recorded it: the least emitter carrying a loop family and
-    edges to every vertex, with its first loop family; None if none."""
-    for w in sorted(g.vertices):
-        if not g.is_infinite_emitter(w):
-            continue
-        loop_fams = [f for f in g.out_families(w) if g.family_range(f) == w]
-        if not loop_fams:
-            continue
-        if all(v in set(g.successors(w)) for v in g.vertices):
-            return w, loop_fams[0]
-    return None
-
-
 def test_validate_records_the_distinguished_emitter():
     pet = emitter_two_loops()
     core = move_s(mixed_graph(), "u")
@@ -281,81 +259,6 @@ def test_validate_records_the_distinguished_emitter():
     assert validate(twin).emitter == ("w", "K")
 
 
-def _find_cycle_within(g, allowed):
-    """Least vertex lying on a cycle fully inside `allowed`, or None."""
-    allowed = set(allowed)
-    for v in sorted(allowed):
-        # DFS from v through allowed vertices looking for a return to v
-        stack = [v]
-        seen = set()
-        while stack:
-            u = stack.pop()
-            for w in g.successors(u):
-                if w == v:
-                    return v
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return None
-
-
-def reference_validate(g):
-    """The per-vertex criteria that ``validate`` read off the component
-    graph replaced: a cycle search inside the out-degree-1 vertices for
-    Condition (L), and one reachability walk per vertex for cofinality
-    and for reaching every infinite emitter."""
-    witnesses = []
-    sinks = [v for v in sorted(g.vertices) if g.is_sink(v)]
-    if sinks:
-        witnesses.append(("no_sinks", f"sink {sinks[0]}"))
-    sources = [v for v in sorted(g.vertices) if g._incoming[v] == 0]
-    if sources:
-        witnesses.append(("no_sources", f"source {sources[0]}"))
-
-    forced = {v for v in g.vertices
-              if len(g.out_concrete(v)) == 1 and not g.out_families(v)}
-    cycle = _find_cycle_within(g, forced)
-    if cycle is not None:
-        witnesses.append(("condition_L", f"exitless cycle at {cycle}"))
-
-    cofinal = True
-    for v in sorted(g.vertices):
-        cyc = _find_cycle_within(g, set(g.vertices) - reachable_from(g, v))
-        if cyc is not None:
-            cofinal = False
-            witnesses.append(("cofinal", f"{v} cannot reach the cycle at {cyc}"))
-            break
-
-    reaches = True
-    emitters = [v for v in sorted(g.vertices) if g.is_infinite_emitter(v)]
-    for v in sorted(g.vertices):
-        reach = reachable_from(g, v)
-        missing = [w for w in emitters if w not in reach]
-        if missing:
-            reaches = False
-            witnesses.append(("reaches_all_infinite_emitters",
-                              f"{v} cannot reach {missing[0]}"))
-            break
-
-    comps = g.strongly_connected_components()
-    strongly = len(comps) == 1
-    if not strongly:
-        witnesses.append(("strongly_connected", f"{len(comps)} components"))
-    emitter = reference_emitter(g) if strongly else None
-    if emitter is None:
-        if not strongly:
-            witnesses.append(("factor_hypotheses", "not strongly connected"))
-        elif not emitters:
-            witnesses.append(("factor_hypotheses", "no infinite emitter"))
-        else:
-            witnesses.append(("factor_hypotheses",
-                              "no emitter with a loop family and edges to every vertex"))
-    no_sinks, cond_l = not sinks, cycle is None
-    return CriteriaReport(no_sinks, not sources, cond_l, cofinal, reaches,
-                          strongly, no_sinks and cond_l and cofinal and reaches,
-                          emitter is not None, emitter, tuple(witnesses))
-
-
 def random_graph(rng, n):
     """Concrete edges, self-loops, edge families (loop families too) and
     sinks, often in several components."""
@@ -379,20 +282,109 @@ def strongly_connected_graph(rng, n):
     return Graph("sc", rng.sample(verts, n), edges, families)
 
 
+def component_graph(rng, n):
+    """n vertices cut into 1-8 blocks, joined in a chain or at random
+    from earlier blocks to later ones only, so the blocks' components
+    form a DAG. A block is cyclic (a ring with chords, or a looped
+    vertex) or a path of single-vertex components; in some graphs only
+    the last block is cyclic, and a path may leave from its last vertex,
+    so that every vertex can reach the one cycle. Paths give sinks and,
+    with the random joins, sources; families, some of them loops, give
+    emitters."""
+    verts = [f"v{i}" for i in range(n)]
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, 8)))
+    blocks = [verts[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+    p_cyclic = rng.choice((0.0, 0.7))
+    arcs, ends = [], []
+    for k, block in enumerate(blocks, start=1):
+        if k == len(blocks) or rng.random() < p_cyclic:
+            arcs += zip(block, block[1:] + block[:1])
+            arcs += [(rng.choice(block), rng.choice(block))
+                     for _ in range(rng.randrange(0, len(block) // 4 + 1))]
+            ends.append(rng.choice(block))
+        else:
+            arcs += zip(block, block[1:])
+            ends.append(rng.choice((block[-1], rng.choice(block))))
+    chain = rng.random() < 0.5
+    for i, block in enumerate(blocks[:-1]):
+        later = blocks[i + 1:]
+        for target in later[:1] if chain else rng.sample(
+                later, rng.randrange(0, len(later) + 1)):
+            arcs.append((ends[i], rng.choice(target)))
+    families = []
+    for _ in range(rng.randrange(0, 5)):
+        i = rng.randrange(len(blocks))
+        v = rng.choice(blocks[i])
+        w = v if rng.random() < 0.3 else rng.choice(rng.choice(blocks[i:]))
+        families.append((f"F{len(families)}", v, w))
+    edges = [(f"e{k}", s, r) for k, (s, r) in enumerate(arcs)]
+    return Graph("dag", rng.sample(verts, n), edges, families)
+
+
 def test_validate_matches_the_per_vertex_reference():
     rng = random.Random(2031)
     graphs = [random_graph(rng, rng.randrange(1, 9)) for _ in range(3000)]
     graphs += [strongly_connected_graph(rng, rng.randrange(10, 61))
                for _ in range(50)]
+    # 100-400 vertices whose cyclic components lie in a chain or a DAG:
+    # each component's reach set and the order the components are
+    # tested in decide the witnesses here
+    rng = random.Random(3203)
+    large = [component_graph(rng, rng.randrange(100, 401)) for _ in range(40)]
     failing = set()
-    for g in graphs:
+    held = {}  # criterion -> the outcomes seen on the large graphs
+    for i, g in enumerate(graphs + large):
         got = validate.__wrapped__(g)
         assert got == reference_validate(g), print_graph(g)
         failing.update(name for name, _ in got.witnesses)
+        if i >= len(graphs):
+            for name in ("no_sinks", "no_sources", "condition_L", "cofinal",
+                         "reaches_all_infinite_emitters", "strongly_connected"):
+                held.setdefault(name, set()).add(got.witness(name) is None)
     # every criterion fails somewhere, so every witness is compared
     assert failing == {"no_sinks", "no_sources", "condition_L", "cofinal",
                        "reaches_all_infinite_emitters", "strongly_connected",
                        "factor_hypotheses"}
+    assert all(outcomes == {True, False} for outcomes in held.values())
+    assert max(sum(map(g.is_cyclic, g.strongly_connected_components()))
+               for g in large) >= 4
+
+
+def test_validate_memory_on_long_paths():
+    # a reach set keeps only the vertices on cycles and the emitters, and
+    # a component that adds none shares the one reach set below it: on a
+    # 4000-vertex chain ending in a loop, and on a 2000-vertex path into
+    # a 2000-vertex cycle, not every vertex below each vertex (n(n + 1)/2
+    # and n·m entries, 331 and 248 MiB)
+    path = [f"v{i}" for i in range(4000)]
+    ring = [f"c{i}" for i in range(2000)]
+    chain = Graph("chain", path, [(f"e{i}", v, path[min(i + 1, 3999)])
+                                  for i, v in enumerate(path)])
+    into = Graph("into", path[:2000] + ring,
+                 [(f"e{i}", v, path[i + 1]) for i, v in enumerate(path[:1999])]
+                 + [("e", path[1999], ring[0])]
+                 + [(f"f{i}", v, ring[i - 1]) for i, v in enumerate(ring)])
+    for g in (chain, into):
+        tracemalloc.start()
+        try:
+            report = validate.__wrapped__(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.cofinal and report.witness("no_sources") == "source v0"
+        assert peak < 16 * 2**20, f"{g.name}: peak {peak / 2**20:.1f} MiB"
+
+
+def test_validate_time_on_one_large_component():
+    # the vertices of a component share its reach set, so it is tested
+    # once, not once per vertex
+    g = strongly_connected_graph(random.Random(16000), 16000)
+    start = time.process_time()
+    report = validate.__wrapped__(g)
+    took = time.process_time() - start
+    assert report.strongly_connected and report.cofinal
+    assert took < 1.0, f"took {took:.2f} s"
 
 
 def test_validate_walks_the_components_once(monkeypatch):
